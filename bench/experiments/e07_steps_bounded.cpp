@@ -6,6 +6,9 @@
 // every persistent-RBT node visited or created — in GC-phase copies AND in
 // dequeues' archive lookups — is charged one step (pbt::tls_rbt_touches),
 // mirroring the paper's model where each RBT operation costs O(log(p+q)).
+// The archive holds 64-block chunks, so a GC phase also charges one step
+// per block it copies into a chunk: the paper's per-block archive work,
+// which the ~64x fewer tree operations would otherwise hide.
 //
 // Sweeps amortized steps/op vs p (fixed small q) and vs q (fixed p), with
 // the GC period scaled down to G=32 (override with --gc) so collections
@@ -117,8 +120,10 @@ api::Report run(const api::RunOptions& opts) {
              "   R^2[steps ~ q] = " + stats::fmt(r2_q, 3));
     sec.note("  paper expectation: growth ~ log p * log(p+q); the");
     sec.note("  normalized columns stay roughly constant, the log-q fit");
-    sec.note("  beats the linear-q fit, and rbt/op is nonzero (GC phases");
-    sec.note("  and archive lookups really run through the RBT).");
+    sec.note("  beats the linear-q fit, and rbt/op is nonzero once a GC");
+    sec.note("  phase has archived a chunk (q >= 128 here): the in-array");
+    sec.note("  suffix keeps up to 63 blocks past the GC window, so the");
+    sec.note("  smallest runs never reach the RBT.");
   }
   return r;
 }

@@ -11,10 +11,13 @@
 //  - The GC phase computes, per node, an archive floor `af` (everything
 //    below it is dead: unreachable by the live queue contents and by every
 //    in-flight operation) and an array floor `k` (the suffix that stays in
-//    the mutable block array, sized by the GC window ~ G). Blocks in
-//    [af, k) are copied into a path-copying persistent red-black tree
-//    (pbt/persistent_rbt.hpp) keyed by (node id, block index); blocks below
-//    af are discarded. Truncated array slots are tombstoned — never reset
+//    the mutable block array, sized by the GC window ~ G and moved in whole
+//    chunks of kChunk = 64 blocks). Blocks in [af, k) are copied into
+//    immutable chunks held by a path-copying persistent red-black tree
+//    (pbt/persistent_rbt.hpp) keyed by (node id, chunk index); blocks below
+//    af are discarded, and a chunk is erased only once it lies entirely
+//    below af (one straddling af stays whole; its dead slots hold the
+//    discarded sentinel). Truncated array slots are tombstoned — never reset
 //    to null, so a stalled refresher's install CAS cannot resurrect a stale
 //    block into a collected index — and the Block objects are retired into
 //    an epoch-based-reclamation layer (core/ebr.hpp) so a concurrent reader
@@ -44,18 +47,20 @@
 // search back up, which is safe because all three search predicates are
 // monotone in the block index.
 //
-// Reachable space: in-array suffixes are O(G) per node, the archive holds
-// O(q_max + p) live blocks, and the EBR backlog is transient (bounded by
-// ~3 GC phases) — Theorem 31's O(p q_max + p^3 log p) with G = p^2 log p.
-// Every archive access is charged through note_rbt_touch (the paper's
-// model: each RBT node visited or created is one step), so E7 measures
-// Theorem 32's amortized O(log p log(p+q)) including GC.
+// Reachable space: in-array suffixes are O(G) per node (+ < kChunk), the
+// archive holds O(q_max + p) live blocks (+ < kChunk per node: the chunk
+// straddling af), and the EBR backlog is transient (bounded by ~3 GC phases) — Theorem 31's
+// O(p q_max + p^3 log p) with G = p^2 log p. Every RBT node visited or
+// created and every block copied into a chunk is charged through
+// note_rbt_touch (the paper's model), so E7 measures Theorem 32's
+// amortized O(log p log(p+q)) including GC.
 //
-// Deviation from the paper (documented in DESIGN.md): GC phases are
-// serialized by a try-lock and run by the boundary-crossing process alone
-// (no helping), so the collector's worst-case — not amortized — bound is
-// weaker than Theorem 32 under a targeted adversary. Space and amortized
-// step shapes are faithful.
+// Deviations from the paper (documented in DESIGN.md): the archive's unit
+// is a chunk, not a block, so a path copy copies one pointer per 64 blocks.
+// GC phases are serialized by a try-lock and run by the boundary-crossing
+// process alone (no helping), so the collector's worst-case — not
+// amortized — bound is weaker than Theorem 32 under a targeted adversary.
+// Space and amortized step shapes are faithful.
 #pragma once
 
 #include <algorithm>
@@ -80,7 +85,15 @@ class BoundedQueue {
  public:
   using Ebr = core::Ebr<Platform>;
   using Block = TreeBlock<T>;
-  using Rbt = pbt::PersistentRbt<Block>;
+
+  /// The archive's unit: an immutable copy of kChunk consecutive blocks of
+  /// one node, shared across RBT versions by pointer (a path copy copies
+  /// the pointer, never the blocks).
+  static constexpr int64_t kChunk = 64;
+  struct Chunk {
+    Block b[kChunk];
+  };
+  using Rbt = pbt::PersistentRbt<std::shared_ptr<const Chunk>>;
 
   /// The tree's Storage hook: every historical read is floor-, tombstone-
   /// and archive-aware (the historical-block-load customization point the
@@ -164,7 +177,7 @@ class BoundedQueue {
     return total;
   }
 
-  /// Blocks currently archived in the persistent RBT (test surface).
+  /// Block slots of the chunks archived in the persistent RBT (test surface).
   size_t debug_archived_blocks() const {
     const ArchiveVersion* av = archive_.unsafe_peek();
     return av == nullptr ? 0 : av->count;
@@ -219,14 +232,15 @@ class BoundedQueue {
 
   // --- block access with archive fallback ----------------------------------
 
-  static uint64_t key_of(const Node* v, int64_t i) {
-    // Low 44 bits hold the block index (~17T per node before overflow);
-    // masking keeps an out-of-range index from aliasing another node's keys.
+  static uint64_t key_of(const Node* v, int64_t c) {
+    // Low 44 bits hold the chunk index (~1P blocks per node before
+    // overflow); masking keeps an out-of-range index from aliasing another
+    // node's keys.
     constexpr uint64_t kIndexBits = 44;
     constexpr uint64_t kIndexMask = (uint64_t{1} << kIndexBits) - 1;
-    assert(i >= 0 && static_cast<uint64_t>(i) <= kIndexMask);
+    assert(c >= 0 && static_cast<uint64_t>(c) <= kIndexMask);
     return (static_cast<uint64_t>(static_cast<uint32_t>(v->id)) << kIndexBits) |
-           (static_cast<uint64_t>(i) & kIndexMask);
+           (static_cast<uint64_t>(c) & kIndexMask);
   }
 
   /// Sentinel for probes into discarded history: its monotone fields read
@@ -245,8 +259,8 @@ class BoundedQueue {
   const Block* archived(const Node* v, int64_t i) const {
     const ArchiveVersion* av = archive_.load();
     if (i >= 0 && av != nullptr) {
-      const Block* b = Rbt::find(av->root, key_of(v, i));
-      if (b != nullptr) return b;
+      const auto* c = Rbt::find(av->root, key_of(v, i / kChunk));
+      if (c != nullptr) return &(*c)->b[i % kChunk];
     }
     return &discarded_block();
   }
@@ -330,21 +344,37 @@ class BoundedQueue {
     std::vector<Plan> plans;
     plan_node(root, af_root, last - window_ + 1, plans);
 
-    // 4. New archive version: copy [kfloor, k_new) in, drop [af, af_new).
+    // 4. New archive version: copy the live part of [kfloor, k_new) in as
+    // whole chunks, drop the chunks now entirely below af_new (a chunk
+    // straddling af_new stays whole). Slots under max(kfloor, af_new) hold
+    // the discarded sentinel, so probes there still steer with -1 fields.
     const ArchiveVersion* old_av = archive_.load();
     typename Rbt::Ptr aroot = old_av ? old_av->root : Rbt::empty();
     size_t count = old_av ? old_av->count : 0;
     for (const Plan& pl : plans) {
-      for (int64_t i = pl.v->af; i < pl.af_new; ++i) {
-        typename Rbt::Ptr next = Rbt::erase(aroot, key_of(pl.v, i));
-        if (next != aroot) --count;
+      for (int64_t c = pl.v->af / kChunk; c < pl.af_new / kChunk; ++c) {
+        typename Rbt::Ptr next = Rbt::erase(aroot, key_of(pl.v, c));
+        if (next != aroot) count -= kChunk;
         aroot = std::move(next);
       }
-      for (int64_t i = pl.v->kfloor; i < pl.k_new; ++i) {
-        if (i < pl.af_new) continue;  // dead: discarded, never archived
-        const Block* b = pl.v->blocks.load(i);
-        aroot = Rbt::insert(aroot, key_of(pl.v, i), *b);
-        ++count;
+      // Starting at the chunk of max(kfloor, af_new) never inserts a chunk
+      // that is already entirely dead (the erase above would never see it).
+      int64_t lo = std::max(pl.v->kfloor, pl.af_new);
+      if (lo >= pl.k_new) continue;
+      assert(pl.k_new % kChunk == 0);  // plan_node moved it a whole chunk
+      for (int64_t c = lo / kChunk; c * kChunk < pl.k_new; ++c) {
+        auto chunk = std::make_shared<Chunk>();
+        for (int64_t j = 0; j < kChunk; ++j) {
+          int64_t i = c * kChunk + j;
+          if (i < lo) {
+            chunk->b[j] = discarded_block();
+          } else {
+            chunk->b[j] = *pl.v->blocks.load(i);
+            pbt::note_rbt_touch();  // the paper's per-block archive copy
+          }
+        }
+        aroot = Rbt::insert(aroot, key_of(pl.v, c), std::move(chunk));
+        count += kChunk;
       }
     }
     auto* nv = new ArchiveVersion{std::move(aroot), count};
@@ -402,8 +432,11 @@ class BoundedQueue {
       return;
     }
     int64_t af_new = std::clamp<int64_t>(std::max(v->af, af_in), 1, lastv);
+    // The array floor moves in whole chunks (never below kfloor), so the
+    // in-array suffix keeps < kChunk extra blocks per node.
     int64_t k_new =
         std::clamp<int64_t>(std::max(v->kfloor, k_in), af_new, lastv);
+    k_new = std::max(v->kfloor, k_new / kChunk * kChunk);
     out.push_back({v, af_new, k_new});
     if (!v->is_leaf) {
       // Readers retained at this node use block PAIRS (j-1, j) for

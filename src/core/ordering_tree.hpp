@@ -247,6 +247,14 @@ class OrderingTree {
   int64_t append(int pid, std::optional<T> elem, bool is_enq) {
     Node* leaf = leaves_[static_cast<size_t>(pid)];
     int64_t b = append_leaf(leaf, std::move(elem), is_enq);
+    // The leaf block is published with plain release stores, and the first
+    // refresh below reads the sibling leaf with acquire loads; TSO hardware
+    // may satisfy those loads before the stores drain. Two busy siblings
+    // can then each build parent blocks that miss the other's new leaf
+    // block, both of this op's refreshes fail on blocks that never merged
+    // it, and the double-refresh argument breaks (one item duplicated,
+    // another lost). Higher levels publish by CAS, a full barrier already.
+    std::atomic_thread_fence(std::memory_order_seq_cst);
     propagate(leaf->parent);
     return b;
   }

@@ -6,7 +6,12 @@
 //      ops grow 4x while the unbounded queue's grow ~4x, and disabling GC
 //      (g=-1) makes the bounded queue grow like the unbounded one;
 //  (c) the machinery demonstrably ran: GC phases fired, blocks were
-//      archived into the persistent RBT, and EBR actually freed memory.
+//      archived into the persistent RBT, and EBR actually freed memory;
+//  (d) chunk boundaries: a deep prefill drained under G below, at and above
+//      the archive's chunk size, with FIFO and conservation asserted and
+//      dead chunks erased afterwards;
+//  (e) the archive itself plateaus as ops grow.
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <queue>
@@ -114,10 +119,80 @@ void space_plateau() {
   CHECK(b_big.debug_ebr().freed_count() > 0);
 }
 
+/// The archive stores whole chunks of BoundedQueue::kChunk blocks. A deep
+/// prefill archives many of them; the drain then moves the archive floor
+/// through every chunk, so straddling chunks, chunk-aligned array floors and
+/// erasure of dead chunks are all crossed, with G on both sides of kChunk.
+void deep_drain_across_chunks(int64_t gc_period) {
+  constexpr int kProcs = 8;  // paper default G = 192, three chunks
+  constexpr uint64_t kDepth = 4096;
+  BoundedQueue<uint64_t> q(kProcs, gc_period);
+  std::queue<uint64_t> model;
+  uint64_t next = 1, sum_in = 0, sum_out = 0;
+  auto enq = [&](int k) {
+    q.bind_thread(k % kProcs);
+    q.enqueue(next);
+    model.push(next);
+    sum_in += next++;
+  };
+  auto deq = [&](int k) {
+    q.bind_thread(k % kProcs);
+    std::optional<uint64_t> got = q.dequeue();
+    CHECK(got.has_value());
+    if (!got.has_value() || model.empty()) return;
+    CHECK_EQ(*got, model.front());
+    sum_out += *got;
+    model.pop();
+  };
+  for (int k = 0; k < static_cast<int>(kDepth); ++k) enq(k);
+  size_t peak = q.debug_archived_blocks();
+  // Half the drain mixed with enqueues (the archive keeps filling while the
+  // floor rises), the rest a pure drain.
+  for (int k = 0; k < static_cast<int>(kDepth); ++k) {
+    if (k % 2 == 0) enq(k);
+    deq(k);
+  }
+  for (int k = 0; !model.empty(); ++k) deq(k);
+  // Retention keeps the drain's dequeue blocks until the front passes the
+  // last enqueue; pairs on the empty queue move it past.
+  for (int k = 0; k < 1024; ++k) {
+    enq(k);
+    deq(k + 1);
+  }
+  CHECK(!q.dequeue().has_value());
+  CHECK_EQ(sum_out, sum_in);
+  // Chunks dead after the drain are erased, not leaked.
+  CHECK(peak >= kDepth / 2);
+  CHECK(q.debug_archived_blocks() * 8 < peak);
+}
+
+/// Archived blocks plateau as ops grow: a held queue depth bounds the
+/// archive, whatever the run length. With G = 256 and the queue held at 160
+/// the archive floor overtakes the old array floor by more than a chunk in
+/// every phase, so a chunk inserted already dead (never erased) would make
+/// the archive grow with every phase.
+void archive_plateau() {
+  constexpr uint64_t kHold = 160;
+  BoundedQueue<uint64_t> q(2, /*gc_period=*/256);
+  q.bind_thread(0);
+  for (uint64_t i = 0; i < kHold; ++i) q.enqueue(i);
+  size_t max_first = 0, max_rest = 0;
+  for (uint64_t i = 0; i < 16'000; ++i) {
+    q.enqueue(kHold + i);
+    (void)q.dequeue();
+    size_t& max = i < 4'000 ? max_first : max_rest;
+    max = std::max(max, q.debug_archived_blocks());
+  }
+  CHECK(max_first > 0);
+  CHECK(max_rest <= max_first);
+}
+
 }  // namespace
 
 int main() {
   fifo_across_gc_phases();
   space_plateau();
+  for (int64_t g : {2, 5, 63, 64, 65, 0}) deep_drain_across_chunks(g);
+  archive_plateau();
   return wfq::test::exit_code();
 }

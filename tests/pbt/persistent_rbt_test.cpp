@@ -5,9 +5,12 @@
 //  (c) persistence: version roots snapshotted mid-run read back exactly
 //      their historical contents after arbitrary later mutations;
 //  (d) step accounting: every operation's tls_rbt_touches delta equals its
-//      visited + created node counts (last_op_stats).
+//      visited + created node counts (last_op_stats);
+//  (e) shared_ptr values (the bounded queue's chunks) are released once
+//      every version holding them is dropped.
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <random>
 #include <vector>
 
@@ -112,6 +115,37 @@ void touches_are_logarithmic() {
   CHECK(ins_cost >= 1 && ins_cost <= 8 * 13);  // visit+copy per level
 }
 
+void shared_values_are_released() {
+  // The bounded queue archives std::shared_ptr<const Chunk> values; path
+  // copying copies the pointer into every new version. Once all versions
+  // are dropped, every value must be owned by its creator alone again, or
+  // chunk memory would leak across versions.
+  using SRbt = wfq::pbt::PersistentRbt<std::shared_ptr<const uint64_t>>;
+  std::mt19937_64 rng(0x5eed4);
+  std::vector<std::shared_ptr<const uint64_t>> values;
+  {
+    std::vector<SRbt::Ptr> versions;
+    SRbt::Ptr root = SRbt::empty();
+    for (int k = 0; k < 2000; ++k) {
+      uint64_t key = rng() % 128;
+      if (rng() % 100 < 60) {
+        values.push_back(std::make_shared<const uint64_t>(key));
+        root = SRbt::insert(root, key, values.back());  // insert-or-assign
+      } else {
+        root = SRbt::erase(root, key);
+      }
+      if (k % 50 == 0) versions.push_back(root);
+    }
+    SRbt::validate(root);
+    bool shared = false;
+    for (const auto& v : values) shared = shared || v.use_count() > 1;
+    CHECK(shared);  // the versions really hold references
+  }
+  bool released = true;
+  for (const auto& v : values) released = released && v.use_count() == 1;
+  CHECK(released);
+}
+
 }  // namespace
 
 int main() {
@@ -121,5 +155,6 @@ int main() {
                          /*key_range=*/1'000'000);
   erase_absent_is_noop();
   touches_are_logarithmic();
+  shared_values_are_released();
   return wfq::test::exit_code();
 }
