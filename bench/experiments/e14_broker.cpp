@@ -277,14 +277,10 @@ void topic_consumer(const std::string& uds, uint32_t key_base, uint32_t topic,
       return;
     }
     for (int64_t i = 0; i < chunk; ++i) {
-      while (dec.next(resp) != net::DecodeStatus::ok) {
-        ssize_t n = ::read(fd.get(), buf, sizeof(buf));
-        if (n <= 0) {
-          out->ok = false;
-          barrier->fetch_sub(1);
-          return;
-        }
-        dec.feed(buf, static_cast<size_t>(n));
+      if (net::read_frame(fd.get(), dec, resp) != net::DecodeStatus::ok) {
+        out->ok = false;
+        barrier->fetch_sub(1);
+        return;
       }
       if (resp.op != net::Opcode::enq_ok) out->ok = false;
     }

@@ -1,9 +1,9 @@
 // E15 — the raft replication experiment family (ISSUE 10): REAL broker
-// processes in --cluster mode on loopback TCP, spawned with fork/execv and
-// killed with real signals. Nothing in-process: each data point covers the
-// wfb-v1 raft band over sockets, the replicated-config bootstrap, leader
-// election, and the ClusterClient redirect/retry path — the same binary and
-// client path a deployment would run.
+// processes in --cluster mode on loopback TCP, spawned and killed with real
+// signals by broker::ReplicaGroup. Nothing in-process: each data point
+// covers the wfb-v1 raft band over sockets, the replicated-config
+// bootstrap, leader election, and the ClusterClient redirect/retry path —
+// the same binary and client path a deployment would run.
 //
 // E15a (replication-factor overhead): closed-loop ENQ/DEQ pairs through
 // ClusterClient against RF = 1, 3, 5 replica groups. Only broker METADATA
@@ -28,7 +28,6 @@
 // paper-standard raft tradeoff: short timeouts recover faster but risk
 // spurious elections on slow networks).
 #include <signal.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -36,13 +35,12 @@
 #include <cstdint>
 #include <cstdlib>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "api/experiment.hpp"
 #include "broker/loadgen.hpp"
+#include "broker/replica_group.hpp"
 #include "net/frame.hpp"
-#include "net/socket.hpp"
 #include "stats/qos.hpp"
 
 namespace {
@@ -79,72 +77,6 @@ std::string broker_bin() {
   }
   return "broker";  // last resort: PATH lookup via execvp semantics
 }
-
-uint16_t pick_free_port() {
-  net::FdHandle fd = net::listen_tcp(0);
-  if (!fd.valid()) return 0;
-  return net::bound_tcp_port(fd.get());
-}
-
-/// An RF-replica broker group as real child processes.
-struct Cluster {
-  std::vector<pid_t> pids;
-  std::vector<uint16_t> ports;
-
-  static Cluster spawn(int rf, uint64_t election_ms,
-                       const std::string& backing) {
-    Cluster c;
-    for (int i = 0; i < rf; ++i) c.ports.push_back(pick_free_port());
-    std::string peers;
-    for (size_t i = 0; i < c.ports.size(); ++i)
-      peers += (i ? "," : "") + std::to_string(c.ports[i]);
-    const std::string bin = broker_bin();
-    for (int i = 0; i < rf; ++i) {
-      pid_t pid = ::fork();
-      if (pid == 0) {
-        // Children are quiet: banner + drain report would interleave with
-        // the bench table.
-        ::freopen("/dev/null", "w", stdout);
-        ::freopen("/dev/null", "w", stderr);
-        std::string cluster = std::to_string(i) + "/" + std::to_string(rf);
-        std::string election = std::to_string(election_ms);
-        const char* argv[] = {bin.c_str(),       "--cluster",
-                              cluster.c_str(),   "--peers",
-                              peers.c_str(),     "--backing",
-                              backing.c_str(),   "--shards",
-                              "2",               "--election-ms",
-                              election.c_str(),  nullptr};
-        ::execv(bin.c_str(), const_cast<char**>(argv));
-        _exit(127);
-      }
-      c.pids.push_back(pid);
-    }
-    return c;
-  }
-
-  void kill_replica(size_t i, int sig) {
-    if (pids[i] <= 0) return;
-    ::kill(pids[i], sig);
-    int status = 0;
-    if (sig == SIGKILL) {
-      ::waitpid(pids[i], &status, 0);
-      pids[i] = -1;
-    }
-  }
-
-  void teardown() {
-    for (pid_t& pid : pids) {
-      if (pid <= 0) continue;
-      ::kill(pid, SIGTERM);
-    }
-    for (pid_t& pid : pids) {
-      if (pid <= 0) continue;
-      int status = 0;
-      ::waitpid(pid, &status, 0);
-      pid = -1;
-    }
-  }
-};
 
 /// Blocks until the group serves: one ENQ round trip through the redirect
 /// path. Returns false if no leader emerged within the budget.
@@ -184,12 +116,13 @@ api::Report run_rf(const api::RunOptions& opts) {
   sec.cols({"rf", "msgs/s", "redirects", "rtt p50 us", "rtt p99 us"});
   double rf1 = 0, rf3 = 0;
   for (int rf : rfs) {
-    Cluster c = Cluster::spawn(rf, 150, "ubq");
+    broker::ReplicaGroup g;
     double tput = 0, p50 = 0, p99 = 0;
     uint64_t redirects = 0;
-    if (wait_serving(c.ports, 20'000)) {
+    if (g.spawn(broker_bin(), rf, "ubq", 150) &&
+        wait_serving(g.ports(), 20'000)) {
       broker::LoadgenConfig lcfg;
-      lcfg.cluster_ports = c.ports;
+      lcfg.cluster_ports = g.ports();
       lcfg.connections = conns;
       lcfg.msgs_per_conn =
           std::max<int64_t>(2, (total_msgs / conns) & ~int64_t{1});
@@ -200,7 +133,6 @@ api::Report run_rf(const api::RunOptions& opts) {
       p50 = stats::percentile(lr.latencies_us, 50);
       p99 = stats::percentile(lr.latencies_us, 99);
     }
-    c.teardown();
     if (rf == 1) rf1 = tput;
     if (rf == 3) rf3 = tput;
     sec.row(rf, api::cell(tput, 0), api::cell(redirects), api::cell(p50, 1),
@@ -220,11 +152,12 @@ api::Report run_rf(const api::RunOptions& opts) {
 /// One failover measurement: fresh RF-3 group, prober traffic, SIGKILL the
 /// leader, time to the first post-kill DEQ_OK. Returns <0 on setup failure.
 double one_failover_ms(uint64_t election_ms) {
-  Cluster c = Cluster::spawn(3, election_ms, "ubq");
+  broker::ReplicaGroup g;
   double result = -1;
-  if (wait_serving(c.ports, 20'000)) {
+  if (g.spawn(broker_bin(), 3, "ubq", election_ms) &&
+      wait_serving(g.ports(), 20'000)) {
     broker::ClusterClient::Options o;
-    o.ports = c.ports;
+    o.ports = g.ports();
     o.read_timeout_ms = std::max<uint64_t>(50, election_ms / 2);
     o.give_up_ms = 30'000;
     broker::ClusterClient cc(o);
@@ -244,7 +177,7 @@ double one_failover_ms(uint64_t election_ms) {
     int leader = cc.current();
     if (ok && leader >= 0 && leader < 3) {
       auto t_kill = Clock::now();
-      c.kill_replica(static_cast<size_t>(leader), SIGKILL);
+      g.kill(static_cast<size_t>(leader), SIGKILL);
       // First post-kill DEQ_OK: each request internally rides redirects
       // and reconnects until the new leader serves it.
       while (true) {
@@ -259,7 +192,6 @@ double one_failover_ms(uint64_t election_ms) {
       }
     }
   }
-  c.teardown();
   return result;
 }
 

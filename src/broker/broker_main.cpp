@@ -85,26 +85,20 @@ int report_mode(const std::string& uds_path, uint64_t timeout_ms) {
   }
   wfq::net::Decoder dec;
   wfq::net::Frame resp;
-  char buf[65536];
-  while (true) {
-    ssize_t n = ::read(fd.get(), buf, sizeof(buf));
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      std::cerr << "broker: STAT response timed out after " << timeout_ms
-                << "ms (broker hung or partitioned?)\n";
-      return 1;
-    }
-    if (n <= 0) {
-      std::cerr << "broker: connection closed before STAT response\n";
-      return 1;
-    }
-    dec.feed(buf, static_cast<size_t>(n));
-    wfq::net::DecodeStatus st = dec.next(resp);
-    if (st == wfq::net::DecodeStatus::ok) break;
-    if (st != wfq::net::DecodeStatus::need_more) {
-      std::cerr << "broker: bad STAT response: "
-                << wfq::net::decode_status_name(st) << "\n";
-      return 1;
-    }
+  wfq::net::DecodeStatus st = wfq::net::read_frame(fd.get(), dec, resp);
+  if (st == wfq::net::DecodeStatus::need_more && errno == EAGAIN) {
+    std::cerr << "broker: STAT response timed out after " << timeout_ms
+              << "ms (broker hung or partitioned?)\n";
+    return 1;
+  }
+  if (st == wfq::net::DecodeStatus::need_more) {
+    std::cerr << "broker: connection closed before STAT response\n";
+    return 1;
+  }
+  if (st != wfq::net::DecodeStatus::ok) {
+    std::cerr << "broker: bad STAT response: "
+              << wfq::net::decode_status_name(st) << "\n";
+    return 1;
   }
   if (resp.op != wfq::net::Opcode::stat_ok) {
     std::cerr << "broker: expected STAT_OK, got "

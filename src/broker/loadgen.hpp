@@ -126,15 +126,16 @@ class ClusterClient {
         drop_and_advance(-1);
         continue;
       }
-      std::optional<net::Frame> resp = read_one();
-      if (!resp) {
+      // Timeout (SO_RCVTIMEO), EOF or a poisoned stream: next replica.
+      net::Frame resp;
+      if (net::read_frame(fd_.get(), dec_, resp) != net::DecodeStatus::ok) {
         drop_and_advance(-1);
         continue;
       }
-      if (resp->op == net::Opcode::err_not_leader) {
+      if (resp.op == net::Opcode::err_not_leader) {
         ++redirects_;
         uint32_t hint = 0xffffffffu;
-        net::decode_u32(resp->payload, hint);
+        net::decode_u32(resp.payload, hint);
         int next = (hint != 0xffffffffu &&
                     hint < opts_.ports.size())
                        ? static_cast<int>(hint)
@@ -163,23 +164,6 @@ class ClusterClient {
     return true;
   }
 
-  /// Blocks (bounded by SO_RCVTIMEO) for exactly one frame. nullopt on
-  /// timeout, EOF, or a poisoned stream.
-  std::optional<net::Frame> read_one() {
-    net::Frame f;
-    if (dec_.next(f) == net::DecodeStatus::ok) return f;  // leftovers
-    char buf[65536];
-    while (true) {
-      ssize_t n = ::read(fd_.get(), buf, sizeof(buf));
-      if (n < 0 && errno == EINTR) continue;
-      if (n <= 0) return std::nullopt;  // timeout (EAGAIN), EOF, or error
-      dec_.feed(buf, static_cast<size_t>(n));
-      net::DecodeStatus st = dec_.next(f);
-      if (st == net::DecodeStatus::ok) return f;
-      if (st != net::DecodeStatus::need_more) return std::nullopt;
-    }
-  }
-
   /// Next target: the hinted replica, or round-robin when no usable hint.
   void advance(int hint) {
     current_ = hint >= 0 ? hint
@@ -205,6 +189,22 @@ using Clock = std::chrono::steady_clock;
 
 inline double us_since(Clock::time_point t0, Clock::time_point t1) {
   return std::chrono::duration<double, std::micro>(t1 - t0).count();
+}
+
+/// Request k of a connection: a DEQ when cfg.pairs and k is odd, else an
+/// ENQ of the connection's next sequence value. The one request source of
+/// the closed, cluster and open loops.
+inline net::Frame make_request(const LoadgenConfig& cfg, uint32_t key,
+                               uint64_t k, uint64_t& seq) {
+  net::Frame f;
+  f.key = key;
+  if (cfg.pairs && k % 2 == 1) {
+    f.op = net::Opcode::deq;
+  } else {
+    f.op = net::Opcode::enq;
+    f.payload = net::encode_value(seq++);
+  }
+  return f;
 }
 
 struct ConnStats {
@@ -264,16 +264,8 @@ inline void closed_loop_conn(const LoadgenConfig& cfg, int index,
     wbuf.clear();
     while (outstanding < cfg.window &&
            st.sent < static_cast<uint64_t>(cfg.msgs_per_conn)) {
-      net::Frame f;
-      f.key = key;
-      if (cfg.pairs && (st.sent % 2 == 1)) {
-        f.op = net::Opcode::deq;
-      } else {
-        f.op = net::Opcode::enq;
-        f.payload = net::encode_value(seq++);
-      }
       pending.push_back(Clock::now());
-      net::encode_frame(f, wbuf);
+      net::encode_frame(make_request(cfg, key, st.sent, seq), wbuf);
       ++st.sent;
       ++outstanding;
     }
@@ -303,14 +295,7 @@ inline void cluster_loop_conn(const LoadgenConfig& cfg, int index,
   const uint32_t key = cfg.key_base + static_cast<uint32_t>(index);
   uint64_t seq = 0;
   while (st.acked < static_cast<uint64_t>(cfg.msgs_per_conn)) {
-    net::Frame f;
-    f.key = key;
-    if (cfg.pairs && (st.sent % 2 == 1)) {
-      f.op = net::Opcode::deq;
-    } else {
-      f.op = net::Opcode::enq;
-      f.payload = net::encode_value(seq++);
-    }
+    net::Frame f = make_request(cfg, key, st.sent, seq);
     Clock::time_point t0 = Clock::now();
     ++st.sent;
     std::optional<net::Frame> resp = cc.request(f);
@@ -397,20 +382,13 @@ inline void open_loop_conn(const LoadgenConfig& cfg, int index,
       st.failed = true;  // broker went away mid-run
       break;
     }
-    net::Frame f;
-    f.key = key;
-    if (cfg.pairs && (k % 2 == 1)) {
-      f.op = net::Opcode::deq;
-    } else {
-      f.op = net::Opcode::enq;
-      f.payload = net::encode_value(seq++);
-    }
     {
       std::lock_guard<std::mutex> lk(m);
       pending.push_back(sched);
     }
     wbuf.clear();
-    net::encode_frame(f, wbuf);
+    net::encode_frame(make_request(cfg, key, static_cast<uint64_t>(k), seq),
+                      wbuf);
     if (!net::write_all(fd.get(), wbuf)) {
       st.failed = true;
       break;

@@ -1,7 +1,6 @@
 // Event loop for the broker daemon (ISSUE 8 tentpole, net layer): a single
 // I/O thread multiplexing any number of listeners and connections through
-// epoll (Linux) or poll(2) (fallback; force with -DWFQ_NET_FORCE_POLL to
-// exercise it on Linux — tests/broker builds a second e2e target that way).
+// epoll.
 //
 // Read path: on a readable event the loop slurps the socket dry (read until
 // EAGAIN), feeds the connection's wfb-v1 Decoder, and hands ALL frames
@@ -33,20 +32,15 @@
 #include <unistd.h>
 
 #include <poll.h>  // blocking flush in shutdown_flush_and_close
-#if defined(__linux__) && !defined(WFQ_NET_FORCE_POLL)
-#define WFQ_NET_EPOLL 1
 #include <sys/epoll.h>
-#else
-#define WFQ_NET_EPOLL 0
-#endif
 
 #include "net/frame.hpp"
 #include "net/socket.hpp"
 
 namespace wfq::net {
 
-/// Readiness poller: epoll_ctl/epoll_wait on Linux, a rebuilt pollfd array
-/// otherwise. The fd set is loop-thread-only; no locking here.
+/// Readiness poller over epoll_ctl/epoll_wait. The fd set is
+/// loop-thread-only; no locking here.
 class Poller {
  public:
   struct Event {
@@ -56,7 +50,6 @@ class Poller {
     bool hangup = false;
   };
 
-#if WFQ_NET_EPOLL
   Poller() : ep_(::epoll_create1(0)) {
     if (!ep_.valid())
       throw std::runtime_error("net: epoll_create1 failed: " +
@@ -92,37 +85,6 @@ class Poller {
   }
 
   FdHandle ep_;
-#else
-  void add(int fd, bool want_write) { fds_[fd] = want_write; }
-  void mod(int fd, bool want_write) { fds_[fd] = want_write; }
-  void del(int fd) { fds_.erase(fd); }
-
-  void wait(std::vector<Event>& out, int timeout_ms) {
-    std::vector<pollfd> pfds;
-    pfds.reserve(fds_.size());
-    for (const auto& [fd, want_write] : fds_) {
-      pollfd p{};
-      p.fd = fd;
-      p.events = static_cast<short>(POLLIN | (want_write ? POLLOUT : 0));
-      pfds.push_back(p);
-    }
-    int n = ::poll(pfds.data(), pfds.size(), timeout_ms);
-    out.clear();
-    if (n <= 0) return;
-    for (const pollfd& p : pfds) {
-      if (p.revents == 0) continue;
-      Event e;
-      e.fd = p.fd;
-      e.readable = (p.revents & (POLLIN | POLLERR)) != 0;
-      e.writable = (p.revents & POLLOUT) != 0;
-      e.hangup = (p.revents & (POLLHUP | POLLERR)) != 0;
-      out.push_back(e);
-    }
-  }
-
- private:
-  std::unordered_map<int, bool> fds_;  // fd -> want_write
-#endif
 };
 
 /// The multiplexer. One thread calls run(); send()/stop()/wake() are safe

@@ -1,10 +1,12 @@
 // Socket plumbing for the broker subsystem (ISSUE 8): RAII fd handle,
-// nonblocking Unix-domain + TCP listeners, and the matching client connect
-// helpers. Everything returns -1/false with errno preserved instead of
-// throwing — the event loop treats socket failure as a per-connection
-// event, not a process error — except listener setup, which throws
-// std::runtime_error with the failing address in the message (a daemon
-// that cannot bind its socket has nothing to fall back to).
+// nonblocking Unix-domain + TCP listeners, the matching client connect
+// helpers, and the blocking client's frame I/O (write_all / read_frame,
+// the one reader every out-of-process client uses). Everything returns
+// -1/false with errno preserved instead of throwing — the event loop
+// treats socket failure as a per-connection event, not a process error —
+// except listener setup, which throws std::runtime_error with the failing
+// address in the message (a daemon that cannot bind its socket has nothing
+// to fall back to).
 #pragma once
 
 #include <cerrno>
@@ -23,6 +25,8 @@
 #include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
+
+#include "net/frame.hpp"
 
 namespace wfq::net {
 
@@ -267,6 +271,29 @@ inline bool write_all(int fd, const char* data, size_t n) {
 
 inline bool write_all(int fd, const std::string& buf) {
   return write_all(fd, buf.data(), buf.size());
+}
+
+/// Blocks for exactly one frame on a BLOCKING socket: a frame already
+/// buffered in `dec` comes first, otherwise read() (riding out EINTR) feeds
+/// the decoder until one decodes. Returns ok, or the decode error that
+/// poisoned the stream. need_more means the stream ended first, and errno
+/// says why: 0 at EOF (dec.at_eof() then tells a clean close from a
+/// truncated frame), EAGAIN when SO_RCVTIMEO expired, else the read error.
+inline DecodeStatus read_frame(int fd, Decoder& dec, Frame& out) {
+  char buf[65536];
+  while (true) {
+    DecodeStatus st = dec.next(out);
+    if (st != DecodeStatus::need_more) return st;
+    ssize_t n = ::read(fd, buf, sizeof(buf));
+    if (n > 0) {
+      dec.feed(buf, static_cast<size_t>(n));
+    } else if (n == 0) {
+      errno = 0;
+      return st;
+    } else if (errno != EINTR) {
+      return st;
+    }
+  }
 }
 
 }  // namespace wfq::net

@@ -1,13 +1,13 @@
 // QoS metrics for the multi-tenant service layer (ISSUE 7): Jain's fairness
-// index over per-tenant throughput samples and a nearest-rank percentile
-// helper for the per-tenant latency distributions E13b reports. Kept apart
-// from summary.hpp because these are fairness/latency aggregates, not the
-// generic distribution summaries the step-shape experiments use.
+// index over per-tenant throughput samples, and the percentile of an
+// unsorted latency sample. The rank rule itself lives once, in
+// summary.hpp's nearest_rank; this header only adds the copy-and-sort.
 #pragma once
 
 #include <algorithm>
-#include <cmath>
 #include <vector>
+
+#include "stats/summary.hpp"
 
 namespace wfq::stats {
 
@@ -28,19 +28,12 @@ inline double jain_index(const std::vector<double>& xs) {
   return (sum * sum) / (static_cast<double>(xs.size()) * sumsq);
 }
 
-/// Nearest-rank percentile, the same convention as stats::summarize: the
-/// value at rank ceil(q/100 * n), 1-based, over the sorted sample. q is
-/// clamped to [0, 100] (q = 0 reads the minimum, q = 100 the maximum);
-/// empty input reads 0 like the Summary zeros.
+/// Nearest-rank percentile of an unsorted sample (stats::nearest_rank over
+/// a sorted copy): q is clamped to [0, 100], empty input reads 0.
 inline double percentile(const std::vector<double>& xs, double q) {
-  if (xs.empty()) return 0;
   std::vector<double> sorted = xs;
   std::sort(sorted.begin(), sorted.end());
-  q = std::min(100.0, std::max(0.0, q));
-  size_t n = sorted.size();
-  size_t r = static_cast<size_t>(std::ceil(q / 100.0 * static_cast<double>(n)));
-  if (r == 0) r = 1;
-  return sorted[std::min(r, n) - 1];
+  return nearest_rank(sorted, q);
 }
 
 }  // namespace wfq::stats

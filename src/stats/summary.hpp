@@ -22,8 +22,22 @@ struct Summary {
   double max = 0;
 };
 
-/// Mean plus nearest-rank percentiles (p-th percentile = value at rank
-/// ceil(p/100 * n), 1-based) of a sample vector. Empty input => all zeros.
+/// The repo's one nearest-rank percentile: the value at rank
+/// ceil(q/100 * n), 1-based, of an ascending-sorted sample. q is clamped to
+/// [0, 100] (q = 0 reads the minimum, q = 100 the maximum); empty input
+/// reads 0. summarize() and stats::percentile (qos.hpp) both call it.
+inline double nearest_rank(const std::vector<double>& sorted, double q) {
+  if (sorted.empty()) return 0;
+  q = std::min(100.0, std::max(0.0, q));
+  size_t n = sorted.size();
+  size_t r =
+      static_cast<size_t>(std::ceil(q / 100.0 * static_cast<double>(n)));
+  if (r == 0) r = 1;
+  return sorted[std::min(r, n) - 1];
+}
+
+/// Mean plus nearest-rank percentiles of a sample vector. Empty input =>
+/// all zeros.
 inline Summary summarize(const std::vector<double>& xs) {
   Summary s;
   s.n = xs.size();
@@ -33,15 +47,9 @@ inline Summary summarize(const std::vector<double>& xs) {
   double total = 0;
   for (double x : sorted) total += x;
   s.mean = total / static_cast<double>(s.n);
-  auto rank = [&](double p) {
-    size_t r = static_cast<size_t>(
-        std::ceil(p / 100.0 * static_cast<double>(s.n)));
-    if (r == 0) r = 1;
-    return sorted[std::min(r, s.n) - 1];
-  };
   s.min = sorted.front();
-  s.p50 = rank(50);
-  s.p99 = rank(99);
+  s.p50 = nearest_rank(sorted, 50);
+  s.p99 = nearest_rank(sorted, 99);
   s.max = sorted.back();
   return s;
 }

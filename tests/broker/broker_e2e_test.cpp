@@ -4,9 +4,7 @@
 // FIFO-per-key holds (per-connection sequence values dequeue in send
 // order), enq == deq in the drained broker's counters, the SIGTERM drain
 // path (stop()) answers everything already read, and the STAT surface
-// (JSON payload + space cache + dwrr tenant rows) is coherent. Also built
-// with WFQ_NET_FORCE_POLL as broker_e2e_poll_test, covering the poll(2)
-// event-loop fallback on the identical scenario.
+// (JSON payload + space cache + dwrr tenant rows) is coherent.
 #include <unistd.h>
 
 #include <cstdint>
@@ -45,16 +43,8 @@ struct TestClient {
 
   net::Frame recv() {
     net::Frame f;
-    char buf[65536];
-    while (true) {
-      net::DecodeStatus st = dec.next(f);
-      if (st == net::DecodeStatus::ok) return f;
-      CHECK(st == net::DecodeStatus::need_more);
-      ssize_t n = ::read(fd.get(), buf, sizeof(buf));
-      CHECK(n > 0);
-      if (n <= 0) return f;  // CHECK already failed; avoid spinning
-      dec.feed(buf, static_cast<size_t>(n));
-    }
+    CHECK(net::read_frame(fd.get(), dec, f) == net::DecodeStatus::ok);
+    return f;
   }
 };
 

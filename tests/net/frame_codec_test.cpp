@@ -4,13 +4,19 @@
 // length, truncation at stream end — each rejected with its own status and
 // sticky thereafter. The fuzz section shreds random byte streams (valid
 // frames, corrupted frames, garbage) through random chunkings; under ASan
-// this is the no-crash/no-overread gate.
+// this is the no-crash/no-overread gate. Last, the blocking client reader
+// net::read_frame over a socketpair: leftovers, EOF, poison and timeout.
+#include <sys/socket.h>
+
+#include <cerrno>
 #include <cstdint>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "net/frame.hpp"
+#include "net/socket.hpp"
 #include "tests/test_util.hpp"
 
 using namespace wfq;
@@ -440,6 +446,62 @@ void test_fuzz_no_crash() {
   }
 }
 
+/// net::read_frame over a real socketpair: buffered leftovers are served
+/// before the next read(), and each way a stream can end is told apart.
+void test_read_frame() {
+  auto pair = [] {
+    int sv[2] = {-1, -1};
+    CHECK(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) == 0);
+    return std::pair<net::FdHandle, net::FdHandle>(sv[0], sv[1]);
+  };
+  net::Frame a = sample_frame(net::Opcode::enq, 1);
+  net::Frame b = sample_frame(net::Opcode::ping, 2);
+
+  {  // two frames in one write come back from two calls
+    auto [rd, wr] = pair();
+    std::string wire;
+    net::encode_frame(a, wire);
+    net::encode_frame(b, wire);
+    CHECK(net::write_all(wr.get(), wire));
+    net::Decoder dec;
+    net::Frame f;
+    CHECK(net::read_frame(rd.get(), dec, f) == net::DecodeStatus::ok);
+    expect_frames_equal(a, f);
+    CHECK(dec.pending() > 0);  // the second frame is already buffered
+    wr.reset();  // so a second read() would see EOF, not the frame
+    CHECK(net::read_frame(rd.get(), dec, f) == net::DecodeStatus::ok);
+    expect_frames_equal(b, f);
+  }
+  {  // the peer closes mid-frame: need_more with errno 0, at_eof truncated
+    auto [rd, wr] = pair();
+    std::string wire;
+    net::encode_frame(a, wire);
+    CHECK(net::write_all(wr.get(), wire.data(), wire.size() - 1));
+    wr.reset();
+    net::Decoder dec;
+    net::Frame f;
+    errno = EINVAL;
+    CHECK(net::read_frame(rd.get(), dec, f) == net::DecodeStatus::need_more);
+    CHECK_EQ(errno, 0);
+    CHECK(dec.at_eof() == net::DecodeStatus::truncated);
+  }
+  {  // garbage poisons the stream with its typed error
+    auto [rd, wr] = pair();
+    CHECK(net::write_all(wr.get(), std::string(net::kHeaderSize, 'X')));
+    net::Decoder dec;
+    net::Frame f;
+    CHECK(net::read_frame(rd.get(), dec, f) == net::DecodeStatus::bad_magic);
+  }
+  {  // an expired SO_RCVTIMEO: need_more with EAGAIN
+    auto [rd, wr] = pair();
+    CHECK(net::set_recv_timeout(rd.get(), 50));
+    net::Decoder dec;
+    net::Frame f;
+    CHECK(net::read_frame(rd.get(), dec, f) == net::DecodeStatus::need_more);
+    CHECK_EQ(errno, EAGAIN);
+  }
+}
+
 }  // namespace
 
 int main() {
@@ -451,5 +513,6 @@ int main() {
   test_compaction_bounded();
   test_mutation_sweep();
   test_fuzz_no_crash();
+  test_read_frame();
   return wfq::test::exit_code();
 }

@@ -10,21 +10,17 @@
 //
 // argv[1] = path to the broker binary (wired up by tests/CMakeLists.txt as
 // $<TARGET_FILE:broker>).
-#include <netinet/in.h>
 #include <signal.h>
-#include <sys/socket.h>
 #include <sys/wait.h>
-#include <unistd.h>
 
 #include <chrono>
 #include <cstdint>
-#include <cstdio>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "broker/loadgen.hpp"
+#include "broker/replica_group.hpp"
 #include "net/frame.hpp"
 #include "net/socket.hpp"
 #include "tests/test_util.hpp"
@@ -32,57 +28,6 @@
 using namespace wfq;
 
 namespace {
-
-/// Kernel-assigned free loopback port: bind :0, read it back, close. The
-/// tiny close-to-reuse window is acceptable for a test on loopback.
-uint16_t pick_free_port() {
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  CHECK(fd >= 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = 0;
-  CHECK(::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0);
-  socklen_t len = sizeof(addr);
-  CHECK(::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) == 0);
-  uint16_t port = ntohs(addr.sin_port);
-  ::close(fd);
-  return port;
-}
-
-pid_t spawn_replica(const std::string& broker_bin, int id,
-                    const std::string& peers_csv) {
-  pid_t pid = ::fork();
-  CHECK(pid >= 0);
-  if (pid == 0) {
-    std::string cluster = std::to_string(id) + "/3";
-    const char* argv[] = {broker_bin.c_str(), "--cluster",  cluster.c_str(),
-                          "--peers",          peers_csv.c_str(),
-                          "--backing",        "dwrr:4:ubq",
-                          "--shards",         "2",
-                          "--election-ms",    "150",
-                          nullptr};
-    ::execv(broker_bin.c_str(), const_cast<char**>(argv));
-    std::perror("execv broker");
-    _exit(127);
-  }
-  return pid;
-}
-
-/// Waits until the port accepts a TCP connection (replica listener up).
-void wait_listening(uint16_t port, int deadline_ms) {
-  auto start = std::chrono::steady_clock::now();
-  while (true) {
-    net::FdHandle fd = net::connect_tcp_timeout(port, 100);
-    if (fd.valid()) return;
-    auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                  std::chrono::steady_clock::now() - start)
-                  .count();
-    CHECK(ms < deadline_ms);
-    if (ms >= deadline_ms) return;  // CHECK records; don't spin forever
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
-}
 
 /// One raw request/response against a SPECIFIC replica — no redirects. Used
 /// to assert what a follower says, which ClusterClient hides by design.
@@ -96,15 +41,7 @@ bool raw_request(uint16_t port, const net::Frame& req, net::Frame& resp,
   net::encode_frame(req, wire);
   if (!net::write_all(fd.get(), wire)) return false;
   net::Decoder dec;
-  char buf[65536];
-  while (true) {
-    ssize_t n = ::read(fd.get(), buf, sizeof(buf));
-    if (n <= 0) return false;
-    dec.feed(buf, static_cast<size_t>(n));
-    net::DecodeStatus st = dec.next(resp);
-    if (st == net::DecodeStatus::ok) return true;
-    if (st != net::DecodeStatus::need_more) return false;
-  }
+  return net::read_frame(fd.get(), dec, resp) == net::DecodeStatus::ok;
 }
 
 bool contains(const std::string& hay, const std::string& needle) {
@@ -126,16 +63,9 @@ int main(int argc, char** argv) {
   if (argc <= 1) return wfq::test::exit_code();
   const std::string broker_bin = argv[1];
 
-  std::vector<uint16_t> ports = {pick_free_port(), pick_free_port(),
-                                 pick_free_port()};
-  std::string peers_csv = std::to_string(ports[0]) + "," +
-                          std::to_string(ports[1]) + "," +
-                          std::to_string(ports[2]);
-
-  std::vector<pid_t> pids;
-  for (int i = 0; i < 3; ++i) pids.push_back(spawn_replica(broker_bin, i,
-                                                           peers_csv));
-  for (uint16_t p : ports) wait_listening(p, 10'000);
+  broker::ReplicaGroup group;
+  CHECK(group.spawn(broker_bin, 3, "dwrr:4:ubq", 150));
+  const std::vector<uint16_t>& ports = group.ports();
 
   broker::ClusterClient::Options opts;
   opts.ports = ports;
@@ -209,11 +139,8 @@ int main(int argc, char** argv) {
 
   // Failover: SIGKILL the leader mid-traffic. The client must ride out the
   // election and land on a new leader within its give_up budget.
-  CHECK(::kill(pids[static_cast<size_t>(leader)], SIGKILL) == 0);
   {
-    int status = 0;
-    CHECK(::waitpid(pids[static_cast<size_t>(leader)], &status, 0) ==
-          pids[static_cast<size_t>(leader)]);
+    int status = group.kill(static_cast<size_t>(leader), SIGKILL);
     CHECK(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL);
   }
   r = cc.request(make_enq(21, 0x5555));
@@ -237,17 +164,11 @@ int main(int argc, char** argv) {
 
   // Survivors drain cleanly: SIGTERM -> exit 0 (raft silenced first, then
   // the normal drain path — see Broker::stop()).
-  for (int i = 0; i < 3; ++i) {
-    if (i == leader) continue;
-    CHECK(::kill(pids[static_cast<size_t>(i)], SIGTERM) == 0);
-  }
-  for (int i = 0; i < 3; ++i) {
-    if (i == leader) continue;
-    int status = 0;
-    CHECK(::waitpid(pids[static_cast<size_t>(i)], &status, 0) ==
-          pids[static_cast<size_t>(i)]);
-    CHECK(WIFEXITED(status));
-    CHECK_EQ(WEXITSTATUS(status), 0);
+  std::vector<int> statuses = group.terminate();
+  for (size_t i = 0; i < statuses.size(); ++i) {
+    if (static_cast<int>(i) == leader) continue;
+    CHECK(WIFEXITED(statuses[i]));
+    CHECK_EQ(WEXITSTATUS(statuses[i]), 0);
   }
   return wfq::test::exit_code();
 }
