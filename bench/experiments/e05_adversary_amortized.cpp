@@ -153,7 +153,7 @@ api::Report run(const api::RunOptions& opts) {
   // so it is included whenever the resolved adversary is the default
   // round-robin — passing "--adversary round-robin" explicitly must not
   // change the emitted document. A non-default adversary skips it loudly.
-  if (adversary != "round-robin" && adversary != "rr") {
+  if (adversary != "round-robin") {
     r.section("E5b").note(
         "  (E5b skipped: it compares its own fixed adversaries, round-robin"
         " vs anti-faa; drop --adversary " + adversary + " to include it)");
@@ -206,7 +206,7 @@ api::Report run(const api::RunOptions& opts) {
   // E5c compares its two fixed adversaries like E5b, so the same gate
   // applies: included under the default round-robin, skipped loudly (with
   // the reason) when a non-default adversary was requested.
-  if (adversary != "round-robin" && adversary != "rr") {
+  if (adversary != "round-robin") {
     r.section("E5c").note(
         "  (E5c skipped: it compares its own fixed adversaries, round-robin"
         " vs anti-faa; drop --adversary " + adversary + " to include it)");

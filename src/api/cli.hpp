@@ -8,7 +8,6 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <system_error>
@@ -18,37 +17,12 @@
 #include "api/experiment.hpp"
 #include "api/queue_registry.hpp"
 #include "api/service_registry.hpp"
+#include "api/spec.hpp"
 #include "sim/adversary.hpp"
 
 namespace wfq::api {
 
 namespace detail {
-
-/// Strict integer parsing: the whole token must be digits (with optional
-/// leading '-'), mirroring the seed parsing in sim::make_policy — "4x8"
-/// (a typo for "4,8") must be an error, not a silent p=4 run. stoll alone
-/// is too lax (it skips leading whitespace and accepts '+'), so the shape
-/// is checked first.
-inline int64_t parse_int(const std::string& s, const std::string& flag) {
-  bool shape_ok = !s.empty() && s != "-";
-  for (size_t i = (s[0] == '-' ? 1 : 0); i < s.size() && shape_ok; ++i)
-    if (s[i] < '0' || s[i] > '9') shape_ok = false;
-  try {
-    if (!shape_ok) throw std::invalid_argument(s);
-    return std::stoll(s);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("bad integer \"" + s + "\" for " + flag);
-  }
-}
-
-inline std::vector<std::string> split_csv(const std::string& s) {
-  std::vector<std::string> out;
-  std::stringstream ss(s);
-  std::string item;
-  while (std::getline(ss, item, ','))
-    if (!item.empty()) out.push_back(item);
-  return out;
-}
 
 inline void print_usage(std::ostream& os) {
   os << "usage: bench_runner [--experiment <names|all>] [options]\n"
@@ -75,11 +49,9 @@ inline void print_usage(std::ostream& os) {
         "  --help, -h              this text\n"
         "\n"
         "registered queues:";
-  for (const QueueInfo& e : queue_registry())
-    os << " " << e.name;
+  for (const std::string& n : queue_names()) os << " " << n;
   os << "\nregistered vectors:";
-  for (const QueueInfo& e : vector_registry())
-    os << " " << e.name;
+  for (const std::string& n : vector_names()) os << " " << n;
   os << "\nregistered services:";
   for (const std::string& s : service_names()) os << " " << s;
   os << "\nregistered adversaries:";
@@ -113,39 +85,26 @@ inline int run_main(int argc, char** argv) {
     for (int i = 1; i < argc; ++i) {
       std::string a = argv[i];
       if (a == "--experiment" || a == "-e") {
-        for (std::string& n : detail::split_csv(need_value(i, a)))
+        for (std::string& n : split(need_value(i, a), ','))
           selected.push_back(std::move(n));
       } else if (a == "--list") {
         list = true;
       } else if (a == "--procs") {
         opts.procs.clear();  // a repeated flag overrides, like --queues
-        for (const std::string& p : detail::split_csv(need_value(i, a))) {
-          int64_t v = detail::parse_int(p, a);
-          // 4096 is far past any real sweep; the cap mainly stops values
-          // past INT_MAX from silently truncating to a different p.
-          if (v < 1 || v > 4096)
-            throw std::invalid_argument(
-                "--procs values must be in [1, 4096] (got " + p + ")");
-          opts.procs.push_back(static_cast<int>(v));
-        }
+        // 4096 is far past any real sweep.
+        for (const std::string& p : split(need_value(i, a), ','))
+          opts.procs.push_back(parse_num<int>(p, a, 1, 4096));
       } else if (a == "--ops") {
-        opts.ops = detail::parse_int(need_value(i, a), a);
-        if (opts.ops < 1)
-          throw std::invalid_argument("--ops must be >= 1");
+        opts.ops = parse_num<int64_t>(need_value(i, a), a, 1);
       } else if (a == "--gc") {
-        opts.gc = detail::parse_int(need_value(i, a), a);
-        if (opts.gc < -1)
-          throw std::invalid_argument(
-              "--gc must be >= 1, 0 (paper default G = p^2 ceil(log2 p)) "
-              "or -1 (disable collection)");
+        // 0 = paper default G = p^2 ceil(log2 p), -1 = disable collection.
+        opts.gc = parse_num<int64_t>(need_value(i, a), a, -1);
       } else if (a == "--adversary") {
         opts.adversary = need_value(i, a);
       } else if (a == "--seed") {
-        int64_t v = detail::parse_int(need_value(i, a), a);
-        if (v < 0) throw std::invalid_argument("--seed must be >= 0");
-        opts.seed = static_cast<uint64_t>(v);
+        opts.seed = parse_num<uint64_t>(need_value(i, a), a);
       } else if (a == "--queues") {
-        opts.queues = detail::split_csv(need_value(i, a));
+        opts.queues = split(need_value(i, a), ',');
         for (const std::string& q : opts.queues)
           (void)object_info(q);  // validate names early (queue or vector)
       } else if (a == "--format") {

@@ -1,21 +1,27 @@
-// String-keyed factory registry for every concurrent object in the repo —
-// object-kind-aware since ISSUE 5: `api::make_queue<T>("ubq", cfg)` builds
-// any of the eight queues, `api::make_vector<T>("wfvec", cfg)` either
-// registered vector, each on either platform backend, so experiment sweeps,
-// the bench_runner `--queues` flag and the conformance tests enumerate
-// implementations by name instead of by #include. Adding an object variant
-// means adding one entry here — no bench or test code changes.
+// String-keyed factory registry for every concurrent object in the repo:
+// `api::make_queue<T>("ubq", cfg)` builds any registered queue,
+// `api::make_vector<T>("wfvec", cfg)` any registered vector, each on either
+// platform backend, so experiment sweeps, the bench_runner `--queues` flag
+// and the conformance tests enumerate implementations by name instead of by
+// #include. Each object kind has one table; a row holds the name, the
+// description, step_counted, whether the key takes ":g=<G>", and the
+// factory. Adding an object is adding one row — no bench or test changes.
+//
+// Key grammar: <name>[:<param>], split once at the first ':'. The one
+// parameter is the GC period "g=<G>" ("bounded:g=8"); a row that does not
+// take it rejects any parameter as "takes no parameters".
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "api/concurrent_queue.hpp"
 #include "api/concurrent_vector.hpp"
+#include "api/spec.hpp"
 #include "baselines/faa_queue.hpp"
 #include "baselines/faa_vector.hpp"
 #include "baselines/kp_queue.hpp"
@@ -56,129 +62,6 @@ struct QueueInfo {
   bool step_counted = true;
 };
 
-/// Registered queue metadata, in canonical registry order.
-inline const std::vector<QueueInfo>& queue_registry() {
-  static const std::vector<QueueInfo> entries = {
-      {"ubq", "wait-free ordering-tree queue, unbounded space (the paper)",
-       true},
-      {"bounded",
-       "bounded-space wait-free queue (Section 6: GC phases + persistent "
-       "RBT + EBR; parameterize as bounded:g=<G>)",
-       true},
-      {"msq", "Michael-Scott lock-free queue (CAS-retry exemplar)", true},
-      {"kp",
-       "Kogan-Petrank wait-free queue (phase-ordered helping, Theta(p) per "
-       "op; alias kpq)",
-       true},
-      {"simq",
-       "Fatourou-Kallimanis software-combining queue (toggle announce, "
-       "state-copy + single-CAS install)",
-       true},
-      {"faaq", "fetch&add array queue (fast in practice, Omega(p) worst "
-               "case)",
-       true},
-      {"twolock", "Michael-Scott two-lock queue (wall-clock baseline)",
-       false},
-      {"mutex", "single-mutex std::deque wrapper (wall-clock baseline)",
-       false},
-  };
-  return entries;
-}
-
-/// All registered queue names, in registry order.
-inline std::vector<std::string> queue_names() {
-  std::vector<std::string> names;
-  for (const QueueInfo& e : queue_registry()) names.push_back(e.name);
-  return names;
-}
-
-/// Parses the bounded queue's parameterized registry key. Returns nullopt
-/// for names that are not bounded-queue keys at all; returns the GC period
-/// for "bounded" (nullopt period -> use cfg.gc_period, i.e. the paper
-/// default) and "bounded:g=<G>" with G >= 1 or G == -1 (disabled).
-/// Malformed keys throw with the expected shape spelled out, mirroring how
-/// sim::make_policy rejects bad "random:<seed>" specs instead of guessing.
-struct BoundedKey {
-  bool has_period = false;
-  int64_t gc_period = 0;
-};
-
-inline std::optional<BoundedKey> parse_bounded_key(const std::string& name) {
-  if (name == "bounded" || name == "bq")  // "bq" is the pre-PR-4 alias
-    return BoundedKey{};
-  if (name.rfind("bounded", 0) != 0) return std::nullopt;
-  const std::string want =
-      "want \"bounded\" or \"bounded:g=<G>\" with G >= 1 or G == -1 "
-      "(disable GC)";
-  if (name.rfind("bounded:g=", 0) != 0)
-    throw std::invalid_argument("api::make_queue: bad bounded-queue key \"" +
-                                name + "\"; " + want);
-  std::string digits = name.substr(10);
-  // All-digits check first (optional leading '-'): stoll would silently
-  // accept whitespace/trailing junk — the class of key typo this factory
-  // exists to reject loudly.
-  bool shape_ok = !digits.empty() && digits != "-";
-  for (size_t i = (digits[0] == '-' ? 1 : 0); i < digits.size() && shape_ok;
-       ++i)
-    if (digits[i] < '0' || digits[i] > '9') shape_ok = false;
-  int64_t g = 0;
-  try {
-    if (!shape_ok) throw std::invalid_argument(digits);
-    g = std::stoll(digits);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("api::make_queue: bad GC period in \"" +
-                                name + "\"; " + want);
-  }
-  if (g == 0 || g < -1)
-    throw std::invalid_argument(
-        "api::make_queue: GC period " + digits + " in \"" + name +
-        "\" is out of range; " + want +
-        " (the paper default is spelled \"bounded\", not g=0)");
-  return BoundedKey{true, g};
-}
-
-/// Canonical registry name for accepted alias spellings. "kpq" was the
-/// Kogan-Petrank key before PR 6 renamed it "kp"; old sweep scripts keep
-/// working, new code should say "kp". ("bq" -> "bounded" lives in
-/// parse_bounded_key because it shares the parameterized-key path.)
-inline std::string resolve_queue_alias(const std::string& name) {
-  if (name == "kpq") return "kp";
-  return name;
-}
-
-/// Strict rejection of parameterized variants of keys that take none:
-/// "kp:1" or "simq:g=2" must fail as "takes no parameters", not vanish into
-/// the generic unknown-name message where the typo class is invisible. Only
-/// the bounded queue has a parameterized key (and handles its own errors in
-/// parse_bounded_key); anything else with a ':' whose base names a
-/// registered queue is rejected here.
-inline void reject_parameterized(const std::string& name) {
-  size_t colon = name.find(':');
-  if (colon == std::string::npos) return;
-  std::string base = resolve_queue_alias(name.substr(0, colon));
-  for (const QueueInfo& e : queue_registry())
-    if (e.name == base && base != "bounded")
-      throw std::invalid_argument(
-          "api::make_queue: queue \"" + base + "\" takes no parameters; got "
-          "\"" + name + "\" (only bounded takes :g=<G>)");
-}
-
-/// Metadata for one registered queue; throws on unknown names. Accepts the
-/// bounded queue's parameterized keys ("bounded:g=<G>", alias "bq") and the
-/// "kpq" alias, resolving them to their registry entries.
-inline const QueueInfo& queue_info(const std::string& name) {
-  std::string base = resolve_queue_alias(name);
-  if (parse_bounded_key(name).has_value()) base = "bounded";
-  reject_parameterized(name);
-  for (const QueueInfo& e : queue_registry())
-    if (e.name == base) return e;
-  std::string names;
-  for (const QueueInfo& e : queue_registry()) names += " " + e.name;
-  throw std::invalid_argument("api::queue_info: unknown queue \"" + name +
-                              "\"; known:" + names +
-                              " (bounded takes :g=<G>)");
-}
-
 /// QueueConfig sized for a sweep of `ops_per_proc` operations per process:
 /// fixed-segment queues (faaq) get a cell array covering the workload's
 /// worst-case slot claims — each op can claim several slots when poisoning
@@ -200,127 +83,251 @@ inline QueueConfig sized_config(int procs, Backend backend,
 
 namespace detail {
 
-/// Builds Q<T, Real or Sim> per cfg.backend with the given ctor args.
-template <template <typename, typename> class Q, typename T, typename... Args>
-AnyQueue<T> make_on_backend(const char* name, Backend backend,
-                            Args&&... args) {
-  if (backend == Backend::sim)
-    return AnyQueue<T>::template of<Q<T, platform::SimPlatform>>(
-        name, std::forward<Args>(args)...);
-  return AnyQueue<T>::template of<Q<T, platform::RealPlatform>>(
-      name, std::forward<Args>(args)...);
-}
+/// One registered object. `make` receives the full key (the handle echoes
+/// it as name()) and the GC period the key resolved to: its ":g=<G>", or
+/// cfg.gc_period when it carries none.
+template <typename Handle>
+struct Row {
+  QueueInfo info;
+  bool takes_g;  // the key may carry ":g=<G>"
+  Handle (*make)(const std::string& key, const QueueConfig& cfg,
+                 int64_t gc_period);
+};
 
-/// Vector sibling of make_on_backend.
-template <template <typename, typename> class V, typename T, typename... Args>
-AnyVector<T> make_vec_on_backend(const char* name, Backend backend,
-                                 Args&&... args) {
+/// Builds Obj<T, Real or Sim> per `backend`, wrapped in Handle<T>.
+template <template <typename> class Handle,
+          template <typename, typename> class Obj, typename T,
+          typename... Args>
+Handle<T> make_on_backend(const std::string& key, Backend backend,
+                          Args&&... args) {
   if (backend == Backend::sim)
-    return AnyVector<T>::template of<V<T, platform::SimPlatform>>(
-        name, std::forward<Args>(args)...);
-  return AnyVector<T>::template of<V<T, platform::RealPlatform>>(
-      name, std::forward<Args>(args)...);
+    return Handle<T>::template of<Obj<T, platform::SimPlatform>>(
+        key, std::forward<Args>(args)...);
+  return Handle<T>::template of<Obj<T, platform::RealPlatform>>(
+      key, std::forward<Args>(args)...);
 }
 
 }  // namespace detail
 
-/// Builds a fresh queue by registry name; throws std::invalid_argument on
-/// unknown names. The lock-based baselines have no Platform template
-/// parameter; they are returned unchanged for either backend (under the sim
-/// scheduler they simply expose no yield points, see QueueInfo).
+/// The queue table, in canonical registry order. The lock-based baselines
+/// have no Platform template parameter; they build unchanged for either
+/// backend (under the sim scheduler they expose no yield points, see
+/// QueueInfo::step_counted).
 template <typename T>
-AnyQueue<T> make_queue(const std::string& name, const QueueConfig& cfg) {
-  if (name == "ubq")
-    return detail::make_on_backend<core::UnboundedQueue, T>(
-        "ubq", cfg.backend, cfg.procs);
-  if (std::optional<BoundedKey> bk = parse_bounded_key(name)) {
-    int64_t g = bk->has_period ? bk->gc_period : cfg.gc_period;
-    return detail::make_on_backend<core::BoundedQueue, T>(
-        name.c_str(), cfg.backend, cfg.procs, g);
-  }
-  if (name == "msq")
-    return detail::make_on_backend<baselines::MsQueue, T>("msq", cfg.backend,
-                                                          cfg.procs);
-  if (name == "kp" || name == "kpq")
-    return detail::make_on_backend<baselines::KpQueue, T>(
-        name.c_str(), cfg.backend, cfg.procs);
-  if (name == "simq")
-    return detail::make_on_backend<baselines::SimQueue, T>(
-        "simq", cfg.backend, cfg.procs);
-  if (name == "faaq")
-    return detail::make_on_backend<baselines::FaaArrayQueue, T>(
-        "faaq", cfg.backend, cfg.procs, cfg.capacity);
-  if (name == "twolock")
-    return AnyQueue<T>::template of<baselines::TwoLockQueue<T>>("twolock");
-  if (name == "mutex")
-    return AnyQueue<T>::template of<baselines::MutexQueue<T>>("mutex");
-  // Unknown names get queue_info's invalid_argument (one error path, one
-  // known-names list); a name that IS registered but missing above means
-  // the registry and this factory chain fell out of sync — fail loudly.
-  (void)queue_info(name);
-  throw std::logic_error("api::make_queue: queue \"" + name +
-                         "\" is registered but has no factory entry; add it "
-                         "to the make_queue chain in queue_registry.hpp");
+const std::vector<detail::Row<AnyQueue<T>>>& queue_table() {
+  using detail::make_on_backend;
+  using Key = const std::string&;
+  using Cfg = const QueueConfig&;
+  static const std::vector<detail::Row<AnyQueue<T>>> rows = {
+      {{"ubq", "wait-free ordering-tree queue, unbounded space (the paper)",
+        true},
+       false,
+       [](Key k, Cfg c, int64_t) {
+         return make_on_backend<AnyQueue, core::UnboundedQueue, T>(
+             k, c.backend, c.procs);
+       }},
+      {{"bounded",
+        "bounded-space wait-free queue (Section 6: GC phases + persistent "
+        "RBT + EBR; parameterize as bounded:g=<G>)",
+        true},
+       true,
+       [](Key k, Cfg c, int64_t g) {
+         return make_on_backend<AnyQueue, core::BoundedQueue, T>(
+             k, c.backend, c.procs, g);
+       }},
+      {{"msq", "Michael-Scott lock-free queue (CAS-retry exemplar)", true},
+       false,
+       [](Key k, Cfg c, int64_t) {
+         return make_on_backend<AnyQueue, baselines::MsQueue, T>(
+             k, c.backend, c.procs);
+       }},
+      {{"kp",
+        "Kogan-Petrank wait-free queue (phase-ordered helping, Theta(p) per "
+        "op)",
+        true},
+       false,
+       [](Key k, Cfg c, int64_t) {
+         return make_on_backend<AnyQueue, baselines::KpQueue, T>(
+             k, c.backend, c.procs);
+       }},
+      {{"simq",
+        "Fatourou-Kallimanis software-combining queue (toggle announce, "
+        "state-copy + single-CAS install)",
+        true},
+       false,
+       [](Key k, Cfg c, int64_t) {
+         return make_on_backend<AnyQueue, baselines::SimQueue, T>(
+             k, c.backend, c.procs);
+       }},
+      {{"faaq",
+        "fetch&add array queue (fast in practice, Omega(p) worst case)",
+        true},
+       false,
+       [](Key k, Cfg c, int64_t) {
+         return make_on_backend<AnyQueue, baselines::FaaArrayQueue, T>(
+             k, c.backend, c.procs, c.capacity);
+       }},
+      {{"twolock", "Michael-Scott two-lock queue (wall-clock baseline)",
+        false},
+       false,
+       [](Key k, Cfg, int64_t) {
+         return AnyQueue<T>::template of<baselines::TwoLockQueue<T>>(k);
+       }},
+      {{"mutex", "single-mutex std::deque wrapper (wall-clock baseline)",
+        false},
+       false,
+       [](Key k, Cfg, int64_t) {
+         return AnyQueue<T>::template of<baselines::MutexQueue<T>>(k);
+       }},
+  };
+  return rows;
 }
 
-// --- the vector side of the registry (ISSUE 5) -----------------------------
-// Vectors reuse QueueConfig (procs/backend/capacity apply; gc_period is
-// queue-only) and QueueInfo's metadata shape, so sweeps written against the
-// queue half port over unchanged.
-
-/// Registered vector metadata, in canonical registry order.
-inline const std::vector<QueueInfo>& vector_registry() {
-  static const std::vector<QueueInfo> entries = {
-      {"wfvec",
-       "wait-free ordering-tree vector (Section 7: O(log p) append, "
-       "O(log^2 p + log n) get)",
-       true},
-      {"faavec",
-       "flat fetch&add cell-array vector (O(1) baseline; fixed capacity "
-       "from cfg.capacity)",
-       true},
+/// The vector table, in canonical registry order. Vectors reuse
+/// QueueConfig (procs/backend/capacity apply; gc_period is queue-only) and
+/// QueueInfo's metadata shape. The flat baseline takes its fixed capacity
+/// from cfg.capacity (sized_config applies to it exactly as to faaq).
+template <typename T>
+const std::vector<detail::Row<AnyVector<T>>>& vector_table() {
+  using detail::make_on_backend;
+  using Key = const std::string&;
+  using Cfg = const QueueConfig&;
+  static const std::vector<detail::Row<AnyVector<T>>> rows = {
+      {{"wfvec",
+        "wait-free ordering-tree vector (Section 7: O(log p) append, "
+        "O(log^2 p + log n) get)",
+        true},
+       false,
+       [](Key k, Cfg c, int64_t) {
+         return make_on_backend<AnyVector, core::WaitFreeVector, T>(
+             k, c.backend, c.procs);
+       }},
+      {{"faavec",
+        "flat fetch&add cell-array vector (O(1) baseline; fixed capacity "
+        "from cfg.capacity)",
+        true},
+       false,
+       [](Key k, Cfg c, int64_t) {
+         return make_on_backend<AnyVector, baselines::FaaVector, T>(
+             k, c.backend, c.procs, c.capacity);
+       }},
   };
-  return entries;
+  return rows;
+}
+
+namespace detail {
+
+/// The row `key` names, or nullptr when no row has its name. A parameter
+/// the row does not take, or a malformed ":g=<G>", throws
+/// std::invalid_argument with the expected shape spelled out; a valid G is
+/// stored in `gc_period`.
+template <typename Handle>
+const Row<Handle>* find_row(const std::vector<Row<Handle>>& rows,
+                            const std::string& key, int64_t& gc_period) {
+  const size_t colon = key.find(':');
+  const std::string name = key.substr(0, colon);
+  for (const Row<Handle>& r : rows) {
+    if (r.info.name != name) continue;
+    if (colon == std::string::npos) return &r;
+    if (!r.takes_g)
+      throw std::invalid_argument("api: \"" + name +
+                                  "\" takes no parameters; got \"" + key +
+                                  "\"");
+    const std::string want = "want \"" + name + "\" or \"" + name +
+                             ":g=<G>\" with G >= 1 or G == -1 (disable GC)";
+    const std::string_view param = std::string_view(key).substr(colon + 1);
+    if (param.substr(0, 2) != "g=")
+      throw std::invalid_argument("api: bad key \"" + key + "\"; " + want);
+    gc_period = parse_num<int64_t>(
+        param.substr(2), "GC period in \"" + key + "\" (" + want + ")", -1);
+    if (gc_period == 0)
+      throw std::invalid_argument(
+          "api: GC period 0 in \"" + key + "\" is out of range; " + want +
+          " (the paper default is spelled \"" + name + "\", not g=0)");
+    return &r;
+  }
+  return nullptr;
+}
+
+/// " ubq bounded[:g=<G>] msq ...": the key shapes `rows` accepts.
+template <typename Handle>
+std::string known_keys(const std::vector<Row<Handle>>& rows) {
+  std::string out;
+  for (const Row<Handle>& r : rows)
+    out += " " + r.info.name + (r.takes_g ? "[:g=<G>]" : "");
+  return out;
+}
+
+/// find_row for callers that need a row: unknown names throw too.
+template <typename Handle>
+const Row<Handle>& get_row(const std::vector<Row<Handle>>& rows,
+                           const std::string& key, const char* kind,
+                           int64_t& gc_period) {
+  if (const Row<Handle>* r = find_row(rows, key, gc_period)) return *r;
+  throw std::invalid_argument(std::string("api: unknown ") + kind + " \"" +
+                              key + "\"; known:" + known_keys(rows));
+}
+
+template <typename Handle>
+std::vector<std::string> names_of(const std::vector<Row<Handle>>& rows) {
+  std::vector<std::string> names;
+  for (const Row<Handle>& r : rows) names.push_back(r.info.name);
+  return names;
+}
+
+/// The keys in `keys` that name a row of `rows`, or `def` if none do.
+template <typename Handle>
+std::vector<std::string> keys_or(const std::vector<Row<Handle>>& rows,
+                                 const std::vector<std::string>& keys,
+                                 std::vector<std::string> def) {
+  std::vector<std::string> out;
+  int64_t g = 0;
+  for (const std::string& k : keys)
+    if (find_row(rows, k, g) != nullptr) out.push_back(k);
+  return out.empty() ? std::move(def) : out;
+}
+
+}  // namespace detail
+
+// Metadata is read from the uint64_t tables; every element type has the
+// same rows.
+
+/// All registered queue names, in registry order.
+inline std::vector<std::string> queue_names() {
+  return detail::names_of(queue_table<uint64_t>());
 }
 
 /// All registered vector names, in registry order.
 inline std::vector<std::string> vector_names() {
-  std::vector<std::string> names;
-  for (const QueueInfo& e : vector_registry()) names.push_back(e.name);
-  return names;
+  return detail::names_of(vector_table<uint64_t>());
 }
 
-/// Metadata for one registered vector; throws on unknown names.
-inline const QueueInfo& vector_info(const std::string& name) {
-  for (const QueueInfo& e : vector_registry())
-    if (e.name == name) return e;
-  std::string names;
-  for (const QueueInfo& e : vector_registry()) names += " " + e.name;
-  throw std::invalid_argument("api::vector_info: unknown vector \"" + name +
-                              "\"; known:" + names);
+/// Metadata for the queue `key` names (":g=<G>" keys resolve to their
+/// row); throws std::invalid_argument on unknown or malformed keys.
+inline const QueueInfo& queue_info(const std::string& key) {
+  int64_t g = 0;
+  return detail::get_row(queue_table<uint64_t>(), key, "queue", g).info;
 }
 
-/// Metadata for a registered object of either kind — queue (parameterized
-/// bounded keys included) or vector. This is what kind-agnostic surfaces
-/// (the CLI's --queues validation) resolve against; malformed bounded keys
-/// keep their loud queue-side errors, and a name matching neither kind
-/// throws with both known-name lists.
-inline const QueueInfo& object_info(const std::string& name) {
-  std::string base = resolve_queue_alias(name);
-  if (parse_bounded_key(name).has_value()) base = "bounded";
-  reject_parameterized(name);
-  for (const QueueInfo& e : queue_registry())
-    if (e.name == base) return e;
-  for (const QueueInfo& e : vector_registry())
-    if (e.name == name) return e;
-  std::string names;
-  for (const QueueInfo& e : queue_registry()) names += " " + e.name;
-  std::string vnames;
-  for (const QueueInfo& e : vector_registry()) vnames += " " + e.name;
-  throw std::invalid_argument("api::object_info: unknown object \"" + name +
-                              "\"; known queues:" + names +
-                              " (bounded takes :g=<G>); known vectors:" +
-                              vnames);
+/// Metadata for the vector `key` names; throws like queue_info.
+inline const QueueInfo& vector_info(const std::string& key) {
+  int64_t g = 0;
+  return detail::get_row(vector_table<uint64_t>(), key, "vector", g).info;
+}
+
+/// Metadata for an object of either kind. This is what kind-agnostic
+/// surfaces (the CLI's --queues validation) resolve against; a key naming
+/// neither kind throws with both known-key lists.
+inline const QueueInfo& object_info(const std::string& key) {
+  int64_t g = 0;
+  if (const auto* r = detail::find_row(queue_table<uint64_t>(), key, g))
+    return r->info;
+  if (const auto* r = detail::find_row(vector_table<uint64_t>(), key, g))
+    return r->info;
+  throw std::invalid_argument(
+      "api: unknown object \"" + key +
+      "\"; known queues:" + detail::known_keys(queue_table<uint64_t>()) +
+      "; known vectors:" + detail::known_keys(vector_table<uint64_t>()));
 }
 
 /// The shared --queues flag carries registry keys of EITHER object kind.
@@ -331,40 +338,28 @@ inline const QueueInfo& object_info(const std::string& name) {
 /// without blowing up the queue experiments mid-run.
 inline std::vector<std::string> queue_keys_or(
     const std::vector<std::string>& keys, std::vector<std::string> def) {
-  std::vector<std::string> out;
-  for (const std::string& k : keys) {
-    bool is_queue = parse_bounded_key(k).has_value();
-    const std::string base = resolve_queue_alias(k);
-    for (const QueueInfo& e : queue_registry()) is_queue |= (e.name == base);
-    if (is_queue) out.push_back(k);
-  }
-  return out.empty() ? std::move(def) : out;
+  return detail::keys_or(queue_table<uint64_t>(), keys, std::move(def));
 }
 
 inline std::vector<std::string> vector_keys_or(
     const std::vector<std::string>& keys, std::vector<std::string> def) {
-  std::vector<std::string> out;
-  for (const std::string& k : keys)
-    for (const QueueInfo& e : vector_registry())
-      if (e.name == k) out.push_back(k);
-  return out.empty() ? std::move(def) : out;
+  return detail::keys_or(vector_table<uint64_t>(), keys, std::move(def));
 }
 
-/// Builds a fresh vector by registry name; throws std::invalid_argument on
-/// unknown names. The flat baseline takes its fixed capacity from
-/// cfg.capacity (sized_config applies to it exactly as it does to faaq).
+/// Builds a fresh queue by registry key; throws std::invalid_argument on
+/// unknown or malformed keys.
 template <typename T>
-AnyVector<T> make_vector(const std::string& name, const QueueConfig& cfg) {
-  if (name == "wfvec")
-    return detail::make_vec_on_backend<core::WaitFreeVector, T>(
-        "wfvec", cfg.backend, cfg.procs);
-  if (name == "faavec")
-    return detail::make_vec_on_backend<baselines::FaaVector, T>(
-        "faavec", cfg.backend, cfg.procs, cfg.capacity);
-  (void)vector_info(name);
-  throw std::logic_error("api::make_vector: vector \"" + name +
-                         "\" is registered but has no factory entry; add it "
-                         "to the make_vector chain in queue_registry.hpp");
+AnyQueue<T> make_queue(const std::string& key, const QueueConfig& cfg) {
+  int64_t g = cfg.gc_period;
+  return detail::get_row(queue_table<T>(), key, "queue", g).make(key, cfg, g);
+}
+
+/// Builds a fresh vector by registry key; throws like make_queue.
+template <typename T>
+AnyVector<T> make_vector(const std::string& key, const QueueConfig& cfg) {
+  int64_t g = cfg.gc_period;
+  return detail::get_row(vector_table<T>(), key, "vector", g)
+      .make(key, cfg, g);
 }
 
 }  // namespace wfq::api

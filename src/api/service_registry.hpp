@@ -5,7 +5,7 @@
 // make_queue with <backing-queue-key> — so "dwrr:8:ubq",
 // "dwrr:4:bounded:g=8" and "dwrr:16:faaq" all work, and a new backing queue
 // is automatically a valid service backing the day it is registered. Key
-// parsing is strict and loud in the parse_bounded_key style: malformed
+// parsing is strict and loud, on the registry's key grammar: malformed
 // spellings throw with the expected shape spelled out.
 #pragma once
 
@@ -13,9 +13,11 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "api/queue_registry.hpp"
+#include "api/spec.hpp"
 #include "svc/service.hpp"
 
 namespace wfq::api {
@@ -39,37 +41,20 @@ inline std::vector<std::string> service_names() {
 /// "dwrr:4:bounded:g=8" parse naturally; the backing is validated against
 /// the queue registry here (vectors have no dequeue to service).
 inline std::optional<ServiceKey> parse_service_key(const std::string& name) {
-  if (name.rfind("dwrr", 0) != 0) return std::nullopt;
+  const size_t colon = name.find(':');
+  if (name.substr(0, colon) != "dwrr") return std::nullopt;
   const std::string want =
       "want \"dwrr:<nqueues>:<backing-queue-key>\" with 1 <= nqueues <= 4096 "
       "and a registered backing queue key (e.g. \"dwrr:8:ubq\", "
       "\"dwrr:4:bounded:g=8\")";
-  if (name.size() > 4 && name[4] != ':')
-    return std::nullopt;  // some other name that merely starts with "dwrr"
-  if (name.size() <= 5)   // "dwrr" or "dwrr:"
+  const size_t second =
+      colon == std::string::npos ? colon : name.find(':', colon + 1);
+  if (second == std::string::npos || second + 1 == name.size())
     throw std::invalid_argument("api::make_service: bad service key \"" +
                                 name + "\"; " + want);
-  size_t second = name.find(':', 5);
-  std::string digits =
-      second == std::string::npos ? name.substr(5) : name.substr(5, second - 5);
-  bool shape_ok = !digits.empty();
-  for (char c : digits)
-    if (c < '0' || c > '9') shape_ok = false;
-  if (!shape_ok || second == std::string::npos ||
-      second + 1 >= name.size())  // "dwrr:4", "dwrr:4:", "dwrr:-1:ubq", ...
-    throw std::invalid_argument("api::make_service: bad service key \"" +
-                                name + "\"; " + want);
-  long long n = 0;
-  try {
-    n = std::stoll(digits);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("api::make_service: bad tenant count in \"" +
-                                name + "\"; " + want);
-  }
-  if (n < 1 || n > 4096)
-    throw std::invalid_argument("api::make_service: tenant count " + digits +
-                                " in \"" + name + "\" is out of range; " +
-                                want);
+  const int n = parse_num<int>(
+      std::string_view(name).substr(colon + 1, second - colon - 1),
+      "tenant count in \"" + name + "\" (" + want + ")", 1, 4096);
   std::string backing = name.substr(second + 1);
   // Loud backing validation: unknown names, vector names and parameterized
   // spellings of non-parameterized queues all get queue_info's errors, with
@@ -80,7 +65,7 @@ inline std::optional<ServiceKey> parse_service_key(const std::string& name) {
     throw std::invalid_argument("api::make_service: bad backing queue in \"" +
                                 name + "\": " + e.what());
   }
-  return ServiceKey{static_cast<int>(n), backing};
+  return ServiceKey{n, backing};
 }
 
 /// Builds a fresh service facade by key; throws std::invalid_argument on

@@ -14,11 +14,19 @@
 #include <string>
 #include <vector>
 
+#include "api/spec.hpp"
 #include "broker/broker.hpp"
 #include "net/frame.hpp"
 #include "net/socket.hpp"
 
 namespace {
+
+using wfq::api::parse_num;
+using wfq::api::split;
+
+// Millisecond flags stop at one day, far below where a deadline of now + t
+// overflows the clock.
+constexpr uint64_t kMaxMs = 86'400'000;
 
 int g_signal_pipe[2] = {-1, -1};
 
@@ -51,16 +59,6 @@ void usage(std::ostream& os) {
         "  --report <path>   client mode: print a live broker's STAT JSON\n"
         "  --timeout <ms>    report-mode connect/read budget (default 5000)\n"
         "  --help, -h        this text\n";
-}
-
-int64_t parse_int(const std::string& s, const char* flag) {
-  bool ok = !s.empty();
-  for (size_t i = (!s.empty() && s[0] == '-') ? 1 : 0; i < s.size() && ok; ++i)
-    if (s[i] < '0' || s[i] > '9') ok = false;
-  if (!ok || s == "-")
-    throw std::invalid_argument(std::string("bad integer \"") + s +
-                                "\" for " + flag);
-  return std::stoll(s);
 }
 
 /// Client mode: one STAT round trip against a live broker. Connect, send,
@@ -112,33 +110,18 @@ int report_mode(const std::string& uds_path, uint64_t timeout_ms) {
 /// "i/n" for --cluster: replica id i of an n-replica group.
 void parse_cluster(const std::string& s, wfq::broker::BrokerConfig& cfg,
                    int& expect_n) {
-  size_t slash = s.find('/');
-  if (slash == std::string::npos)
+  const std::vector<std::string> f = split(s, '/');
+  if (f.size() != 2)
     throw std::invalid_argument("--cluster wants <id>/<n>, e.g. 0/3");
   cfg.cluster = true;
-  cfg.node_id = static_cast<int>(
-      parse_int(s.substr(0, slash), "--cluster id"));
-  expect_n = static_cast<int>(
-      parse_int(s.substr(slash + 1), "--cluster size"));
-  if (expect_n < 1 || cfg.node_id < 0 || cfg.node_id >= expect_n)
-    throw std::invalid_argument("--cluster needs 0 <= id < n");
+  expect_n = parse_num<int>(f[1], "--cluster size", 1, 4096);
+  cfg.node_id = parse_num<int>(f[0], "--cluster id", 0, expect_n - 1);
 }
 
 std::vector<uint16_t> parse_ports_csv(const std::string& s) {
   std::vector<uint16_t> ports;
-  size_t pos = 0;
-  while (pos <= s.size()) {
-    size_t comma = s.find(',', pos);
-    std::string tok =
-        s.substr(pos, comma == std::string::npos ? std::string::npos
-                                                 : comma - pos);
-    int64_t p = parse_int(tok, "--peers");
-    if (p < 1 || p > 65535)
-      throw std::invalid_argument("--peers ports must be in [1, 65535]");
-    ports.push_back(static_cast<uint16_t>(p));
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
+  for (const std::string& tok : split(s, ','))
+    ports.push_back(parse_num<uint16_t>(tok, "--peers port", 1));
   return ports;
 }
 
@@ -161,20 +144,15 @@ int main(int argc, char** argv) {
       if (a == "--uds") {
         cfg.uds_path = need("--uds");
       } else if (a == "--tcp") {
-        int64_t p = parse_int(need("--tcp"), "--tcp");
-        if (p < 0 || p > 65535)
-          throw std::invalid_argument("--tcp port must be in [0, 65535]");
-        cfg.tcp_port = static_cast<int>(p);
+        cfg.tcp_port = parse_num<uint16_t>(need("--tcp"), "--tcp");
       } else if (a == "--shards") {
-        cfg.shards = static_cast<int>(parse_int(need("--shards"), "--shards"));
+        cfg.shards = parse_num<int>(need("--shards"), "--shards", 1, 4096);
       } else if (a == "--groups") {
-        cfg.groups = static_cast<int>(parse_int(need("--groups"), "--groups"));
+        cfg.groups = parse_num<int>(need("--groups"), "--groups", 0, 4096);
       } else if (a == "--backing") {
         cfg.backing = need("--backing");
       } else if (a == "--ops") {
-        cfg.expected_ops = parse_int(need("--ops"), "--ops");
-        if (cfg.expected_ops < 1)
-          throw std::invalid_argument("--ops must be >= 1");
+        cfg.expected_ops = parse_num<int64_t>(need("--ops"), "--ops", 1);
       } else if (a == "--pin") {
         cfg.pin_threads = true;
       } else if (a == "--cluster") {
@@ -182,18 +160,16 @@ int main(int argc, char** argv) {
       } else if (a == "--peers") {
         cfg.peer_ports = parse_ports_csv(need("--peers"));
       } else if (a == "--election-ms") {
-        int64_t t = parse_int(need("--election-ms"), "--election-ms");
-        if (t < 1) throw std::invalid_argument("--election-ms must be >= 1");
-        cfg.election_timeout_ms = static_cast<uint64_t>(t);
+        cfg.election_timeout_ms =
+            parse_num<uint64_t>(need("--election-ms"), "--election-ms", 1,
+                                kMaxMs);
       } else if (a == "--raft-seed") {
-        cfg.raft_seed = static_cast<uint64_t>(
-            parse_int(need("--raft-seed"), "--raft-seed"));
+        cfg.raft_seed = parse_num<uint64_t>(need("--raft-seed"), "--raft-seed");
       } else if (a == "--report") {
         report_path = need("--report");
       } else if (a == "--timeout") {
-        int64_t t = parse_int(need("--timeout"), "--timeout");
-        if (t < 1) throw std::invalid_argument("--timeout must be >= 1");
-        timeout_ms = static_cast<uint64_t>(t);
+        timeout_ms =
+            parse_num<uint64_t>(need("--timeout"), "--timeout", 1, kMaxMs);
       } else if (a == "--help" || a == "-h") {
         usage(std::cout);
         return 0;

@@ -5,11 +5,20 @@
 // the e2e test all drive the same code path.
 #include <iostream>
 #include <string>
+#include <vector>
 
+#include "api/spec.hpp"
 #include "broker/loadgen.hpp"
 #include "stats/qos.hpp"
 
 namespace {
+
+using wfq::api::parse_num;
+using wfq::api::split;
+
+// Millisecond flags stop at one day, far below where a deadline of now + t
+// overflows the clock.
+constexpr uint64_t kMaxMs = 86'400'000;
 
 void usage(std::ostream& os) {
   os << "usage: loadgen (--uds <path> | --tcp <port> | --cluster <csv>) "
@@ -34,31 +43,10 @@ void usage(std::ostream& os) {
         "  --help, -h        this text\n";
 }
 
-int64_t parse_int(const std::string& s, const char* flag) {
-  bool ok = !s.empty();
-  for (char ch : s)
-    if (ch < '0' || ch > '9') ok = false;
-  if (!ok)
-    throw std::invalid_argument(std::string("bad integer \"") + s +
-                                "\" for " + flag);
-  return std::stoll(s);
-}
-
 std::vector<uint16_t> parse_ports_csv(const std::string& s) {
   std::vector<uint16_t> ports;
-  size_t pos = 0;
-  while (pos <= s.size()) {
-    size_t comma = s.find(',', pos);
-    std::string tok =
-        s.substr(pos, comma == std::string::npos ? std::string::npos
-                                                 : comma - pos);
-    int64_t p = parse_int(tok, "--cluster");
-    if (p < 1 || p > 65535)
-      throw std::invalid_argument("--cluster ports must be in [1, 65535]");
-    ports.push_back(static_cast<uint16_t>(p));
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
+  for (const std::string& tok : split(s, ','))
+    ports.push_back(parse_num<uint16_t>(tok, "--cluster port", 1));
   return ports;
 }
 
@@ -80,27 +68,18 @@ int main(int argc, char** argv) {
         cfg.uds_path = need("--uds");
         have_target = true;
       } else if (a == "--tcp") {
-        int64_t p = parse_int(need("--tcp"), "--tcp");
-        if (p < 1 || p > 65535)
-          throw std::invalid_argument("--tcp port must be in [1, 65535]");
-        cfg.tcp_port = static_cast<uint16_t>(p);
+        cfg.tcp_port = parse_num<uint16_t>(need("--tcp"), "--tcp", 1);
         have_target = true;
       } else if (a == "--cluster") {
         cfg.cluster_ports = parse_ports_csv(need("--cluster"));
         have_target = true;
       } else if (a == "--timeout") {
-        int64_t t = parse_int(need("--timeout"), "--timeout");
-        if (t < 1) throw std::invalid_argument("--timeout must be >= 1");
-        cfg.read_timeout_ms = static_cast<uint64_t>(t);
+        cfg.read_timeout_ms =
+            parse_num<uint64_t>(need("--timeout"), "--timeout", 1, kMaxMs);
       } else if (a == "--conns") {
-        cfg.connections =
-            static_cast<int>(parse_int(need("--conns"), "--conns"));
-        if (cfg.connections < 1)
-          throw std::invalid_argument("--conns must be >= 1");
+        cfg.connections = parse_num<int>(need("--conns"), "--conns", 1, 4096);
       } else if (a == "--msgs") {
-        cfg.msgs_per_conn = parse_int(need("--msgs"), "--msgs");
-        if (cfg.msgs_per_conn < 1)
-          throw std::invalid_argument("--msgs must be >= 1");
+        cfg.msgs_per_conn = parse_num<int64_t>(need("--msgs"), "--msgs", 1);
       } else if (a == "--mode") {
         std::string m = need("--mode");
         if (m == "closed") {
@@ -111,22 +90,19 @@ int main(int argc, char** argv) {
           throw std::invalid_argument("--mode must be closed or open");
         }
       } else if (a == "--window") {
-        cfg.window = static_cast<int>(parse_int(need("--window"), "--window"));
-        if (cfg.window < 1)
-          throw std::invalid_argument("--window must be >= 1");
+        cfg.window = parse_num<int>(need("--window"), "--window", 1);
       } else if (a == "--rate") {
-        cfg.rate_per_conn =
-            static_cast<double>(parse_int(need("--rate"), "--rate"));
+        cfg.rate_per_conn = static_cast<double>(
+            parse_num<int64_t>(need("--rate"), "--rate", 0));
       } else if (a == "--enq-only") {
         cfg.pairs = false;
       } else if (a == "--key-base") {
-        cfg.key_base =
-            static_cast<uint32_t>(parse_int(need("--key-base"), "--key-base"));
+        cfg.key_base = parse_num<uint32_t>(need("--key-base"), "--key-base");
       } else if (a == "--pin") {
         cfg.pin_threads = true;
       } else if (a == "--pin-offset") {
         cfg.pin_offset =
-            static_cast<int>(parse_int(need("--pin-offset"), "--pin-offset"));
+            parse_num<int>(need("--pin-offset"), "--pin-offset", 0, 4096);
       } else if (a == "--help" || a == "-h") {
         usage(std::cout);
         return 0;

@@ -163,6 +163,11 @@ inline void put_u32(std::string& out, uint32_t v) {
     out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
 }
 
+inline void put_u64(std::string& out, uint64_t v) {
+  for (int i = 0; i < 8; ++i)
+    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+}
+
 inline uint16_t get_u16(const char* p) {
   return static_cast<uint16_t>(static_cast<uint8_t>(p[0]) |
                                (static_cast<uint16_t>(
@@ -174,6 +179,13 @@ inline uint32_t get_u32(const char* p) {
   uint32_t v = 0;
   for (int i = 0; i < 4; ++i)
     v |= static_cast<uint32_t>(static_cast<uint8_t>(p[i])) << (8 * i);
+  return v;
+}
+
+inline uint64_t get_u64(const char* p) {
+  uint64_t v = 0;
+  for (int i = 0; i < 8; ++i)
+    v |= static_cast<uint64_t>(static_cast<uint8_t>(p[i])) << (8 * i);
   return v;
 }
 
@@ -196,8 +208,7 @@ inline void encode_frame(const Frame& f, std::string& out) {
 inline std::string encode_value(uint64_t v) {
   std::string s;
   s.reserve(8);
-  for (int i = 0; i < 8; ++i)
-    s.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+  detail::put_u64(s, v);
   return s;
 }
 
@@ -236,10 +247,7 @@ inline bool decode_u32(const std::string& payload, uint32_t& out) {
 /// Reads an 8-byte little-endian value payload; false if the size is wrong.
 inline bool decode_value(const std::string& payload, uint64_t& out) {
   if (payload.size() != 8) return false;
-  out = 0;
-  for (int i = 0; i < 8; ++i)
-    out |= static_cast<uint64_t>(static_cast<uint8_t>(payload[static_cast<size_t>(i)]))
-           << (8 * i);
+  out = detail::get_u64(payload.data());
   return true;
 }
 

@@ -52,37 +52,9 @@ inline bool type_for(net::Opcode op, Message::Type& out) {
   }
 }
 
-namespace wire_detail {
-
-inline void put_u64(std::string& out, uint64_t v) {
-  for (int i = 0; i < 8; ++i)
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-inline bool get_u64(const std::string& s, size_t& pos, uint64_t& v) {
-  if (s.size() - pos < 8) return false;
-  v = 0;
-  for (int i = 0; i < 8; ++i)
-    v |= static_cast<uint64_t>(static_cast<uint8_t>(s[pos + size_t(i)]))
-         << (8 * i);
-  pos += 8;
-  return true;
-}
-
-inline bool get_u32(const std::string& s, size_t& pos, uint32_t& v) {
-  if (s.size() - pos < 4) return false;
-  v = 0;
-  for (int i = 0; i < 4; ++i)
-    v |= static_cast<uint32_t>(static_cast<uint8_t>(s[pos + size_t(i)]))
-         << (8 * i);
-  pos += 4;
-  return true;
-}
-
-}  // namespace wire_detail
-
 inline std::string encode_body(const Message& m) {
-  using wire_detail::put_u64;
+  using net::detail::put_u32;
+  using net::detail::put_u64;
   std::string out;
   put_u64(out, m.term);
   switch (m.type) {
@@ -97,14 +69,10 @@ inline std::string encode_body(const Message& m) {
       put_u64(out, m.prev_log_index);
       put_u64(out, m.prev_log_term);
       put_u64(out, m.leader_commit);
-      uint32_t n = static_cast<uint32_t>(m.entries.size());
-      for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<char>((n >> (8 * i)) & 0xff));
+      put_u32(out, static_cast<uint32_t>(m.entries.size()));
       for (const LogEntry& e : m.entries) {
         put_u64(out, e.term);
-        uint32_t len = static_cast<uint32_t>(e.cmd.size());
-        for (int i = 0; i < 4; ++i)
-          out.push_back(static_cast<char>((len >> (8 * i)) & 0xff));
+        put_u32(out, static_cast<uint32_t>(e.cmd.size()));
         out.append(e.cmd);
       }
       break;
@@ -122,12 +90,23 @@ inline std::string encode_body(const Message& m) {
 /// trailing bytes).
 inline bool decode_body(Message::Type t, int from, const std::string& body,
                         Message& m) {
-  using wire_detail::get_u32;
-  using wire_detail::get_u64;
   m = Message{};
   m.type = t;
   m.from = from;
   size_t pos = 0;
+  // Bounds-checked little-endian reads at `pos`; false past the end.
+  auto get_u64 = [](const std::string& s, size_t& at, uint64_t& v) {
+    if (s.size() - at < 8) return false;
+    v = net::detail::get_u64(s.data() + at);
+    at += 8;
+    return true;
+  };
+  auto get_u32 = [](const std::string& s, size_t& at, uint32_t& v) {
+    if (s.size() - at < 4) return false;
+    v = net::detail::get_u32(s.data() + at);
+    at += 4;
+    return true;
+  };
   if (!get_u64(body, pos, m.term)) return false;
   switch (t) {
     case Message::Type::vote_req:

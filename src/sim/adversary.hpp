@@ -3,7 +3,7 @@
 // adversary without naming C++ types (`--adversary anti-faa`). Specs:
 //
 //   "round-robin"      perfect lock-step (the paper's canonical CAS-retry
-//                      adversary); alias "rr".
+//                      adversary).
 //   "random:<seed>"    seeded uniform-random schedule; the seed is required
 //                      and must be >= 1 (seed 0 is the xorshift64* fixed
 //                      point and is rejected — see RandomPolicy).
@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "api/spec.hpp"
 #include "sim/scheduler.hpp"
 
 namespace wfq::sim {
@@ -236,77 +237,34 @@ inline std::vector<std::string> policy_names() {
 }
 
 /// Builds a fresh policy from its spec string; throws std::invalid_argument
-/// on unknown names or a missing/zero random seed. Each call returns an
-/// independent policy instance (policies are stateful).
+/// on unknown names, a missing/zero random seed or malformed burst lengths.
+/// Each call returns an independent policy instance (policies are stateful).
 inline std::unique_ptr<SchedulingPolicy> make_policy(const std::string& spec) {
-  if (spec == "round-robin" || spec == "rr")
-    return std::make_unique<RoundRobinPolicy>();
+  if (spec == "round-robin") return std::make_unique<RoundRobinPolicy>();
   if (spec == "anti-faa") return std::make_unique<AntiFaaPolicy>();
   if (spec == "stall-refresh") return std::make_unique<StallRefreshPolicy>();
-  if (spec.rfind("random", 0) == 0) {
-    if (spec.size() < 8 || spec[6] != ':')
-      throw std::invalid_argument(
-          "sim::make_policy: \"" + spec +
-          "\" — the random adversary needs an explicit seed: \"random:<seed>\""
-          " with seed >= 1 (seed 0 is rejected, see RandomPolicy)");
-    // All-digits check first: stoull would silently wrap "random:-1" to
-    // 2^64-1 — the exact class of silent seed remapping this factory
-    // exists to eliminate.
-    std::string digits = spec.substr(7);
-    bool all_digits = !digits.empty();
-    for (char c : digits)
-      if (c < '0' || c > '9') all_digits = false;
-    uint64_t seed = 0;
-    try {
-      if (!all_digits) throw std::invalid_argument(spec);
-      seed = std::stoull(digits);
-    } catch (const std::exception&) {
-      throw std::invalid_argument("sim::make_policy: bad seed in \"" + spec +
-                                  "\" (want \"random:<seed>\", seed >= 1)");
-    }
-    if (seed == 0)
-      throw std::invalid_argument(
-          "sim::make_policy: \"random:0\" is invalid — seed 0 is the "
-          "xorshift64* fixed point; use any seed >= 1");
-    return std::make_unique<RandomPolicy>(seed);
+  const std::vector<std::string> f = api::split(spec, ':');
+  if (f[0] == "random") {
+    const std::string want =
+        "want \"random:<seed>\" with seed >= 1 (seed 0 is the xorshift64* "
+        "fixed point, see RandomPolicy)";
+    if (f.size() != 2)
+      throw std::invalid_argument("sim::make_policy: bad random spec \"" +
+                                  spec + "\"; " + want);
+    return std::make_unique<RandomPolicy>(api::parse_num<uint64_t>(
+        f[1], "seed in \"" + spec + "\" (" + want + ")", 1));
   }
-  if (spec.rfind("bursty", 0) == 0) {
+  if (f[0] == "bursty") {
     const std::string want =
         "want \"bursty:<on>:<off>\" with on >= 1 (burst length, in steps) "
         "and off >= 0 (cooldown steps)";
-    size_t first = spec.find(':');
-    size_t second =
-        first == std::string::npos ? std::string::npos
-                                   : spec.find(':', first + 1);
-    if (first != 6 || second == std::string::npos)
+    if (f.size() != 3)
       throw std::invalid_argument("sim::make_policy: bad bursty spec \"" +
                                   spec + "\"; " + want);
-    std::string on_s = spec.substr(7, second - 7);
-    std::string off_s = spec.substr(second + 1);
-    // All-digits checks first, the random:<seed> idiom: stoull would
-    // silently wrap "bursty:-1:5" and accept trailing junk.
-    auto all_digits = [](const std::string& s) {
-      if (s.empty()) return false;
-      for (char c : s)
-        if (c < '0' || c > '9') return false;
-      return true;
-    };
-    uint64_t on = 0, off = 0;
-    try {
-      if (!all_digits(on_s) || !all_digits(off_s))
-        throw std::invalid_argument(spec);
-      on = std::stoull(on_s);
-      off = std::stoull(off_s);
-    } catch (const std::exception&) {
-      throw std::invalid_argument("sim::make_policy: bad burst lengths in \"" +
-                                  spec + "\"; " + want);
-    }
-    if (on == 0)
-      throw std::invalid_argument(
-          "sim::make_policy: burst length 0 in \"" + spec +
-          "\" is invalid (a process must run at least one step per burst); " +
-          want);
-    return std::make_unique<BurstyPolicy>(on, off);
+    const std::string what = "burst length in \"" + spec + "\" (" + want + ")";
+    const uint64_t on = api::parse_num<uint64_t>(f[1], what, 1);
+    return std::make_unique<BurstyPolicy>(
+        on, api::parse_num<uint64_t>(f[2], what, 0));
   }
   std::string names;
   for (const std::string& n : policy_names()) names += " " + n;

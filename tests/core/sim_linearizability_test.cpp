@@ -10,7 +10,6 @@
 //       enqueued = dequeued + leftover exactly as multisets;
 //   (c) dequeues on an empty queue return null.
 #include <cstdint>
-#include <cstdlib>
 #include <functional>
 #include <map>
 #include <memory>
@@ -18,6 +17,7 @@
 #include <set>
 #include <vector>
 
+#include "api/spec.hpp"
 #include "baselines/kp_queue.hpp"
 #include "baselines/sim_queue.hpp"
 #include "core/bounded_queue.hpp"
@@ -353,15 +353,13 @@ int main(int argc, char** argv) {
   uint64_t gc_sweeps = 40;
   uint64_t help_sweeps = 200;
   uint64_t* const counts[] = {&gc_sweeps, &help_sweeps};
-  for (int i = 1; i < argc && i <= 2; ++i) {
-    char* end = nullptr;
-    *counts[i - 1] = std::strtoull(argv[i], &end, 10);
-    if (end == argv[i] || *end != '\0' || *counts[i - 1] == 0) {
-      std::cerr << "usage: sim_linearizability_test [gc_sweep_count >= 1] "
-                << "[helping_stall_sweep_count >= 1]; got \"" << argv[i]
-                << "\"\n";
-      return 2;
-    }
+  try {
+    for (int i = 1; i < argc && i <= 2; ++i)
+      *counts[i - 1] = wfq::api::parse_num<uint64_t>(argv[i], "sweep count", 1);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << e.what() << "\nusage: sim_linearizability_test "
+              << "[gc_sweep_count >= 1] [helping_stall_sweep_count >= 1]\n";
+    return 2;
   }
 
   spsc_exact_fifo(std::make_unique<wfq::sim::RoundRobinPolicy>());

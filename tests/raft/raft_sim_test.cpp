@@ -24,10 +24,12 @@
 // message types and strict rejection of every truncation of an append
 // batch.
 #include <cstdint>
-#include <cstdlib>
+#include <iostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "api/spec.hpp"
 #include "raft/sim_cluster.hpp"
 #include "raft/wire.hpp"
 #include "tests/test_util.hpp"
@@ -241,8 +243,13 @@ void test_wire_round_trip() {
 
 int main(int argc, char** argv) {
   int schedules = 200;
-  if (argc > 1) schedules = std::atoi(argv[1]);
-  if (schedules < 1) schedules = 1;
+  try {
+    if (argc > 1)
+      schedules = wfq::api::parse_num<int>(argv[1], "schedule count", 1);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << e.what() << "\nusage: raft_sim_test [schedule_count >= 1]\n";
+    return 2;
+  }
 
   test_wire_round_trip();
   for (int s = 1; s <= schedules; ++s) {

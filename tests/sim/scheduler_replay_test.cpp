@@ -76,9 +76,10 @@ void factory_and_seed_handling() {
   CHECK(make_policy_throws("random:"));     // empty seed
   CHECK(make_policy_throws("random:abc"));  // non-numeric seed
   CHECK(make_policy_throws("random:7x"));   // trailing garbage
-  CHECK(make_policy_throws("random:-1"));   // stoull would wrap to 2^64-1
+  CHECK(make_policy_throws("random:-1"));   // must not wrap to 2^64-1
   CHECK(make_policy_throws("random:+7"));   // digits only, no sign
   CHECK(make_policy_throws("no-such-adversary"));
+  CHECK(make_policy_throws("rr"));  // the retired round-robin alias
   // ...and seed 1 (the old magic remap would have hidden it) is fine and
   // distinct from other seeds.
   CHECK(run_workload(wfq::sim::make_policy("random:1")) ==
@@ -107,7 +108,7 @@ void bursty_policy() {
   CHECK(make_policy_throws("bursty:a:5"));    // non-numeric on
   CHECK(make_policy_throws("bursty:3:b"));    // non-numeric off
   CHECK(make_policy_throws("bursty:3:5:7"));  // trailing field
-  CHECK(make_policy_throws("bursty:-1:5"));   // stoull would wrap
+  CHECK(make_policy_throws("bursty:-1:5"));   // must not wrap
   CHECK(make_policy_throws("bursty:3x:5"));   // trailing garbage in on
 
   // off = 0 is legal (bursts with no cooldown); ctor-level on = 0 throws
