@@ -6,11 +6,15 @@
 // operations ever performed.
 //
 // Harness: build a root blocks array with H total blocks (single process:
-// one op per block) where the dequeue frontier sits near the end; count
-// loads for both strategies when resolving the next dequeue's enqueue
-// block. Expected: doubling stays flat as H grows (distance is fixed by
-// the queue size), full binary search grows with log H.
+// one op per block) where the dequeue frontier sits near the end; count the
+// probes of the queue's own search templates (core/ordering_tree.hpp) over
+// that real array when resolving the next dequeue's enqueue block:
+// gallop_down from the dequeue's block (what find_response runs) against a
+// bisect over all of [0, b]. Expected: doubling stays flat as H grows
+// (distance is fixed by the queue size), full binary search grows with
+// log H.
 #include <cmath>
+#include <stdexcept>
 
 #include "api/experiment.hpp"
 #include "api/harness.hpp"
@@ -28,39 +32,18 @@ struct Cost {
   int full_binary = 0;
 };
 
-// Replicates the two search strategies over the real root blocks array,
-// counting slot loads. `b` = dequeue's block, `e` = target enqueue rank.
+// `b` = dequeue's block (sumenq(b) >= e), `e` = target enqueue rank.
 Cost search_costs(const Node* root, int64_t b, int64_t e) {
   Cost c;
-  {  // Doubling + binary (the implementation's strategy).
-    int64_t lo = b, step = 1;
-    while (lo > 0) {
-      ++c.doubling;
-      if (root->blocks.load(lo)->sumenq < e) break;
-      lo = b - step > 0 ? b - step : 0;
-      step <<= 1;
-    }
-    int64_t hi = b;
-    while (lo + 1 < hi) {
-      ++c.doubling;
-      int64_t mid = lo + (hi - lo) / 2;
-      if (root->blocks.load(mid)->sumenq >= e)
-        hi = mid;
-      else
-        lo = mid;
-    }
-  }
-  {  // Naive full binary search over [1..b].
-    int64_t lo = 0, hi = b;
-    while (lo + 1 < hi) {
-      ++c.full_binary;
-      int64_t mid = lo + (hi - lo) / 2;
-      if (root->blocks.load(mid)->sumenq >= e)
-        hi = mid;
-      else
-        lo = mid;
-    }
-  }
+  auto counting = [&](int& n) {
+    return [&n, root, e](int64_t s) {
+      ++n;
+      return root->blocks.load(s)->sumenq >= e;
+    };
+  };
+  if (core::gallop_down(b, counting(c.doubling)) !=
+      core::bisect(0, b, counting(c.full_binary)))
+    throw std::logic_error("E12: the two searches disagree");
   return c;
 }
 

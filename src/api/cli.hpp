@@ -44,7 +44,7 @@ inline void print_usage(std::ostream& os) {
         "  --gc <G>                bounded-queue GC period for experiments\n"
         "                          that take one (E6, E7; E8 sweeps its own\n"
         "                          grid): 0 = paper default, -1 = disabled\n"
-        "  --format <fmt>          table (default) | csv | json\n"
+        "  --format <fmt>          table (default) | json\n"
         "  --out <file>            write output to <file> instead of stdout\n"
         "  --help, -h              this text\n"
         "\n"
@@ -111,13 +111,11 @@ inline int run_main(int argc, char** argv) {
         std::string f = need_value(i, a);
         if (f == "table")
           opts.format = Format::table;
-        else if (f == "csv")
-          opts.format = Format::csv;
         else if (f == "json")
           opts.format = Format::json;
         else
           throw std::invalid_argument("unknown --format \"" + f +
-                                      "\" (table|csv|json)");
+                                      "\" (table|json)");
       } else if (a == "--out") {
         out_path = need_value(i, a);
       } else if (a == "--help" || a == "-h") {

@@ -1,8 +1,8 @@
 // Report emitters for the experiment API: the same structured Report renders
 // as (a) the classic human-readable aligned table — byte-compatible in
-// spirit with the pre-redesign hand-rolled benches, (b) CSV for spreadsheet
-// import, or (c) JSON ("wfq-bench-v1") for the machine-readable perf
-// trajectory that CI archives as BENCH_*.json.
+// spirit with the pre-redesign hand-rolled benches — or (b) JSON
+// ("wfq-bench-v1") for the machine-readable perf trajectory that CI
+// archives as BENCH_*.json.
 #pragma once
 
 #include <cmath>
@@ -37,70 +37,6 @@ inline void emit_table(std::ostream& os, const Report& r) {
     for (const Shape& s : sec.shapes)
       os << stats::shape_line(s.series, s.fit) << "\n";
     for (const std::string& line : sec.notes) os << line << "\n";
-    os << "\n";
-  }
-}
-
-// ------------------------------------------------------------------ csv ---
-
-namespace detail {
-
-inline std::string csv_escape(const std::string& s) {
-  if (s.find_first_of(",\"\n") == std::string::npos) return s;
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"') out += '"';
-    out += c;
-  }
-  out += '"';
-  return out;
-}
-
-}  // namespace detail
-
-/// One header+rows block per section, prefixed by a comment line naming the
-/// experiment and section; shape fits become their own block.
-inline void emit_csv(std::ostream& os, const Report& r) {
-  for (const Section& sec : r.sections) {
-    // Note-only sections (e.g. an "E5b skipped: ..." explanation) still
-    // get their comment block: a consumer must be able to tell "skipped,
-    // and here is why" from "section no longer exists".
-    if (sec.columns.empty() && sec.shapes.empty() && sec.metrics.empty()) {
-      if (sec.notes.empty()) continue;
-      os << "# " << r.experiment << "/" << sec.id << "\n";
-      for (const std::string& n : sec.notes) os << "#" << n << "\n";
-      os << "\n";
-      continue;
-    }
-    os << "# " << r.experiment << "/" << sec.id << "\n";
-    if (!sec.columns.empty()) {
-      for (size_t c = 0; c < sec.columns.size(); ++c)
-        os << (c ? "," : "") << detail::csv_escape(sec.columns[c]);
-      os << "\n";
-      for (const auto& row : sec.rows) {
-        for (size_t c = 0; c < row.size(); ++c)
-          os << (c ? "," : "") << detail::csv_escape(row[c].text);
-        os << "\n";
-      }
-    }
-    if (!sec.shapes.empty()) {
-      if (!sec.columns.empty()) os << "\n";  // own block, own schema
-      os << "# " << r.experiment << "/" << sec.id << " shapes\n";
-      os << "series,r2_logp,r2_log2p,r2_linp,best\n";
-      for (const Shape& s : sec.shapes)
-        os << detail::csv_escape(s.series) << ","
-           << stats::fmt(s.fit.r2_logp, 6) << ","
-           << stats::fmt(s.fit.r2_log2p, 6) << ","
-           << stats::fmt(s.fit.r2_linp, 6) << "," << s.fit.best << "\n";
-    }
-    if (!sec.metrics.empty()) {
-      if (!sec.columns.empty() || !sec.shapes.empty()) os << "\n";
-      os << "# " << r.experiment << "/" << sec.id << " metrics\n";
-      os << "metric,value\n";
-      for (const Metric& m : sec.metrics)
-        os << detail::csv_escape(m.name) << "," << stats::fmt(m.value, 6)
-           << "\n";
-    }
     os << "\n";
   }
 }
@@ -234,12 +170,7 @@ inline void emit(std::ostream& os, Format format,
     emit_json(os, reports);
     return;
   }
-  for (const Report& r : reports) {
-    if (format == Format::csv)
-      emit_csv(os, r);
-    else
-      emit_table(os, r);
-  }
+  for (const Report& r : reports) emit_table(os, r);
 }
 
 }  // namespace wfq::api

@@ -3,7 +3,7 @@
 // shared CLI surface: --procs/--ops/--adversary/--seed/--queues/--format)
 // to a structured Report. Reports are data, not prints: Sections hold
 // typed table cells, shape fits and note lines, and the emitters in
-// emit.hpp render the same Report as the classic aligned table, CSV, or
+// emit.hpp render the same Report as the classic aligned table or as
 // machine-readable JSON (the BENCH_*.json perf trajectory).
 //
 // Each bench/experiments/*.cpp file is one registration; bench_runner.cpp
@@ -26,7 +26,7 @@
 
 namespace wfq::api {
 
-enum class Format { table, csv, json };
+enum class Format { table, json };
 
 /// Options shared by every experiment, parsed once by the runner CLI.
 /// Empty/zero fields mean "use the experiment's default" — the *_or helpers
@@ -45,7 +45,7 @@ struct RunOptions {
   std::vector<std::string> queues;  // --queues ubq,msq
   int64_t gc = kGcUnset;            // --gc G (bounded queue: 0 = paper
                                     // default, -1 = disabled)
-  Format format = Format::table;    // --format table|csv|json
+  Format format = Format::table;    // --format table|json
 
   std::vector<int> procs_or(std::vector<int> def) const {
     return procs.empty() ? std::move(def) : procs;
@@ -94,7 +94,7 @@ struct Shape {
 
 /// A named scalar result (e.g. "r2_first_deq_logq") carried in the
 /// machine-readable output. The human-readable table renders these inside
-/// note lines; the JSON/CSV emitters emit them as numbers so the perf
+/// note lines; the JSON emitter emits them as numbers so the perf
 /// trajectory can diff headline fits that are not p-family shapes
 /// (the log-q / log-H fits of E3b, E7b, E10, E11b, E12).
 struct Metric {

@@ -36,7 +36,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <deque>
 #include <memory>
 #include <mutex>
@@ -47,6 +46,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "api/spec.hpp"
 #include "broker/shard_map.hpp"
 #include "net/event_loop.hpp"
 #include "net/frame.hpp"
@@ -309,6 +309,18 @@ class Broker {
   /// without bound. 2^20 items ~ tens of MB worst case.
   static constexpr size_t kMaxBacklog = size_t{1} << 20;
 
+  /// ERR payload for a SETW the shard map refused (both SETW paths).
+  static constexpr const char* kSetwRejected =
+      "SETW rejected: dwrr backing required, tenant in range, weight >= 1";
+
+  /// A cluster-mode SETW awaiting its log entry's apply (the raft thread
+  /// answers it; see on_raft_apply).
+  struct PendingSetw {
+    uint64_t conn = 0;
+    uint32_t key = 0;
+    uint16_t flags = 0;
+  };
+
   struct WorkItem {
     uint64_t conn = 0;
     int shard = 0;
@@ -535,8 +547,7 @@ class Broker {
         } else {
           st.bad.fetch_add(1, std::memory_order_relaxed);
           resp.op = net::Opcode::err;
-          resp.payload = "SETW rejected: dwrr backing required, tenant in "
-                         "range, weight >= 1";
+          resp.payload = kSetwRejected;
         }
         break;
       }
@@ -560,40 +571,15 @@ class Broker {
   ///     (loud stderr, stays not-ready) rather than silently diverging.
   ///     Later duplicates (bootstrap re-proposals) are ignored.
   ///   "w|<tenant>|<weight>" — DWRR weight update, applied to all shards.
+  /// Fields parse strictly (api::parse_num); a malformed entry applies as
+  /// not-ok on every replica alike.
   void on_raft_apply(uint64_t index, const std::string& cmd) {
+    std::vector<std::string> f = api::split(cmd, '|');
     bool ok = false;
-    if (cmd.rfind("cfg|", 0) == 0) {
-      std::string rest = cmd.substr(4);
-      size_t bar = rest.find('|');
-      if (bar != std::string::npos) {
-        int shards = std::atoi(rest.substr(0, bar).c_str());
-        std::string backing = rest.substr(bar + 1);
-        if (map_ready_.load(std::memory_order_acquire)) {
-          ok = true;  // duplicate bootstrap proposal
-        } else if (shards != cfg_.shards || backing != cfg_.backing) {
-          std::fprintf(stderr,
-                       "broker: replicated config (%d shards, %s) disagrees "
-                       "with CLI (%d shards, %s); this replica will NOT "
-                       "serve — fix the flags and restart\n",
-                       shards, backing.c_str(), cfg_.shards,
-                       cfg_.backing.c_str());
-        } else {
-          map_ = std::make_unique<ShardMap>(cfg_.shards, cfg_.backing,
-                                            cfg_.expected_ops);
-          map_ready_.store(true, std::memory_order_release);
-          ok = true;
-        }
-      }
-    } else if (cmd.rfind("w|", 0) == 0) {
-      std::string rest = cmd.substr(2);
-      size_t bar = rest.find('|');
-      if (bar != std::string::npos &&
-          map_ready_.load(std::memory_order_acquire)) {
-        int tenant = std::atoi(rest.substr(0, bar).c_str());
-        uint32_t weight = static_cast<uint32_t>(
-            std::strtoul(rest.substr(bar + 1).c_str(), nullptr, 10));
-        ok = map_->set_weight_all(tenant, weight);
-      }
+    if (f.size() == 3 && f[0] == "cfg") {
+      ok = apply_config(f[1], f[2]);
+    } else if (f.size() == 3 && f[0] == "w") {
+      ok = apply_weight(f[1], f[2]);
     }
     // If this entry was a SETW this replica proposed, answer the client now
     // — SETW_OK strictly after commit+apply.
@@ -608,18 +594,49 @@ class Broker {
     }
     if (p) {
       net::Frame resp;
-      resp.key = p->key;
-      resp.flags = p->flags;
       if (ok) {
         resp.op = net::Opcode::setw_ok;
       } else {
         resp.op = net::Opcode::err;
-        resp.payload = "SETW rejected: dwrr backing required, tenant in "
-                       "range, weight >= 1";
+        resp.payload = kSetwRejected;
       }
-      std::string buf;
-      net::encode_frame(resp, buf);
-      loop_->send(p->conn, std::move(buf));
+      reply_setw(*p, std::move(resp));
+    }
+  }
+
+  bool apply_config(const std::string& shards, const std::string& backing) {
+    if (map_ready_.load(std::memory_order_acquire))
+      return true;  // duplicate bootstrap proposal
+    bool match = false;
+    try {
+      match = api::parse_num<int>(shards, "config shards", 1, 4096) ==
+                  cfg_.shards &&
+              backing == cfg_.backing;
+    } catch (const std::invalid_argument&) {
+    }
+    if (!match) {
+      std::fprintf(stderr,
+                   "broker: replicated config (%s shards, %s) disagrees "
+                   "with CLI (%d shards, %s); this replica will NOT "
+                   "serve — fix the flags and restart\n",
+                   shards.c_str(), backing.c_str(), cfg_.shards,
+                   cfg_.backing.c_str());
+      return false;
+    }
+    map_ = std::make_unique<ShardMap>(cfg_.shards, cfg_.backing,
+                                      cfg_.expected_ops);
+    map_ready_.store(true, std::memory_order_release);
+    return true;
+  }
+
+  bool apply_weight(const std::string& tenant, const std::string& weight) {
+    if (!map_ready_.load(std::memory_order_acquire)) return false;
+    try {
+      return map_->set_weight_all(
+          api::parse_num<int>(tenant, "SETW tenant", 0, 4095),
+          api::parse_num<uint32_t>(weight, "SETW weight", 1));
+    } catch (const std::invalid_argument&) {
+      return false;
     }
   }
 
@@ -636,20 +653,20 @@ class Broker {
     }
     for (auto& [idx, p] : orphans) {
       net::Frame resp;
-      resp.key = p.key;
-      resp.flags = p.flags;
       fill_not_leader(resp);
-      std::string buf;
-      net::encode_frame(resp, buf);
-      loop_->send(p.conn, std::move(buf));
+      reply_setw(p, std::move(resp));
     }
   }
 
-  struct PendingSetw {
-    uint64_t conn = 0;
-    uint32_t key = 0;
-    uint16_t flags = 0;
-  };
+  /// Sends the deferred answer to a SETW this replica proposed (raft
+  /// thread); `resp` carries the opcode and payload.
+  void reply_setw(const PendingSetw& p, net::Frame resp) {
+    resp.key = p.key;
+    resp.flags = p.flags;
+    std::string buf;
+    net::encode_frame(resp, buf);
+    loop_->send(p.conn, std::move(buf));
+  }
 
   BrokerConfig cfg_;
   std::unique_ptr<ShardMap> map_;  // cluster mode: built at config apply

@@ -41,11 +41,10 @@
 // child, everything from the end-pointers of the block PRECEDING the
 // parent's archive floor (readers consume parent blocks in pairs (j-1, j),
 // so the pair at the floor itself spans child blocks from the end-pointers
-// of floor - 1) — covers every value-bearing load. Searches (superblock
-// gallop, Lemma-20 doubling) may *probe* below the floor; a discarded
-// probe answers with a sentinel whose monotone fields (-1) steer the
-// search back up, which is safe because all three search predicates are
-// monotone in the block index.
+// of floor - 1) — covers every value-bearing load. Searches may *probe*
+// below the floor and read the discarded-block sentinel there; why that is
+// safe is stated once, at the monotone-search templates (bisect, gallop_*)
+// in core/ordering_tree.hpp.
 //
 // Reachable space: in-array suffixes are O(G) per node (+ < kChunk), the
 // archive holds O(q_max + p) live blocks (+ < kChunk per node: the chunk
@@ -244,9 +243,7 @@ class BoundedQueue {
   }
 
   /// Sentinel for probes into discarded history: its monotone fields read
-  /// -1 ("before everything"), which steers every search predicate —
-  /// end* >= b, sumenq >= e — back toward retained indices. Value-bearing
-  /// loads never land here (see the retention argument in the header).
+  /// -1 ("before everything"); see the monotone-search templates.
   static const Block& discarded_block() {
     static const Block b = [] {
       Block d;
@@ -401,19 +398,11 @@ class BoundedQueue {
   /// Smallest retained root index whose sumenq reaches e (last+1 if none).
   int64_t oldest_root_block_with_sumenq(int64_t e, int64_t last) const {
     const Node* root = tree_.root();
+    auto reaches = [&](int64_t s) { return load_block(root, s)->sumenq >= e; };
     int64_t lo = root->af;  // collector-only mirror; lowest readable index
-    if (load_block(root, lo)->sumenq >= e) return lo;
-    if (load_block(root, last)->sumenq < e) return last + 1;
-    int64_t hi = last;  // invariant: sumenq(lo) < e <= sumenq(hi)
-    while (lo + 1 < hi) {
-      int64_t mid = lo + (hi - lo) / 2;
-      if (load_block(root, mid)->sumenq >= e) {
-        hi = mid;
-      } else {
-        lo = mid;
-      }
-    }
-    return hi;
+    if (reaches(lo)) return lo;
+    if (!reaches(last)) return last + 1;
+    return bisect(lo, last, reaches);
   }
 
   void plan_node(Node* v, int64_t af_in, int64_t k_in,

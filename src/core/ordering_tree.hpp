@@ -46,11 +46,15 @@
 //                              walk a dequeue uses to index itself);
 //   find_response(b, r)        queue dequeue resolution: null-vs-value from
 //                              the root size prefix + Lemma-20 doubling
-//                              search + root-to-leaf descent;
-//   find_enqueue(e)            vector get: index-directed binary search over
-//                              root blocks + the same descent;
+//                              search (gallop_down) + root-to-leaf descent;
+//   find_enqueue(e)            vector get: index-directed binary search
+//                              (bisect) over root blocks + the same descent;
 //   enqueue_rank(b, r)         global rank of a located enqueue (the index a
 //                              vector append returns).
+// Every index search behind these (the superblock gallop of index_op, the
+// doubling search, the per-level binary search of the descent) is one of
+// the three monotone-search templates below: bisect, gallop_down and
+// gallop_up.
 //
 // Hot-path constant factors: each leaf keeps an owner-local cache of its
 // last block's index and cumulative sums (ROADMAP perf item). The leaf is
@@ -74,6 +78,71 @@
 #include "platform/platform.hpp"
 
 namespace wfq::core {
+
+// --- monotone search -------------------------------------------------------
+//
+// Every search in the tree runs over a block field that is nondecreasing in
+// the block index (sumenq, endleft, endright), so "field >= target" is a
+// monotone predicate: false up to some index, true from it on. The three
+// templates below return that first true index. The caller passes ends it
+// already knows the answer at, and those are never probed. Each probe is one
+// counted load in the paper's cost model, so the probe sequence IS the step
+// count.
+//
+// Probes may land below a bounded client's archive floor. Its storage policy
+// answers them with a discarded-block sentinel whose monotone fields read -1
+// ("before everything"), so the predicate reads false there and the search
+// steers back up toward retained indices. That is safe because every
+// answer lies in retained history (bounded_queue.hpp's retention
+// argument), so false is what a monotone predicate reads below it anyway;
+// value-bearing loads never land on the sentinel.
+
+/// First true index in (lo, hi], given pred(lo) false and pred(hi) true.
+template <typename Pred>
+int64_t bisect(int64_t lo, int64_t hi, Pred&& pred) {
+  while (lo + 1 < hi) {
+    int64_t mid = lo + (hi - lo) / 2;
+    if (pred(mid)) {
+      hi = mid;
+    } else {
+      lo = mid;
+    }
+  }
+  return hi;
+}
+
+/// First true index in (0, hi], given pred(hi) true and pred(0) false:
+/// probes hi-1, hi-2, hi-4, ... down to the first false one, then bisects
+/// that bracket. O(log(hi - answer)) probes, however long the array
+/// (Bentley-Yao unbounded search; the paper's Lemma 20).
+template <typename Pred>
+int64_t gallop_down(int64_t hi, Pred&& pred) {
+  const int64_t top = hi;
+  int64_t step = 1;
+  int64_t lo = top - step;
+  while (lo > 0 && pred(lo)) {
+    hi = lo;
+    step <<= 1;
+    lo = top - step;
+  }
+  return bisect(std::max<int64_t>(lo, 0), hi, pred);
+}
+
+/// First true index in (lo, last], given pred(lo) false and pred(last)
+/// true: the mirror of gallop_down, probing lo+1, lo+2, lo+4, ... below
+/// last. O(log(answer - lo)) probes.
+template <typename Pred>
+int64_t gallop_up(int64_t lo, int64_t last, Pred&& pred) {
+  const int64_t bottom = lo;
+  int64_t step = 1;
+  int64_t hi = bottom + step;
+  while (hi < last && !pred(hi)) {
+    lo = hi;
+    step <<= 1;
+    hi = bottom + step;
+  }
+  return bisect(lo, std::min(hi, last), pred);
+}
 
 /// Immutable operation/merge block; see the field glossary above.
 template <typename T>
@@ -185,7 +254,6 @@ struct TreeNode {
   TreeNode* right = nullptr;
   bool is_leaf = false;
   bool is_root = false;
-  int leaf_pid = -1;
   int id = 0;  // archive key prefix (bounded client)
   // Next free block slot; blocks[0] is a zeroed sentinel, so head starts at
   // 1 and lags the filled frontier by at most one (helpers CAS it forward).
@@ -301,26 +369,11 @@ class OrderingTree {
     int64_t numenq = cur->sumenq - prev->sumenq;
     if (r > prev->size + numenq) return std::nullopt;
     int64_t e = prev->sumenq - prev->size + r;
-    // Doubling search backward from b for the block with sumenq >= e; its
-    // cost tracks the distance b - b_e, not the total number of root blocks.
-    int64_t hi = b;
-    int64_t step = 1;
-    int64_t lo = std::max<int64_t>(b - step, 0);
-    while (lo > 0 && load(root_, lo)->sumenq >= e) {
-      hi = lo;
-      step <<= 1;
-      lo = std::max<int64_t>(b - step, 0);
-    }
-    while (lo + 1 < hi) {
-      int64_t mid = lo + (hi - lo) / 2;
-      if (load(root_, mid)->sumenq >= e) {
-        hi = mid;
-      } else {
-        lo = mid;
-      }
-    }
-    int64_t i = e - load(root_, hi - 1)->sumenq;
-    return get_enqueue(root_, hi, i);
+    // Doubling search backward from b (sumenq(b) >= e here); its cost
+    // tracks the distance b - b_e, not the total number of root blocks.
+    int64_t be = gallop_down(b, sumenq_reaches(root_, e));
+    int64_t i = e - load(root_, be - 1)->sumenq;
+    return get_enqueue(root_, be, i);
   }
 
   /// Element of the e-th enqueue overall (1-based), or nullopt when fewer
@@ -333,17 +386,9 @@ class OrderingTree {
     if (e < 1) return std::nullopt;
     int64_t last = last_block_index(root_);
     if (load(root_, last)->sumenq < e) return std::nullopt;
-    int64_t lo = 0, hi = last;  // invariant: sumenq(lo) < e <= sumenq(hi)
-    while (lo + 1 < hi) {
-      int64_t mid = lo + (hi - lo) / 2;
-      if (load(root_, mid)->sumenq >= e) {
-        hi = mid;
-      } else {
-        lo = mid;
-      }
-    }
-    int64_t i = e - load(root_, hi - 1)->sumenq;
-    return get_enqueue(root_, hi, i);
+    int64_t be = bisect(0, last, sumenq_reaches(root_, e));
+    int64_t i = e - load(root_, be - 1)->sumenq;
+    return get_enqueue(root_, be, i);
   }
 
   /// Global 1-based rank of the r-th enqueue of root block `b` (the inverse
@@ -409,7 +454,6 @@ class OrderingTree {
 
   void collect_leaves(Node* n) {
     if (n->is_leaf) {
-      n->leaf_pid = static_cast<int>(leaves_.size());
       leaves_.push_back(n);
       return;
     }
@@ -438,6 +482,13 @@ class OrderingTree {
 
   const Block* load(const Node* v, int64_t i) const {
     return storage_->load_block(v, i);
+  }
+
+  /// The monotone predicate "block s of v has sumenq >= target".
+  auto sumenq_reaches(const Node* v, int64_t target) const {
+    return [this, v, target](int64_t s) {
+      return load(v, s)->sumenq >= target;
+    };
   }
 
   // --- append & propagation ------------------------------------------------
@@ -515,48 +566,17 @@ class OrderingTree {
   // --- search & descent ----------------------------------------------------
 
   /// Smallest parent block index s with end{left|right}(s) >= b, i.e. the
-  /// block of `par` that merged child block `b`. Gallops out from the hint
-  /// (end* is nondecreasing in s), then binary-searches the bracket. Probes
-  /// may land below a bounded client's archive floor; the storage policy
-  /// answers those with a monotone sentinel that steers the search back up.
+  /// block of `par` that merged child block `b`: gallops out from the hint
+  /// in whichever direction it is wrong (end* is nondecreasing in s).
   int64_t find_superblock(Node* par, bool from_left, int64_t b, int64_t hint) {
-    auto end_of = [&](int64_t s) {
+    auto merged = [&](int64_t s) {
       const Block* blk = load(par, s);
-      return from_left ? blk->endleft : blk->endright;
+      return (from_left ? blk->endleft : blk->endright) >= b;
     };
+    // propagate() guarantees merged(last).
     int64_t last = last_block_index(par);
     int64_t h0 = std::clamp<int64_t>(hint, 1, last);
-    int64_t lo, hi;  // invariant: end_of(lo) < b <= end_of(hi)
-    if (end_of(h0) >= b) {
-      hi = h0;
-      int64_t step = 1;
-      lo = h0 - step;
-      while (lo > 0 && end_of(lo) >= b) {
-        hi = lo;
-        step <<= 1;
-        lo = h0 - step;
-      }
-      if (lo < 0) lo = 0;
-    } else {
-      lo = h0;
-      int64_t step = 1;
-      hi = h0 + step;
-      while (hi < last && end_of(hi) < b) {
-        lo = hi;
-        step <<= 1;
-        hi = h0 + step;
-      }
-      if (hi > last) hi = last;  // propagate() guarantees end_of(last) >= b
-    }
-    while (lo + 1 < hi) {
-      int64_t mid = lo + (hi - lo) / 2;
-      if (end_of(mid) >= b) {
-        hi = mid;
-      } else {
-        lo = mid;
-      }
-    }
-    return hi;
+    return merged(h0) ? gallop_down(h0, merged) : gallop_up(h0, last, merged);
   }
 
   /// Element of the i-th enqueue of block `b` at node `v`: descend to the
@@ -582,17 +602,9 @@ class OrderingTree {
         i -= numleft;
       }
       int64_t target = load(child, lo)->sumenq + i;
-      while (lo + 1 < hi) {
-        int64_t mid = lo + (hi - lo) / 2;
-        if (load(child, mid)->sumenq >= target) {
-          hi = mid;
-        } else {
-          lo = mid;
-        }
-      }
-      i = target - load(child, hi - 1)->sumenq;
+      b = bisect(lo, hi, sumenq_reaches(child, target));
+      i = target - load(child, b - 1)->sumenq;
       v = child;
-      b = hi;
     }
     return load(v, b)->element;
   }

@@ -215,11 +215,6 @@ class EventLoop {
     [[maybe_unused]] ssize_t w = ::write(wake_wr_.get(), &b, 1);
   }
 
-  size_t connections() const {
-    std::lock_guard<std::mutex> lk(conns_mutex_);
-    return by_id_.size();
-  }
-
  private:
   /// Outbox ceiling per connection (16 MiB): a client that never reads its
   /// responses gets disconnected, not buffered until OOM.
@@ -423,7 +418,7 @@ class EventLoop {
   FdHandle wake_rd_, wake_wr_;
   std::vector<FdHandle> listeners_;
   std::unordered_map<int, std::shared_ptr<Conn>> by_fd_;  // loop-thread only
-  mutable std::mutex conns_mutex_;
+  std::mutex conns_mutex_;
   std::unordered_map<uint64_t, std::shared_ptr<Conn>> by_id_;
   std::mutex dirty_mutex_;
   std::vector<uint64_t> dirty_;

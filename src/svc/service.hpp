@@ -84,13 +84,6 @@ class ServiceFacade {
     return total;
   }
 
-  /// One tenant's backing-queue block-space snapshot (AnyQueue::space_stats
-  /// contract: quiescent-only; `known == false` for baselines without a
-  /// space debug surface).
-  api::SpaceStats tenant_space_stats(int tenant) const {
-    return map_->entry(tenant).queue.space_stats();
-  }
-
   /// Aggregate over every tenant's backing queue: summed live blocks and
   /// EBR backlog. `known` only when every backing reports — a mixed or
   /// baseline-backed facade must read "-", not a partial sum that looks

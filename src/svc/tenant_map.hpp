@@ -8,6 +8,7 @@
 // workloads with.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
@@ -134,16 +135,11 @@ class ZipfTraffic {
   /// Next arriving tenant id (resampled every `burst` calls).
   int next() {
     if (left_ == 0) {
-      double u = u01();
-      int lo = 0, hi = static_cast<int>(cdf_.size()) - 1;
-      while (lo < hi) {
-        int mid = (lo + hi) / 2;
-        if (cdf_[static_cast<size_t>(mid)] < u)
-          lo = mid + 1;
-        else
-          hi = mid;
-      }
-      cur_ = lo;
+      // First tenant whose cdf reaches u, clamped to the last tenant (the
+      // search range stops short of it) since rounding may leave the last
+      // cdf entry a hair under u.
+      auto it = std::lower_bound(cdf_.begin(), cdf_.end() - 1, u01());
+      cur_ = static_cast<int>(it - cdf_.begin());
       left_ = burst_;
     }
     --left_;

@@ -137,6 +137,24 @@ int main(int argc, char** argv) {
     CHECK(r && contains(r->payload, "\"tenant\":1,\"weight\":7"));
   }
 
+  // A SETW naming a tenant far out of range still commits (the leader logs
+  // it as sent), then applies as not-ok: every replica parses the entry
+  // strictly, the client gets ERR, and tenant 1's weight is untouched.
+  {
+    net::Frame setw;
+    setw.op = net::Opcode::setw;
+    setw.payload = net::encode_u32_pair(0xffffffffu, 3);
+    r = cc.request(setw);
+    CHECK(r.has_value());
+    CHECK(r && r->op == net::Opcode::err);
+    CHECK(r && contains(r->payload, "SETW rejected"));
+    net::Frame stat;
+    stat.op = net::Opcode::stat;
+    r = cc.request(stat);
+    CHECK(r && r->op == net::Opcode::stat_ok);
+    CHECK(r && contains(r->payload, "\"tenant\":1,\"weight\":7"));
+  }
+
   // Failover: SIGKILL the leader mid-traffic. The client must ride out the
   // election and land on a new leader within its give_up budget.
   {
