@@ -72,29 +72,21 @@ int groups_for(int shards) {
   return std::max(1, std::min(shards, platform::hardware_cores()));
 }
 
-/// Smallest key base where the C consecutive keys kb..kb+C-1 spread over
-/// min(C, S) distinct shards. Deterministic (mix_key is a pure function).
-uint32_t pick_key_base(int conns, int shards) {
-  int want = std::min(conns, shards);
-  for (uint32_t kb = 0; kb < 1u << 16; ++kb) {
-    std::set<int> hit;
-    for (int c = 0; c < conns; ++c)
-      hit.insert(static_cast<int>(
-          broker::mix_key(kb + static_cast<uint32_t>(c)) %
-          static_cast<uint64_t>(shards)));
-    if (static_cast<int>(hit.size()) >= want) return kb;
-  }
-  return 0;  // unreachable for sane (conns, shards); fall back to 0
-}
-
-/// Distinct shards the C keys actually land on (table column).
+/// Distinct shards the C keys key_base..key_base+C-1 land on.
 int distinct_shards(uint32_t key_base, int conns, int shards) {
   std::set<int> hit;
   for (int c = 0; c < conns; ++c)
-    hit.insert(static_cast<int>(
-        broker::mix_key(key_base + static_cast<uint32_t>(c)) %
-        static_cast<uint64_t>(shards)));
+    hit.insert(broker::shard_of(key_base + static_cast<uint32_t>(c), shards));
   return static_cast<int>(hit.size());
+}
+
+/// Smallest key base where the C consecutive keys spread over min(C, S)
+/// distinct shards. Deterministic (shard_of is a pure function).
+uint32_t pick_key_base(int conns, int shards) {
+  int want = std::min(conns, shards);
+  for (uint32_t kb = 0; kb < 1u << 16; ++kb)
+    if (distinct_shards(kb, conns, shards) >= want) return kb;
+  return 0;  // unreachable for sane (conns, shards); fall back to 0
 }
 
 struct WorkloadResult {
@@ -102,14 +94,11 @@ struct WorkloadResult {
   broker::Broker::ShardCounters totals;
 };
 
-/// One broker lifetime: start, drive the loadgen workload(s), stop. The
-/// optional prefill runs first and is NOT part of the timed result.
+/// One broker lifetime: start, drive the loadgen workload, stop.
 WorkloadResult run_workload(broker::BrokerConfig bcfg,
-                            broker::LoadgenConfig lcfg,
-                            const broker::LoadgenConfig* prefill = nullptr) {
+                            broker::LoadgenConfig lcfg) {
   broker::Broker b(std::move(bcfg));
   b.start();
-  if (prefill != nullptr) (void)broker::run_loadgen(*prefill);
   WorkloadResult r;
   r.lg = broker::run_loadgen(lcfg);
   b.stop();

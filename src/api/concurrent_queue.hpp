@@ -39,8 +39,8 @@ concept ConcurrentQueue = requires(Q q, T v, int pid) {
 /// experiments (E6/E8) can sweep queues by registry name: `live_blocks`
 /// counts reachable blocks (array suffixes + archived RBT entries for the
 /// bounded queue, total appended blocks for the unbounded one) and
-/// `ebr_retired` the reclamation backlog. `known` is false for queues with
-/// no block-space debug surface (baselines), whose rows read "-".
+/// `ebr_retired` the reclamation backlog (core::Space). `known` is false
+/// for objects with no `space()` member (baselines), whose rows read "-".
 struct SpaceStats {
   uint64_t live_blocks = 0;
   uint64_t ebr_retired = 0;
@@ -71,13 +71,9 @@ class AnyQueue {
   void enqueue(T x) { impl_->enqueue(std::move(x)); }
   std::optional<T> dequeue() { return impl_->dequeue(); }
 
-  /// Block-space snapshot (uncounted debug surface); `known == false` when
-  /// the wrapped implementation exposes no space introspection.
-  ///
-  /// Quiescent-only: call when no enqueue/dequeue is in flight (e.g. after
-  /// worker threads join or between measurement rounds). The bounded
-  /// queue's snapshot reads the current archive version without an epoch
-  /// pin, so a concurrent GC phase could retire it mid-read.
+  /// Block-space snapshot (uncounted); `known == false` when the wrapped
+  /// implementation exposes no space introspection. Safe from any thread
+  /// at any time, exact at quiescence (core::Space states the contract).
   SpaceStats space_stats() const { return impl_->space_stats(); }
 
   /// Registry name the handle was created under ("" if default-constructed).
@@ -101,15 +97,9 @@ class AnyQueue {
     void enqueue(T x) override { q.enqueue(std::move(x)); }
     std::optional<T> dequeue() override { return q.dequeue(); }
     SpaceStats space_stats() const override {
-      // Detected per implementation: the bounded queue reports its live
-      // suffix + archive and EBR backlog, the unbounded one total blocks.
-      if constexpr (requires(const Q& cq) { cq.debug_live_blocks(); }) {
-        return {static_cast<uint64_t>(q.debug_live_blocks()),
-                q.debug_ebr().retired_count(), true};
-      } else if constexpr (requires(const Q& cq) {
-                             cq.debug_total_blocks();
-                           }) {
-        return {static_cast<uint64_t>(q.debug_total_blocks()), 0, true};
+      if constexpr (requires { q.space(); }) {
+        auto s = q.space();
+        return {s.live_blocks, s.ebr_retired, true};
       } else {
         return {};
       }

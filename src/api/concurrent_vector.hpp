@@ -60,9 +60,8 @@ class AnyVector {
   std::optional<T> get(int64_t i) { return impl_->get(i); }
   int64_t size() { return impl_->size(); }
 
-  /// Block-space snapshot (uncounted debug surface); `known == false` when
-  /// the wrapped implementation exposes no space introspection (the flat
-  /// baseline). Quiescent-only, like AnyQueue::space_stats.
+  /// Block-space snapshot, same contract as AnyQueue::space_stats;
+  /// `known == false` for the flat baseline.
   SpaceStats space_stats() const { return impl_->space_stats(); }
 
   /// Registry name the handle was created under ("" if default-constructed).
@@ -88,8 +87,9 @@ class AnyVector {
     std::optional<T> get(int64_t i) override { return v.get(i); }
     int64_t size() override { return v.size(); }
     SpaceStats space_stats() const override {
-      if constexpr (requires(const V& cv) { cv.debug_total_blocks(); }) {
-        return {static_cast<uint64_t>(v.debug_total_blocks()), 0, true};
+      if constexpr (requires { v.space(); }) {
+        auto s = v.space();
+        return {s.live_blocks, s.ebr_retired, true};
       } else {
         return {};
       }

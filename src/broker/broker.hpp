@@ -245,12 +245,10 @@ class Broker {
     return t;
   }
 
-  /// The STAT payload and the `broker --report` body: per-shard op counters
-  /// plus the space snapshot each servicer refreshes for its own shards
-  /// (live read of another shard's space_stats would violate the
-  /// quiescent-only contract; the cache is the race-free stand-in), plus
-  /// per-tenant rows for dwrr backings. Valid JSON — a monitoring script
-  /// can json.load it straight off the socket.
+  /// The STAT payload and the `broker --report` body: per-shard op counters,
+  /// each backing's space_stats read live (safe from any thread, exact at
+  /// quiescence) and per-tenant rows for dwrr backings. Valid JSON — a
+  /// monitoring script can json.load it straight off the socket.
   std::string stat_json() const {
     bool ready = map_ready_.load(std::memory_order_acquire);
     std::ostringstream os;
@@ -271,18 +269,16 @@ class Broker {
     }
     os << ",\"shards\":[";
     for (int s = 0; s < shards(); ++s) {
-      const ShardState& st = shard_state_[static_cast<size_t>(s)];
       ShardCounters c = counters(s);
       if (s > 0) os << ",";
       os << "{\"shard\":" << s << ",\"enq\":" << c.enq
          << ",\"deq_hit\":" << c.deq_hit << ",\"deq_empty\":" << c.deq_empty
          << ",\"ping\":" << c.ping << ",\"stat\":" << c.stat
          << ",\"bad\":" << c.bad;
-      if (st.space_known.load(std::memory_order_relaxed)) {
-        os << ",\"live_blocks\":"
-           << st.space_live.load(std::memory_order_relaxed)
-           << ",\"ebr_retired\":"
-           << st.space_retired.load(std::memory_order_relaxed);
+      api::SpaceStats sp = ready ? map_->space_stats(s) : api::SpaceStats{};
+      if (sp.known) {
+        os << ",\"live_blocks\":" << sp.live_blocks
+           << ",\"ebr_retired\":" << sp.ebr_retired;
       }
       std::vector<TenantRow> tenants =
           ready ? map_->tenant_rows(s) : std::vector<TenantRow>{};
@@ -339,9 +335,6 @@ class Broker {
   struct ShardState {
     std::atomic<uint64_t> enq{0}, deq_hit{0}, deq_empty{0};
     std::atomic<uint64_t> ping{0}, stat{0}, bad{0};
-    // Space cache, refreshed by the owning servicer (see stat_json).
-    std::atomic<uint64_t> space_live{0}, space_retired{0};
-    std::atomic<bool> space_known{false};
   };
 
   /// I/O-thread callback: bucket the burst by group, one append per group.
@@ -356,11 +349,10 @@ class Broker {
         raft_->deliver_frame(f);
         continue;
       }
-      // Same formula as ShardMap::shard_of, computable before the
+      // The free shard_of, not ShardMap's: computable before the
       // replicated map exists (cluster replicas must route — and reject —
       // requests while still waiting for the config entry).
-      int shard = static_cast<int>(mix_key(f.key) %
-                                   static_cast<uint64_t>(cfg_.shards));
+      int shard = shard_of(f.key, cfg_.shards);
       route_scratch_[static_cast<size_t>(shard % cfg_.groups)].push_back(
           WorkItem{conn, shard, std::move(f)});
     }
@@ -397,7 +389,6 @@ class Broker {
     Group& grp = groups_[static_cast<size_t>(g)];
     std::deque<WorkItem> local;
     std::unordered_map<uint64_t, std::string> out;
-    uint64_t ops_since_space = 0;
     for (;;) {
       {
         std::unique_lock<std::mutex> lk(grp.m);
@@ -408,37 +399,11 @@ class Broker {
       grp.cv_room.notify_all();
       out.clear();
       bool ready = bind_if_ready(g, bound);
-      // A STAT in the batch gets fresh numbers for this group's shards:
-      // refreshing here is the single-toucher reading its own objects, the
-      // exact quiescent case the space_stats contract allows. Other groups'
-      // shards report their last periodic snapshot.
-      if (ready)
-        for (const WorkItem& w : local)
-          if (w.frame.op == net::Opcode::stat) {
-            refresh_space(g);
-            break;
-          }
       for (WorkItem& w : local) handle(w, out[w.conn], ready);
-      ops_since_space += local.size();
       local.clear();
       // One send per connection per batch: the whole burst of responses
       // is one buffer, one (usual-case) write syscall from this thread.
       for (auto& [conn, buf] : out) loop_->send(conn, std::move(buf));
-      if (ready && ops_since_space >= 1024) {
-        ops_since_space = 0;
-        refresh_space(g);
-      }
-    }
-    if (bound) refresh_space(g);  // drain complete: final snapshot behind
-  }
-
-  void refresh_space(int g) {
-    for (int s = g; s < cfg_.shards; s += cfg_.groups) {
-      api::SpaceStats sp = map_->space_stats(s);
-      ShardState& st = shard_state_[static_cast<size_t>(s)];
-      st.space_live.store(sp.live_blocks, std::memory_order_relaxed);
-      st.space_retired.store(sp.ebr_retired, std::memory_order_relaxed);
-      st.space_known.store(sp.known, std::memory_order_relaxed);
     }
   }
 

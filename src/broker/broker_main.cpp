@@ -3,9 +3,9 @@
 // across registry-built backings. SIGINT/SIGTERM trigger the clean drain
 // path (every accepted request answered, then the per-shard counter report
 // on stdout). `broker --report <uds-path>` is the companion client mode: it
-// asks a LIVE broker for its STAT report (per-shard counters + space
-// snapshot + per-tenant rows) and prints the JSON — the process-boundary
-// version of reading space_stats() in an E6 gate.
+// asks a LIVE broker for its STAT report (per-shard counters + each
+// backing's space_stats(), read live + per-tenant rows) and prints the JSON
+// — the process-boundary version of reading space_stats() in an E6 gate.
 #include <unistd.h>
 
 #include <csignal>

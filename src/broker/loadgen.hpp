@@ -47,7 +47,7 @@ struct LoadgenConfig {
   double rate_per_conn = 0;
 
   /// true: alternate ENQ, DEQ (steady queue depth — throughput workload).
-  /// false: ENQ only (fills the shard; the prefill phase E14c uses).
+  /// false: ENQ only (fills the shard; `loadgen --enq-only`).
   bool pairs = true;
 
   /// Connection c routes with key_base + c.

@@ -11,10 +11,10 @@
 // on one shard AND one tenant, which is what makes per-key FIFO a testable
 // broker property.
 //
-// Threading contract: enqueue/dequeue/space_stats(shard) are called ONLY by
-// that shard's servicer (single-toucher, so backings are built with
-// procs = 1 and bound once); tenant_rows() reads the facade's documented
-// race-free atomic counters and may be called from any servicer.
+// Threading contract: enqueue/dequeue(shard) are called ONLY by that
+// shard's servicer (single-toucher, so backings are built with procs = 1
+// and bound once); space_stats() and tenant_rows() read uncounted,
+// race-free surfaces and may be called from any thread at any time.
 #pragma once
 
 #include <cstdint>
@@ -35,6 +35,11 @@ namespace wfq::broker {
 /// cheap, well-mixed, deterministic across runs, so the shard route of a
 /// key is stable and FIFO-per-key is meaningful.
 inline uint64_t mix_key(uint64_t x) { return core::splitmix64(x); }
+
+/// The one routing formula: the shard of `key` among `nshards`.
+inline int shard_of(uint32_t key, int nshards) {
+  return static_cast<int>(mix_key(key) % static_cast<uint64_t>(nshards));
+}
 
 /// One tenant row of a STAT report (dwrr-backed shards only).
 struct TenantRow {
@@ -74,9 +79,7 @@ class ShardMap {
   bool service_backed() const { return !services_.empty(); }
   int tenants_per_shard() const { return ntenants_; }
 
-  int shard_of(uint32_t key) const {
-    return static_cast<int>(mix_key(key) % static_cast<uint64_t>(nshards_));
-  }
+  int shard_of(uint32_t key) const { return broker::shard_of(key, nshards_); }
 
   /// Servicer-thread setup: binds process slot 0 on shard `s`'s backing.
   void bind_servicer(int s) {
@@ -109,10 +112,9 @@ class ShardMap {
     return queues_[static_cast<size_t>(s)].dequeue();
   }
 
-  /// Space snapshot of shard `s`'s backing — servicer-thread only (the
-  /// single mutator reading its own object IS the quiescent case the
-  /// space_stats contract asks for).
-  api::SpaceStats space_stats(int s) {
+  /// Space snapshot of shard `s`'s backing (AnyQueue::space_stats
+  /// contract: any thread, exact at quiescence).
+  api::SpaceStats space_stats(int s) const {
     if (service_backed())
       return services_[static_cast<size_t>(s)].space_stats();
     return queues_[static_cast<size_t>(s)].space_stats();

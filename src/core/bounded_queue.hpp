@@ -165,21 +165,17 @@ class BoundedQueue {
 
   // --- debug/introspection surface (uncounted) -----------------------------
 
-  /// Reachable blocks: in-array live suffixes plus archived RBT entries.
-  /// Theorem 31: plateaus as ops grow (the unbounded queue's grows ~ ops).
-  /// Quiescent-only: peeks the archive without an epoch pin, so a GC phase
-  /// running concurrently could retire the version mid-read.
-  size_t debug_live_blocks() const {
-    size_t total = tree_.debug_live_array_blocks();
-    const ArchiveVersion* av = archive_.unsafe_peek();
-    if (av != nullptr) total += av->count;
-    return total;
+  /// Reachable blocks (in-array live suffixes plus archived chunk slots)
+  /// and the EBR backlog; see core::Space. Theorem 31: live blocks plateau
+  /// as ops grow (the unbounded queue's grow ~ ops).
+  Space space() const {
+    return {tree_.live_blocks() + debug_archived_blocks(),
+            ebr_.retired_count()};
   }
 
   /// Block slots of the chunks archived in the persistent RBT (test surface).
   size_t debug_archived_blocks() const {
-    const ArchiveVersion* av = archive_.unsafe_peek();
-    return av == nullptr ? 0 : av->count;
+    return archived_.load(std::memory_order_relaxed);
   }
 
   /// Completed GC phases (test surface).
@@ -283,7 +279,6 @@ class BoundedQueue {
 
   struct ArchiveVersion {
     typename Rbt::Ptr root;
-    size_t count = 0;
   };
 
   struct Plan {
@@ -347,7 +342,7 @@ class BoundedQueue {
     // the discarded sentinel, so probes there still steer with -1 fields.
     const ArchiveVersion* old_av = archive_.load();
     typename Rbt::Ptr aroot = old_av ? old_av->root : Rbt::empty();
-    size_t count = old_av ? old_av->count : 0;
+    size_t count = archived_.load(std::memory_order_relaxed);
     for (const Plan& pl : plans) {
       for (int64_t c = pl.v->af / kChunk; c < pl.af_new / kChunk; ++c) {
         typename Rbt::Ptr next = Rbt::erase(aroot, key_of(pl.v, c));
@@ -374,8 +369,9 @@ class BoundedQueue {
         count += kChunk;
       }
     }
-    auto* nv = new ArchiveVersion{std::move(aroot), count};
+    auto* nv = new ArchiveVersion{std::move(aroot)};
     archive_.store(nv);
+    archived_.store(count, std::memory_order_relaxed);
     if (old_av != nullptr) {
       ebr_.retire(const_cast<ArchiveVersion*>(old_av),
                   +[](void* p) { delete static_cast<ArchiveVersion*>(p); });
@@ -456,6 +452,9 @@ class BoundedQueue {
   typename Platform::template Atomic<int64_t> opcount_{0};
   typename Platform::template Atomic<int> gclock_{0};
   typename Platform::template Atomic<const ArchiveVersion*> archive_{nullptr};
+  // Block slots in the current archive version: written by the collector
+  // only, so space() never dereferences a version another GC may retire.
+  std::atomic<size_t> archived_{0};
   std::atomic<uint64_t> gc_phases_{0};
 };
 

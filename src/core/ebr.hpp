@@ -83,10 +83,13 @@ class Ebr {
   }
 
   /// Backlog of retired-but-not-yet-freed objects (E6's "EBR backlog"
-  /// column). Transient garbage: bounded by ~3 GC phases' worth.
+  /// column). Transient garbage: bounded by ~3 GC phases' worth. Safe from
+  /// any thread: freed_ is read first (acquire, pairing with the release in
+  /// free_bucket), so the retires of everything counted freed are visible
+  /// and the difference cannot wrap.
   uint64_t retired_count() const {
-    return retired_.load(std::memory_order_relaxed) -
-           freed_.load(std::memory_order_relaxed);
+    uint64_t freed = freed_.load(std::memory_order_acquire);
+    return retired_.load(std::memory_order_relaxed) - freed;
   }
 
   /// Total objects ever reclaimed (the gc tests assert this goes nonzero).
@@ -108,7 +111,7 @@ class Ebr {
 
   void free_bucket(std::vector<Retired>& bucket) {
     for (const Retired& r : bucket) r.del(r.p);
-    freed_.fetch_add(bucket.size(), std::memory_order_relaxed);
+    freed_.fetch_add(bucket.size(), std::memory_order_release);
     bucket.clear();
   }
 

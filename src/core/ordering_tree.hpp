@@ -278,6 +278,17 @@ struct TreeNode {
   int64_t cache_size = 0;  // root-leaf (p == 1) only
 };
 
+/// What an ordering-tree object's `space()` reports: reachable blocks and
+/// the EBR backlog (retired, not yet freed; 0 for clients that never free).
+/// Uncounted and safe from any thread at any time. Exact at quiescence;
+/// while operations run, the bounded queue's count may be off by the chunks
+/// one GC phase is moving from the arrays into the archive, and is never
+/// torn.
+struct Space {
+  uint64_t live_blocks = 0;
+  uint64_t ebr_retired = 0;
+};
+
 /// The trivial Storage hook: every historical read is a direct (counted)
 /// array load. Used by the unbounded queue and the wait-free vector.
 struct DirectStorage {
@@ -418,19 +429,14 @@ class OrderingTree {
   const Node* leaf(int pid) const { return leaves_[static_cast<size_t>(pid)]; }
   int procs() const { return p_; }
 
-  /// Number of blocks ever appended across all nodes (excluding sentinels).
-  /// Uncounted; quiescent-only like every debug surface.
-  size_t debug_total_blocks() const {
+  /// Blocks present in the arrays, sentinels excluded: [floor, frontier)
+  /// per node, i.e. every block ever appended for clients that never
+  /// truncate (their floor stays 1). Uncounted, and safe from any thread:
+  /// relaxed peeks of head, floor and one slot per node, no block is
+  /// dereferenced.
+  size_t live_blocks() const {
     size_t total = 0;
-    count_blocks(root_, /*floor_aware=*/false, total);
-    return total;
-  }
-
-  /// Blocks still present in the arrays (floor-aware live suffixes); equal
-  /// to debug_total_blocks() for clients that never truncate.
-  size_t debug_live_array_blocks() const {
-    size_t total = 0;
-    count_blocks(root_, /*floor_aware=*/true, total);
+    count_blocks(root_, total);
     return total;
   }
 
@@ -468,14 +474,16 @@ class OrderingTree {
     delete n;
   }
 
-  void count_blocks(const Node* n, bool floor_aware, size_t& total) const {
+  void count_blocks(const Node* n, size_t& total) const {
     if (!n) return;
+    // The floor trails the head; read mid-GC, a raised floor may still meet
+    // an older head, and the h > lo guard counts that node as empty.
+    int64_t lo = n->floor.unsafe_peek();
     int64_t h = n->head.unsafe_peek();
     if (n->blocks.unsafe_peek(h) != nullptr) ++h;  // head lagging the frontier
-    int64_t lo = floor_aware ? std::max<int64_t>(n->floor.unsafe_peek(), 1) : 1;
     if (h > lo) total += static_cast<size_t>(h - lo);
-    count_blocks(n->left, floor_aware, total);
-    count_blocks(n->right, floor_aware, total);
+    count_blocks(n->left, total);
+    count_blocks(n->right, total);
   }
 
   // --- historical reads go through the client's storage policy -------------

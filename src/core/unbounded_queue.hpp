@@ -62,8 +62,8 @@ class UnboundedQueue {
   const Node* debug_root() const { return tree_.root(); }
   const Node* debug_leaf(int pid) const { return tree_.leaf(pid); }
 
-  /// Number of blocks ever appended across all nodes (excluding sentinels).
-  size_t debug_total_blocks() const { return tree_.debug_total_blocks(); }
+  /// Every block ever appended (nothing is freed); see core::Space.
+  Space space() const { return {tree_.live_blocks(), 0}; }
 
   int procs() const { return tree_.procs(); }
 

@@ -70,8 +70,8 @@ class WaitFreeVector {
 
   // --- debug/introspection surface (uncounted) -----------------------------
 
-  /// Number of blocks ever appended across all nodes (excluding sentinels).
-  size_t debug_total_blocks() const { return tree_.debug_total_blocks(); }
+  /// Every block ever appended (nothing is freed); see core::Space.
+  Space space() const { return {tree_.live_blocks(), 0}; }
 
   int procs() const { return tree_.procs(); }
 

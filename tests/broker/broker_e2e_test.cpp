@@ -4,7 +4,7 @@
 // FIFO-per-key holds (per-connection sequence values dequeue in send
 // order), enq == deq in the drained broker's counters, the SIGTERM drain
 // path (stop()) answers everything already read, and the STAT surface
-// (JSON payload + space cache + dwrr tenant rows) is coherent.
+// (JSON payload + live space + dwrr tenant rows) is coherent.
 #include <unistd.h>
 
 #include <cstdint>
@@ -103,8 +103,7 @@ void test_fifo_per_key() {
   {
     std::vector<bool> taken(static_cast<size_t>(kShards), false);
     for (uint32_t k = 100; keys.size() < static_cast<size_t>(kConns); ++k) {
-      int s = static_cast<int>(broker::mix_key(k) %
-                               static_cast<uint64_t>(kShards));
+      int s = broker::shard_of(k, kShards);
       if (!taken[static_cast<size_t>(s)]) {
         taken[static_cast<size_t>(s)] = true;
         keys.push_back(k);
@@ -204,41 +203,61 @@ void test_drain_on_stop() {
   CHECK_EQ(pongs, b.totals().ping);
 }
 
+/// The number after `"<field>":` in shard `shard`'s STAT object, or -1 if
+/// that object has no such field.
+int64_t shard_field(const std::string& j, int shard, const std::string& field) {
+  size_t at = j.find("{\"shard\":" + std::to_string(shard) + ",");
+  if (at == std::string::npos) return -1;
+  size_t end = j.find('}', at);
+  size_t f = j.find("\"" + field + "\":", at);
+  if (f == std::string::npos || f > end) return -1;
+  return std::stoll(j.substr(f + field.size() + 3));
+}
+
 /// STAT surface: JSON payload names the schema, per-shard enq counters sum
-/// to the traffic, the bounded backing publishes its space cache, and a
-/// dwrr backing reports per-tenant rows through the same opcode.
+/// to the traffic, every bounded shard reports its space live, and a dwrr
+/// backing reports per-tenant rows through the same opcode.
 void test_stat_surface() {
-  {  // queue backing with a space debug surface
+  {  // queue backing with a space surface, one servicer per shard
     broker::BrokerConfig bcfg;
     bcfg.shards = 2;
+    bcfg.groups = 2;
     bcfg.backing = "bounded:g=64";
     bcfg.uds_path = temp_uds_path("stat");
+    // Every ENQ goes to shard 1 (servicer 1); the STAT is served by
+    // servicer 0. Shard 1 must still report space that covers the ENQs,
+    // read at STAT time rather than from a snapshot its servicer took.
+    uint32_t k1 = 0, k0 = 0;
+    while (broker::shard_of(k1, 2) != 1) ++k1;
+    while (broker::shard_of(k0, 2) != 0) ++k0;
+    const uint32_t kEnqs = 600;
     broker::Broker b(bcfg);
     b.start();
     TestClient cl(bcfg.uds_path);
     CHECK(cl.ok());
-    for (uint32_t i = 0; i < 1500; ++i) {  // > space-cache refresh period
+    for (uint32_t i = 0; i < kEnqs; ++i) {
       net::Frame f;
       f.op = net::Opcode::enq;
-      f.key = i;
+      f.key = k1;
       f.payload = net::encode_value(i);
       cl.send(f);
       CHECK(cl.recv().op == net::Opcode::enq_ok);
     }
     net::Frame req;
     req.op = net::Opcode::stat;
+    req.key = k0;
     cl.send(req);
     net::Frame resp = cl.recv();
     CHECK(resp.op == net::Opcode::stat_ok);
     const std::string& j = resp.payload;
     CHECK(j.find("\"schema\":\"wfq-broker-stat-v1\"") != std::string::npos);
     CHECK(j.find("\"backing\":\"bounded:g=64\"") != std::string::npos);
-    CHECK(j.find("\"shard\":1") != std::string::npos);
-    // A STAT batch makes the handling servicer refresh its own shards'
-    // space cache, so the bounded queue's live-block count is present.
-    CHECK(j.find("\"live_blocks\":") != std::string::npos);
+    CHECK_EQ(shard_field(j, 1, "enq"), int64_t{kEnqs});
+    CHECK(shard_field(j, 0, "live_blocks") >= 0);
+    CHECK(shard_field(j, 1, "live_blocks") >= int64_t{kEnqs});
+    CHECK(shard_field(j, 1, "ebr_retired") >= 0);
     b.stop();
-    CHECK_EQ(b.totals().enq, uint64_t{1500});
+    CHECK_EQ(b.totals().enq, uint64_t{kEnqs});
     CHECK_EQ(b.totals().stat, uint64_t{1});
   }
   {  // dwrr service backing: tenant rows, tenant id echoed in DEQ flags

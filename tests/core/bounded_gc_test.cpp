@@ -64,8 +64,7 @@ void fifo_across_gc_phases() {
 }
 
 /// Live blocks after `pairs` enqueue+dequeue pairs with the queue held at
-/// ~q_hold, single-threaded (deterministic). Reads whichever block-count
-/// surface the queue exposes (bounded: live, unbounded: total).
+/// ~q_hold, single-threaded (deterministic).
 template <typename Queue>
 size_t live_after(Queue& q, uint64_t pairs, uint64_t q_hold) {
   q.bind_thread(0);
@@ -74,11 +73,7 @@ size_t live_after(Queue& q, uint64_t pairs, uint64_t q_hold) {
     q.enqueue(q_hold + i);
     (void)q.dequeue();
   }
-  if constexpr (requires { q.debug_live_blocks(); }) {
-    return q.debug_live_blocks();
-  } else {
-    return q.debug_total_blocks();
-  }
+  return q.space().live_blocks;
 }
 
 void space_plateau() {

@@ -8,7 +8,10 @@
 //
 // Semantics are also checked: no duplicated or invented values, exact
 // multiset conservation after a drain, and per-producer FIFO order at
-// every consumer.
+// every consumer. A fifth, unbound thread calls space() throughout, the way
+// a live broker's STAT does: the archive version it would otherwise read
+// is retired by the GC phases the workers run, so a space() that touched
+// it fails under ASan (use-after-free) and TSan (data race).
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -27,9 +30,19 @@ constexpr uint64_t kOpsPerThread = 12'000;
 void stress(int64_t gc_period) {
   wfq::core::BoundedQueue<uint64_t> q(kProcs, gc_period);
   std::vector<std::vector<uint64_t>> got(kProcs);
+  std::atomic<int> running{kProcs};
+  std::thread reader([&q, &running] {
+    // Bounds far above any real count: a wrapped or torn read trips them.
+    constexpr uint64_t kSane = uint64_t{1} << 40;
+    do {
+      wfq::core::Space s = q.space();
+      CHECK(s.live_blocks < kSane);
+      CHECK(s.ebr_retired < kSane);
+    } while (running.load() > 0);
+  });
   std::vector<std::thread> threads;
   for (int pid = 0; pid < kProcs; ++pid) {
-    threads.emplace_back([&q, &got, pid] {
+    threads.emplace_back([&q, &got, &running, pid] {
       q.bind_thread(pid);
       got[static_cast<size_t>(pid)].reserve(kOpsPerThread);
       for (uint64_t k = 0; k < kOpsPerThread; ++k) {
@@ -42,9 +55,11 @@ void stress(int64_t gc_period) {
           if (r.has_value()) got[static_cast<size_t>(pid)].push_back(*r);
         }
       }
+      running.fetch_sub(1);
     });
   }
   for (auto& t : threads) t.join();
+  reader.join();
 
   std::set<uint64_t> enqueued;
   for (int pid = 0; pid < kProcs; ++pid)
