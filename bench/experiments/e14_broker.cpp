@@ -2,8 +2,8 @@
 // (src/net/ + src/broker/) measured end to end over REAL sockets. Each run
 // constructs an in-process Broker on a private temp UDS path (and a
 // kernel-picked TCP port for E14b) and drives it with the same
-// broker::run_loadgen the `loadgen` binary wraps — full codec, event loop,
-// servicer and backpressure path, nothing mocked.
+// broker::run_loadgen the `loadgen` binary wraps — full codec, event
+// loops, shard ops and backpressure path, nothing mocked.
 //
 // E14a (throughput vs client count, UDS): closed-loop ENQ/DEQ pairs from C
 // connections against 4 ubq shards, fixed TOTAL message budget. Expected:
@@ -30,7 +30,7 @@
 // the win is goodput, which is why real brokers shard by topic/partition).
 // Gate: >= 2x delivered/s from 1 to 8 shards; holds on a single core
 // because the mechanism is wasted work, not parallelism (multicore adds
-// servicer parallelism on top). Keys are salted (key_base search) so the C
+// loop parallelism on top). Keys are salted (key_base search) so the C
 // client keys spread across all S shards — modeling the balanced keyspace
 // a real deployment routes, not splitmix collisions on 8 consecutive
 // integers.
@@ -65,9 +65,9 @@ std::string temp_uds_path() {
          std::to_string(++counter) + ".sock";
 }
 
-/// Servicer-thread count for S shards: one per shard up to the core count.
-/// On a 1-core box every sweep point gets ONE servicer, so E14c isolates
-/// the data-structure effect (per-shard backlog) from thread-count effects.
+/// Event-loop count for S shards: one per shard up to the core count.
+/// On a 1-core box every sweep point gets ONE loop, so E14c isolates the
+/// data-structure effect (per-shard backlog) from thread-count effects.
 int groups_for(int shards) {
   return std::max(1, std::min(shards, platform::hardware_cores()));
 }
@@ -115,7 +115,7 @@ api::Report run_clients(const api::RunOptions& opts) {
   r.preamble = {
       "E14a: broker throughput + latency vs client count over UDS",
       "      " + std::to_string(shards) + " ubq shards, " +
-          std::to_string(groups_for(shards)) + " servicer thread(s), " +
+          std::to_string(groups_for(shards)) + " event loop(s), " +
           std::to_string(total_msgs) +
           " total msgs (closed-loop ENQ/DEQ pairs, window 1), best of " +
           std::to_string(trials)};
@@ -340,7 +340,7 @@ void topic_consumer(const std::string& uds, uint32_t key_base, uint32_t topic,
     // Requeues go out in their OWN write, and occasionally with a short
     // randomized pause before the DEQ burst follows. FIFO order makes a
     // consumer's own requeues the head of whatever it pops next, so a
-    // requeue+DEQ pipeline that the servicer executes as one batch
+    // requeue+DEQ pipeline that the loop executes as one batch
     // atomically re-pops its own requeues — with every consumer doing
     // that, items never migrate to their owners and the phase is a stable
     // livelock (observed: stash == deficit for every consumer, millions
@@ -416,7 +416,7 @@ void topic_consumer(const std::string& uds, uint32_t key_base, uint32_t topic,
     // through other consumers: dump the whole stash (progress guarantee —
     // everyone holding back with an empty queue would deadlock). The
     // requeues must travel in their OWN write: bundled with the next DEQ
-    // burst they would be one servicer batch and this consumer would
+    // burst they would be one loop batch and this consumer would
     // atomically re-pop its own requeues before anyone else could
     // interleave. A randomized escalating sleep after the flush gives the
     // items' owners a window to win the race for them.
@@ -517,7 +517,7 @@ api::Report run_shards(const api::RunOptions& opts) {
   sec.note("  requeue churn (wire/delivered ~ topics-per-shard * 2); a");
   sec.note("  shard per topic makes every DEQ a delivery. This is the");
   sec.note("  selective-consumption win sharding exists for, and it holds");
-  sec.note("  on a single core (plus servicer parallelism on multicore).");
+  sec.note("  on a single core (plus loop parallelism on multicore).");
   return r;
 }
 

@@ -1,26 +1,28 @@
-// Broker daemon core (ISSUE 8 tentpole): owns a ShardMap of registry-built
-// backings, an event-loop I/O thread, and one servicer thread per shard
-// group. Runs equally as the `broker` binary (broker_main.cpp wires signals
-// to stop()) and in-process (the E14 experiments and the end-to-end CTest
-// construct a Broker on a temp UDS path directly — same code path, real
-// sockets).
+// Broker daemon core: owns a ShardMap of registry-built backings and N
+// run-to-completion event loops. Runs equally as the `broker` binary
+// (broker_main.cpp wires signals to stop()) and in-process (the E14
+// experiments and the end-to-end CTest construct a Broker on a temp UDS
+// path directly — same code path, real sockets).
 //
-// Data flow: the I/O thread decodes each connection's read burst into a
-// frame batch (net::EventLoop), buckets it by shard group, and pushes ONE
-// work-queue append per group per burst. Each servicer drains its group's
-// queue in batches, performs the queue/service ops on the shards it owns,
-// encodes all responses for a connection into one buffer, and send()s
-// directly from its own thread — response syscalls scale with servicers
-// instead of funneling through the I/O thread.
+// Threading: N = cfg.groups event loops (net::EventLoop), then one acceptor
+// loop that owns the listeners and deals accepted connections round-robin
+// to the N loops. Loop i is process slot i on every shard's backing (the
+// backings are built for procs = N), so the shards are used as the paper's
+// p-process objects. A loop reads a connection's burst of frames, runs each
+// request inline in arrival order, and sends all the responses in one
+// write: a request executes on the thread that read it, with no hand-off.
+// One connection lives on one loop, so its requests execute and answer in
+// request order; ordering across connections is the backing's
+// linearizability (docs/PROTOCOL.md).
 //
-// Shutdown (stop(), also the SIGINT/SIGTERM path): stop accepting and
-// reading, then drain — every request already read is processed and its
-// response flushed — then join and leave the final counters readable
-// (report()). A group work queue that hits its backlog cap blocks the I/O
-// thread (backpressure through the kernel socket buffers), never drops.
+// Shutdown (stop(), also the SIGINT/SIGTERM path): stop raft, stop the
+// acceptor, stop and join the loops, then flush every outbox and close.
+// Every request a loop read has already run, so the drain is the flush.
+// Backpressure is per connection: a loop stops reading a client whose
+// responses pile up unread (net::EventLoop), and no one else waits.
 //
-// Cluster mode (ISSUE 10): with cfg.cluster set, the broker is one replica
-// of an N-node raft group (src/raft/). The replicated state machine is the
+// Cluster mode: with cfg.cluster set, the broker is one replica of an
+// N-node raft group (src/raft/). The replicated state machine is the
 // broker METADATA — shard count, backing key, DWRR tenant weights — not the
 // queue data: the shard map is built when the replicated config entry
 // applies, SETW commits through the log before acking, and only the leader
@@ -33,7 +35,6 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
 #include <deque>
@@ -58,17 +59,17 @@ namespace wfq::broker {
 
 struct BrokerConfig {
   int shards = 1;
-  /// Servicer threads; 0 = one per shard. Shard s belongs to group
-  /// s % groups, so shards spread round-robin over servicers.
+  /// Event loops, each one process slot on every shard; 0 = one per
+  /// hardware core. Connections are dealt to them round-robin.
   int groups = 0;
   /// Backing key per shard: any make_queue or make_service spelling.
-  std::string backing = "ubq";
+  std::string backing = "bounded";
   /// Listeners: either or both. An empty uds_path and tcp_port < 0 is a
   /// configuration error (a broker nobody can reach).
   std::string uds_path;
   int tcp_port = -1;  // -1 = none, 0 = kernel-picked (read back via tcp_port())
-  /// Pin servicer threads to cores (platform::pin_thread_to_core; no-op
-  /// where unsupported).
+  /// Pin loop i to core i (platform::pin_thread_to_core; no-op where
+  /// unsupported).
   bool pin_threads = false;
   /// Sizes fixed-segment backings (api::sized_config contract).
   int64_t expected_ops = int64_t{1} << 18;
@@ -115,43 +116,49 @@ class Broker {
             "broker::Broker: cluster mode requires tcp_port == "
             "peer_ports[node_id] (peers dial fixed ports)");
     }
-    if (cfg_.groups <= 0 || cfg_.groups > cfg_.shards)
-      cfg_.groups = cfg_.shards;
+    if (cfg_.groups <= 0) cfg_.groups = platform::hardware_cores();
     if (!cfg_.cluster) {
-      // Single-node: the map exists from birth, exactly as before cluster
-      // mode was added. Cluster replicas build it when the replicated
-      // config entry applies (see on_raft_apply).
+      // Single-node: the map exists from birth. Cluster replicas build it
+      // when the replicated config entry applies (see on_raft_apply).
       map_ = std::make_unique<ShardMap>(cfg_.shards, cfg_.backing,
-                                        cfg_.expected_ops);
+                                        cfg_.expected_ops, cfg_.groups);
       map_ready_.store(true, std::memory_order_release);
     }
     for (int s = 0; s < cfg_.shards; ++s) shard_state_.emplace_back();
-    for (int g = 0; g < cfg_.groups; ++g) groups_.emplace_back();
   }
 
   ~Broker() { stop(); }
   Broker(const Broker&) = delete;
   Broker& operator=(const Broker&) = delete;
 
-  /// Binds listeners and spawns the servicer + I/O threads. Throws on bind
-  /// failure (daemon has nothing to fall back to).
+  /// Binds listeners and spawns the loop threads, then the acceptor.
+  /// Throws on bind failure (daemon has nothing to fall back to).
   void start() {
-    net::EventLoop::Callbacks cbs;
-    cbs.on_batch = [this](uint64_t conn, std::vector<net::Frame>& batch) {
-      route(conn, batch);
+    for (int i = 0; i < cfg_.groups; ++i) {
+      net::EventLoop::Callbacks cbs;
+      cbs.on_batch = [this, i, bound = false](
+                         uint64_t conn,
+                         std::vector<net::Frame>& batch) mutable {
+        serve(i, conn, batch, bound);
+      };
+      loops_.push_back(std::make_unique<net::EventLoop>(std::move(cbs)));
+    }
+    net::EventLoop::Callbacks acb;
+    acb.on_accept = [this, next = size_t{0}](net::FdHandle fd) mutable {
+      loops_[next++ % loops_.size()]->adopt(std::move(fd));
     };
-    loop_ = std::make_unique<net::EventLoop>(std::move(cbs));
+    acceptor_ = std::make_unique<net::EventLoop>(std::move(acb));
     if (!cfg_.uds_path.empty())
-      loop_->add_listener(net::listen_uds(cfg_.uds_path));
+      acceptor_->add_listener(net::listen_uds(cfg_.uds_path));
     if (cfg_.tcp_port >= 0) {
       net::FdHandle fd = net::listen_tcp(static_cast<uint16_t>(cfg_.tcp_port));
       tcp_port_ = net::bound_tcp_port(fd.get());
-      loop_->add_listener(std::move(fd));
+      acceptor_->add_listener(std::move(fd));
     }
-    // The RaftService must exist before the I/O thread can route a frame:
-    // route() reads raft_ unsynchronized, which is only sound because after
-    // this point raft_ never changes until stop(). Peer dials retry, so
-    // starting it before the listeners' first accept costs nothing.
+    // The RaftService must exist before a loop can serve a frame: serve()
+    // reads raft_ unsynchronized, which is only sound because after this
+    // point raft_ never changes until stop(). Peer dials retry, so starting
+    // it before the listeners' first accept costs nothing.
     if (cfg_.cluster) {
       raft::RaftServiceConfig rc;
       rc.node_id = cfg_.node_id;
@@ -173,38 +180,38 @@ class Broker {
           });
       raft_->start();
     }
-    for (int g = 0; g < cfg_.groups; ++g)
-      groups_[static_cast<size_t>(g)].thread =
-          std::thread([this, g] { servicer_main(g); });
-    io_thread_ = std::thread([this] {
-      if (cfg_.pin_threads) platform::pin_thread_to_core(0);
-      loop_->run();
+    // Spawn order is part of the surface (loops first, then the acceptor):
+    // tools that read /proc/<pid>/task rely on it.
+    for (int i = 0; i < cfg_.groups; ++i)
+      loop_threads_.emplace_back([this, i] {
+        platform::name_thread("wfb-loop-" + std::to_string(i));
+        if (cfg_.pin_threads) platform::pin_thread_to_core(i);
+        loops_[static_cast<size_t>(i)]->run();
+      });
+    accept_thread_ = std::thread([this] {
+      platform::name_thread("wfb-accept");
+      acceptor_->run();
     });
     started_ = true;
   }
 
-  /// Clean shutdown: stop reading, drain every already-read request through
-  /// its servicer, flush responses, join. Idempotent; also the dtor path.
+  /// Clean shutdown: stop accepting and reading, flush every response,
+  /// close. Idempotent; also the dtor path.
   void stop() {
     if (!started_ || stopped_.exchange(true)) return;
     // Cluster drain: silence raft FIRST — the leader stops heartbeating, so
     // the survivors elect a successor one election timeout later, while this
-    // replica still drains every client request it already read.
+    // replica still answers every client request it already read.
     if (raft_) raft_->stop();
-    loop_->stop();
-    io_thread_.join();
-    for (Group& g : groups_) {
-      {
-        std::lock_guard<std::mutex> lk(g.m);
-        g.closed = true;
-      }
-      g.cv.notify_all();
-    }
-    for (Group& g : groups_) g.thread.join();
-    // Every response is queued by now (servicers joined): flush the last
-    // bytes out and close, so clients waiting on responses see EOF rather
-    // than a silent socket.
-    loop_->shutdown_flush_and_close();
+    acceptor_->stop();
+    accept_thread_.join();
+    for (auto& loop : loops_) loop->stop();
+    for (std::thread& t : loop_threads_) t.join();
+    // Every request read has run and queued its response (loops joined):
+    // flush the last bytes out and close, so clients waiting on responses
+    // see EOF rather than a silent socket.
+    for (auto& loop : loops_) loop->shutdown_flush_and_close();
+    acceptor_->shutdown_flush_and_close();
     if (!cfg_.uds_path.empty()) ::unlink(cfg_.uds_path.c_str());
   }
 
@@ -300,111 +307,49 @@ class Broker {
   }
 
  private:
-  /// Per-group backlog cap: a full group blocks the I/O thread (kernel
-  /// socket buffers then throttle the clients) instead of buffering
-  /// without bound. 2^20 items ~ tens of MB worst case.
-  static constexpr size_t kMaxBacklog = size_t{1} << 20;
-
   /// ERR payload for a SETW the shard map refused (both SETW paths).
   static constexpr const char* kSetwRejected =
       "SETW rejected: dwrr backing required, tenant in range, weight >= 1";
 
   /// A cluster-mode SETW awaiting its log entry's apply (the raft thread
-  /// answers it; see on_raft_apply).
+  /// answers it on loop `loop`; see on_raft_apply).
   struct PendingSetw {
+    int loop = 0;
     uint64_t conn = 0;
     uint32_t key = 0;
     uint16_t flags = 0;
   };
 
-  struct WorkItem {
-    uint64_t conn = 0;
-    int shard = 0;
-    net::Frame frame;
-  };
-
-  struct Group {
-    std::mutex m;
-    std::condition_variable cv;       // servicer waits: work or closed
-    std::condition_variable cv_room;  // I/O thread waits: below cap
-    std::deque<WorkItem> items;
-    bool closed = false;
-    std::thread thread;
-  };
-
-  struct ShardState {
+  /// Own cache line per shard: loops bump different shards' counters
+  /// concurrently.
+  struct alignas(64) ShardState {
     std::atomic<uint64_t> enq{0}, deq_hit{0}, deq_empty{0};
     std::atomic<uint64_t> ping{0}, stat{0}, bad{0};
   };
 
-  /// I/O-thread callback: bucket the burst by group, one append per group.
-  /// Raft-band frames peel off to the raft service here — peer traffic
-  /// never enters the work queues, so a backlogged servicer cannot delay a
-  /// heartbeat.
-  void route(uint64_t conn, std::vector<net::Frame>& batch) {
-    route_scratch_.assign(static_cast<size_t>(cfg_.groups), {});
+  /// Loop `loop`'s on_batch: raft-band frames go to the raft service, every
+  /// other frame runs inline in arrival order, and all the responses leave
+  /// in one send. `bound` is the loop's own flag: it has bound its process
+  /// slot on every shard. Single-node brokers bind on the first batch;
+  /// cluster replicas on the first batch after the replicated config
+  /// applied.
+  void serve(int loop, uint64_t conn, std::vector<net::Frame>& batch,
+             bool& bound) {
+    if (!bound && map_ready_.load(std::memory_order_acquire)) {
+      for (int s = 0; s < cfg_.shards; ++s) map_->bind_servicer(s, loop);
+      bound = true;
+    }
+    std::string out;
     for (net::Frame& f : batch) {
       if (raft_ && f.op >= net::Opcode::raft_vote_req &&
           f.op <= net::Opcode::raft_append_resp) {
         raft_->deliver_frame(f);
         continue;
       }
-      // The free shard_of, not ShardMap's: computable before the
-      // replicated map exists (cluster replicas must route — and reject —
-      // requests while still waiting for the config entry).
-      int shard = shard_of(f.key, cfg_.shards);
-      route_scratch_[static_cast<size_t>(shard % cfg_.groups)].push_back(
-          WorkItem{conn, shard, std::move(f)});
+      handle(loop, conn, f, out, bound);
     }
-    for (int g = 0; g < cfg_.groups; ++g) {
-      std::vector<WorkItem>& bucket = route_scratch_[static_cast<size_t>(g)];
-      if (bucket.empty()) continue;
-      Group& grp = groups_[static_cast<size_t>(g)];
-      {
-        std::unique_lock<std::mutex> lk(grp.m);
-        grp.cv_room.wait(lk, [&] {
-          return grp.items.size() < kMaxBacklog || grp.closed;
-        });
-        for (WorkItem& w : bucket) grp.items.push_back(std::move(w));
-      }
-      grp.cv.notify_one();
-    }
-  }
-
-  /// Binds this servicer's shards once the map exists. Single-node brokers
-  /// bind immediately (the pre-cluster behavior); cluster replicas bind on
-  /// the first batch that arrives after the replicated config applied.
-  bool bind_if_ready(int g, bool& bound) {
-    if (bound) return true;
-    if (!map_ready_.load(std::memory_order_acquire)) return false;
-    for (int s = g; s < cfg_.shards; s += cfg_.groups) map_->bind_servicer(s);
-    bound = true;
-    return true;
-  }
-
-  void servicer_main(int g) {
-    if (cfg_.pin_threads) platform::pin_thread_to_core(1 + g);
-    bool bound = false;
-    bind_if_ready(g, bound);
-    Group& grp = groups_[static_cast<size_t>(g)];
-    std::deque<WorkItem> local;
-    std::unordered_map<uint64_t, std::string> out;
-    for (;;) {
-      {
-        std::unique_lock<std::mutex> lk(grp.m);
-        grp.cv.wait(lk, [&] { return !grp.items.empty() || grp.closed; });
-        if (grp.items.empty() && grp.closed) break;
-        local.swap(grp.items);
-      }
-      grp.cv_room.notify_all();
-      out.clear();
-      bool ready = bind_if_ready(g, bound);
-      for (WorkItem& w : local) handle(w, out[w.conn], ready);
-      local.clear();
-      // One send per connection per batch: the whole burst of responses
-      // is one buffer, one (usual-case) write syscall from this thread.
-      for (auto& [conn, buf] : out) loop_->send(conn, std::move(buf));
-    }
+    if (!out.empty())
+      loops_[static_cast<size_t>(loop)]->send(conn, std::move(out));
   }
 
   /// Leader/readiness gate for data-path requests in cluster mode:
@@ -423,27 +368,32 @@ class Broker {
   }
 
   /// Executes one request on its shard, appends the encoded response.
-  /// `ready` = this servicer has a bound shard map (always true outside
+  /// `ready` = this loop has bound the shard map (always true outside
   /// cluster mode).
-  void handle(WorkItem& w, std::string& out, bool ready) {
-    ShardState& st = shard_state_[static_cast<size_t>(w.shard)];
+  void handle(int loop, uint64_t conn, net::Frame& req, std::string& out,
+              bool ready) {
+    // The free shard_of, not ShardMap's: computable before the replicated
+    // map exists (cluster replicas must route — and reject — requests
+    // while still waiting for the config entry).
+    const int shard = shard_of(req.key, cfg_.shards);
+    ShardState& st = shard_state_[static_cast<size_t>(shard)];
     net::Frame resp;
-    resp.key = w.frame.key;
-    resp.flags = w.frame.flags;
-    switch (w.frame.op) {
+    resp.key = req.key;
+    resp.flags = req.flags;
+    switch (req.op) {
       case net::Opcode::enq: {
         if (not_leader(ready)) {
           fill_not_leader(resp);
           break;
         }
         uint64_t v = 0;
-        if (!net::decode_value(w.frame.payload, v)) {
+        if (!net::decode_value(req.payload, v)) {
           st.bad.fetch_add(1, std::memory_order_relaxed);
           resp.op = net::Opcode::err;
           resp.payload = "ENQ payload must be exactly 8 bytes";
           break;
         }
-        map_->enqueue(w.shard, w.frame.key, v);
+        map_->enqueue(shard, req.key, v);
         st.enq.fetch_add(1, std::memory_order_relaxed);
         resp.op = net::Opcode::enq_ok;
         break;
@@ -454,7 +404,7 @@ class Broker {
           break;
         }
         int tenant = -1;
-        std::optional<uint64_t> got = map_->dequeue(w.shard, tenant);
+        std::optional<uint64_t> got = map_->dequeue(shard, tenant);
         if (got) {
           st.deq_hit.fetch_add(1, std::memory_order_relaxed);
           resp.op = net::Opcode::deq_ok;
@@ -476,11 +426,11 @@ class Broker {
       case net::Opcode::ping:
         st.ping.fetch_add(1, std::memory_order_relaxed);
         resp.op = net::Opcode::pong;
-        resp.payload = std::move(w.frame.payload);
+        resp.payload = std::move(req.payload);
         break;
       case net::Opcode::setw: {
         uint32_t tenant = 0, weight = 0;
-        if (!net::decode_u32_pair(w.frame.payload, tenant, weight)) {
+        if (!net::decode_u32_pair(req.payload, tenant, weight)) {
           st.bad.fetch_add(1, std::memory_order_relaxed);
           resp.op = net::Opcode::err;
           resp.payload = "SETW payload must be 8 bytes: u32 tenant, u32 weight";
@@ -504,7 +454,7 @@ class Broker {
             fill_not_leader(resp);
             break;
           }
-          pending_setw_[idx] = PendingSetw{w.conn, w.frame.key, w.frame.flags};
+          pending_setw_[idx] = PendingSetw{loop, conn, req.key, req.flags};
           return;  // no response yet
         }
         if (map_->set_weight_all(static_cast<int>(tenant), weight)) {
@@ -521,7 +471,7 @@ class Broker {
         st.bad.fetch_add(1, std::memory_order_relaxed);
         resp.op = net::Opcode::err;
         resp.payload = std::string("unexpected request opcode ") +
-                       net::opcode_name(w.frame.op);
+                       net::opcode_name(req.op);
         break;
     }
     net::encode_frame(resp, out);
@@ -589,7 +539,7 @@ class Broker {
       return false;
     }
     map_ = std::make_unique<ShardMap>(cfg_.shards, cfg_.backing,
-                                      cfg_.expected_ops);
+                                      cfg_.expected_ops, cfg_.groups);
     map_ready_.store(true, std::memory_order_release);
     return true;
   }
@@ -624,26 +574,27 @@ class Broker {
   }
 
   /// Sends the deferred answer to a SETW this replica proposed (raft
-  /// thread); `resp` carries the opcode and payload.
+  /// thread) on the loop that read it; `resp` carries the opcode and
+  /// payload.
   void reply_setw(const PendingSetw& p, net::Frame resp) {
     resp.key = p.key;
     resp.flags = p.flags;
     std::string buf;
     net::encode_frame(resp, buf);
-    loop_->send(p.conn, std::move(buf));
+    loops_[static_cast<size_t>(p.loop)]->send(p.conn, std::move(buf));
   }
 
   BrokerConfig cfg_;
   std::unique_ptr<ShardMap> map_;  // cluster mode: built at config apply
   std::atomic<bool> map_ready_{false};
   std::deque<ShardState> shard_state_;
-  std::deque<Group> groups_;
-  std::unique_ptr<net::EventLoop> loop_;
+  std::vector<std::unique_ptr<net::EventLoop>> loops_;  // loop i = slot i
+  std::unique_ptr<net::EventLoop> acceptor_;  // owns the listeners
   std::unique_ptr<raft::RaftService> raft_;  // null outside cluster mode
   std::mutex pending_mu_;
   std::unordered_map<uint64_t, PendingSetw> pending_setw_;  // log idx -> conn
-  std::thread io_thread_;
-  std::vector<std::vector<WorkItem>> route_scratch_;  // I/O thread only
+  std::vector<std::thread> loop_threads_;
+  std::thread accept_thread_;
   uint16_t tcp_port_ = 0;
   bool started_ = false;
   std::atomic<bool> stopped_{false};

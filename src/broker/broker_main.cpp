@@ -1,6 +1,7 @@
-// `broker` — the daemon binary (ISSUE 8 tentpole): serves the wfb-v1
-// protocol over a Unix-domain socket and/or loopback TCP, sharding frames
-// across registry-built backings. SIGINT/SIGTERM trigger the clean drain
+// `broker` — the daemon binary: serves the wfb-v1 protocol over a
+// Unix-domain socket and/or loopback TCP, sharding frames across
+// registry-built backings, with N event loops that run every request
+// inline. SIGINT/SIGTERM trigger the clean drain
 // path (every accepted request answered, then the per-shard counter report
 // on stdout). `broker --report <uds-path>` is the companion client mode: it
 // asks a LIVE broker for its STAT report (per-shard counters + each
@@ -43,14 +44,16 @@ void usage(std::ostream& os) {
         "  --uds <path>      listen on a Unix-domain socket at <path>\n"
         "  --tcp <port>      also listen on 127.0.0.1:<port> (0 = pick)\n"
         "  --shards <n>      number of backing shards (default 1)\n"
-        "  --groups <g>      servicer threads; shards spread round-robin\n"
-        "                    (default: one per shard)\n"
+        "  --groups <g>      event loops; each serves the connections dealt\n"
+        "                    to it and is one process of every shard's\n"
+        "                    backing (default: one per hardware core)\n"
         "  --backing <key>   per-shard backing: any queue registry key\n"
-        "                    (ubq, bounded:g=64, faaq, ...) or service key\n"
-        "                    (dwrr:<n>:<backing>) (default ubq)\n"
+        "                    (bounded, bounded:g=64, ubq, faaq, ...) or\n"
+        "                    service key (dwrr:<n>:<backing>)\n"
+        "                    (default bounded)\n"
         "  --ops <n>         expected op volume, sizes fixed-segment\n"
         "                    backings (default 262144)\n"
-        "  --pin             pin I/O + servicer threads to cores\n"
+        "  --pin             pin event loop i to core i\n"
         "  --cluster <i>/<n> run as replica i of an n-replica raft group\n"
         "  --peers <csv>     the n replica TCP ports, in node-id order;\n"
         "                    this replica listens on its own entry\n"
@@ -214,7 +217,7 @@ int main(int argc, char** argv) {
                                        : cfg.uds_path);
     if (cfg.tcp_port >= 0)
       std::cerr << " and 127.0.0.1:" << broker.tcp_port();
-    std::cerr << " (" << broker.groups() << " servicer thread(s))";
+    std::cerr << " (" << broker.groups() << " event loop(s))";
     if (cfg.cluster)
       std::cerr << " as raft replica " << cfg.node_id << "/"
                 << cfg.peer_ports.size();

@@ -4,11 +4,12 @@
 // the `loadgen` binary (loadgen_main.cpp), the E14 experiment family, and
 // the broker end-to-end CTest — all through run_loadgen on real sockets.
 //
-// Each connection owns ONE routing key (key_base + index). One key lands on
-// one shard and one servicer, so a connection's responses arrive in request
-// order end-to-end and a FIFO deque of send timestamps matches request to
-// response without sequence numbers (values carry a per-connection sequence
-// anyway, which is what the e2e test checks FIFO with).
+// Each connection owns ONE routing key (key_base + index), so its items
+// land on one shard. A connection's responses arrive in request order (it
+// lives on one broker loop), so a FIFO deque of send timestamps matches
+// request to response without sequence numbers (values carry a
+// per-connection sequence anyway, which is what the e2e test checks FIFO
+// with).
 #pragma once
 
 #include <atomic>

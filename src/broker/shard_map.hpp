@@ -1,6 +1,5 @@
-// Shard map for the broker daemon (ISSUE 8 tentpole): N backing objects
-// built through the api seam, each owned by exactly one servicer thread.
-// The backing key is ANY registry spelling — a queue key ("ubq",
+// Shard map for the broker daemon: N backing objects built through the api
+// seam. The backing key is ANY registry spelling — a queue key ("ubq",
 // "bounded:g=64", "faaq") or a service key ("dwrr:4:ubq"), resolved with
 // the same strict parsers the seam uses everywhere (parse_service_key
 // first, queue_info otherwise, so malformed keys fail at construction with
@@ -11,14 +10,20 @@
 // on one shard AND one tenant, which is what makes per-key FIFO a testable
 // broker property.
 //
-// Threading contract: enqueue/dequeue(shard) are called ONLY by that
-// shard's servicer (single-toucher, so backings are built with procs = 1
-// and bound once); space_stats() and tenant_rows() read uncounted,
-// race-free surfaces and may be called from any thread at any time.
+// Threading contract: every backing is a `procs`-process object, and each
+// thread that calls enqueue/dequeue binds its own process slot first
+// (bind_servicer(s, pid), pid < procs; the broker's event loop i is slot i
+// on every shard). Queue backings are then used concurrently as the
+// paper's p-process queue. A dwrr backing's enqueue is multi-producer, but
+// its service_next has a single-servicer contract, so dequeue serializes
+// it per shard with a mutex. space_stats() and tenant_rows() read
+// uncounted, race-free surfaces and may be called from any thread at any
+// time.
 #pragma once
 
 #include <cstdint>
 #include <deque>
+#include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -51,10 +56,12 @@ struct TenantRow {
 
 class ShardMap {
  public:
-  /// Builds `nshards` backings of `backing_key`. `expected_ops` sizes
-  /// fixed-segment backings (faaq cell arrays) via api::sized_config, the
-  /// same contract the experiments follow.
-  ShardMap(int nshards, const std::string& backing_key, int64_t expected_ops) {
+  /// Builds `nshards` backings of `backing_key` for `procs` processes.
+  /// `expected_ops` sizes fixed-segment backings (faaq cell arrays) via
+  /// api::sized_config, the same contract the experiments follow; a shard's
+  /// cells are claimed shard-wide, so the budget does not scale with procs.
+  ShardMap(int nshards, const std::string& backing_key, int64_t expected_ops,
+           int procs = 1) {
     if (nshards < 1 || nshards > 4096)
       throw std::invalid_argument(
           "broker::ShardMap: shard count must be in [1, 4096] (got " +
@@ -62,10 +69,13 @@ class ShardMap {
     backing_ = backing_key;
     api::QueueConfig cfg =
         api::sized_config(1, api::Backend::real, expected_ops);
+    cfg.procs = procs;
     if (auto sk = api::parse_service_key(backing_key)) {
       ntenants_ = sk->ntenants;
-      for (int s = 0; s < nshards; ++s)
+      for (int s = 0; s < nshards; ++s) {
         services_.push_back(api::make_service<uint64_t>(backing_key, cfg));
+        service_mu_.emplace_back();
+      }
     } else {
       (void)api::queue_info(backing_key);  // loud registry-side validation
       for (int s = 0; s < nshards; ++s)
@@ -81,15 +91,16 @@ class ShardMap {
 
   int shard_of(uint32_t key) const { return broker::shard_of(key, nshards_); }
 
-  /// Servicer-thread setup: binds process slot 0 on shard `s`'s backing.
-  void bind_servicer(int s) {
+  /// Per-thread setup: binds the calling thread to process slot `pid` on
+  /// shard `s`'s backing.
+  void bind_servicer(int s, int pid = 0) {
     if (service_backed())
-      services_[static_cast<size_t>(s)].bind_thread(0);
+      services_[static_cast<size_t>(s)].bind_thread(pid);
     else
-      queues_[static_cast<size_t>(s)].bind_thread(0);
+      queues_[static_cast<size_t>(s)].bind_thread(pid);
   }
 
-  /// ENQ on shard `s` for routing key `key` (single-toucher contract).
+  /// ENQ on shard `s` for routing key `key` (caller bound a slot on `s`).
   void enqueue(int s, uint32_t key, uint64_t v) {
     if (service_backed())
       services_[static_cast<size_t>(s)].enqueue(
@@ -103,6 +114,7 @@ class ShardMap {
   /// tenant). `tenant_out` reports which tenant was served (-1 for queues).
   std::optional<uint64_t> dequeue(int s, int& tenant_out) {
     if (service_backed()) {
+      std::lock_guard<std::mutex> lk(service_mu_[static_cast<size_t>(s)]);
       auto got = services_[static_cast<size_t>(s)].service_next();
       if (!got) return std::nullopt;
       tenant_out = got->tenant;
@@ -123,7 +135,7 @@ class ShardMap {
   /// Sets tenant `t`'s DWRR weight on EVERY shard. Safe from any thread
   /// (the facade's set_weight is an atomic store the schedulers read at
   /// their next refresh) — the raft apply path calls this from the raft
-  /// thread while servicers run. No-op for queue backings or out-of-range
+  /// thread while the loops run. No-op for queue backings or out-of-range
   /// tenants; returns whether it applied.
   bool set_weight_all(int t, uint32_t w) {
     if (!service_backed() || t < 0 || t >= ntenants_ || w == 0) return false;
@@ -149,9 +161,10 @@ class ShardMap {
   int nshards_ = 0;
   int ntenants_ = 0;
   // Deques: backings hold atomics/mutexes and must never relocate while
-  // servicer threads hold into them.
+  // threads hold into them.
   std::deque<api::AnyQueue<uint64_t>> queues_;
   std::deque<svc::ServiceFacade<uint64_t>> services_;
+  std::deque<std::mutex> service_mu_;  // per dwrr shard: one servicer at a time
 };
 
 }  // namespace wfq::broker

@@ -48,8 +48,11 @@
 //
 // Reachable space: in-array suffixes are O(G) per node (+ < kChunk), the
 // archive holds O(q_max + p) live blocks (+ < kChunk per node: the chunk
-// straddling af), and the EBR backlog is transient (bounded by ~3 GC phases) — Theorem 31's
-// O(p q_max + p^3 log p) with G = p^2 log p. Every RBT node visited or
+// straddling af), and the EBR backlog is transient (bounded by ~3 GC
+// phases) — Theorem 31's O(p q_max + p^3 log p) with G = p^2 log p. The
+// slot index follows the blocks: whole slot pages below a node's floor go
+// back to the kernel through the same EBR, so each node keeps < one page
+// of dead slots plus its live suffix's pages. Every RBT node visited or
 // created and every block copied into a chunk is charged through
 // note_rbt_touch (the paper's model), so E7 measures Theorem 32's
 // amortized O(log p log(p+q)) including GC.
@@ -184,6 +187,14 @@ class BoundedQueue {
   }
 
   const Ebr& debug_ebr() const { return ebr_; }
+
+  /// Per node, in id order: the array floor and the index below which its
+  /// slot pages have been handed back (test surface; read at quiescence).
+  std::vector<std::pair<int64_t, int64_t>> debug_floors() const {
+    std::vector<std::pair<int64_t, int64_t>> out;
+    collect_floors(tree_.root(), out);
+    return out;
+  }
 
   /// Resolved GC period: the actual G in use, or -1 when disabled.
   int64_t gc_period() const { return g_; }
@@ -333,7 +344,8 @@ class BoundedQueue {
 
     // 3. Array floors (the in-array live suffix, sized by the GC window)
     // and per-child floors derived from retained boundary blocks.
-    std::vector<Plan> plans;
+    std::vector<Plan>& plans = plans_;
+    plans.clear();
     plan_node(root, af_root, last - window_ + 1, plans);
 
     // 4. New archive version: copy the live part of [kfloor, k_new) in as
@@ -369,22 +381,32 @@ class BoundedQueue {
         count += kChunk;
       }
     }
-    auto* nv = new ArchiveVersion{std::move(aroot)};
-    archive_.store(nv);
-    archived_.store(count, std::memory_order_relaxed);
-    if (old_av != nullptr) {
-      ebr_.retire(const_cast<ArchiveVersion*>(old_av),
-                  +[](void* p) { delete static_cast<ArchiveVersion*>(p); });
+    if (aroot == (old_av ? old_av->root : Rbt::empty())) {
+      // No chunk moved: republish the same version (the store keeps a
+      // phase's step count independent of whether a chunk moved).
+      archive_.store(old_av);
+    } else {
+      archive_.store(new ArchiveVersion{std::move(aroot)});
+      archived_.store(count, std::memory_order_relaxed);
+      if (old_av != nullptr) {
+        ebr_.retire(const_cast<ArchiveVersion*>(old_av),
+                    +[](void* p) { delete static_cast<ArchiveVersion*>(p); });
+      }
     }
 
     // 5. Truncate the arrays (floor first — release — then tombstone slots)
-    // and retire the detached blocks; then give the epoch a push.
+    // and retire the detached blocks, then the whole slot pages now below
+    // the floor (DESIGN.md "TreeBlockArray": after the grace period no op
+    // holds an index below the floor); then give the epoch a push.
     for (const Plan& pl : plans) {
       pl.v->floor.store(pl.k_new);
       for (int64_t i = pl.v->kfloor; i < pl.k_new; ++i) {
         Block* b = pl.v->blocks.take(i);
         ebr_.retire(b, +[](void* p) { delete static_cast<Block*>(p); });
       }
+      pl.v->blocks.release_below(pl.k_new, [this](void* page) {
+        ebr_.retire(page, &BlockArray::release_page);
+      });
       pl.v->kfloor = pl.k_new;
       pl.v->af = pl.af_new;
     }
@@ -440,6 +462,14 @@ class BoundedQueue {
     }
   }
 
+  static void collect_floors(const Node* v,
+                             std::vector<std::pair<int64_t, int64_t>>& out) {
+    if (v == nullptr) return;
+    out.emplace_back(v->kfloor, v->blocks.debug_released());
+    collect_floors(v->left, out);
+    collect_floors(v->right, out);
+  }
+
   // --- members -------------------------------------------------------------
 
   int p_;
@@ -456,6 +486,7 @@ class BoundedQueue {
   // only, so space() never dereferences a version another GC may retire.
   std::atomic<size_t> archived_{0};
   std::atomic<uint64_t> gc_phases_{0};
+  std::vector<Plan> plans_;  // collect()'s scratch (guarded by the gc lock)
 };
 
 }  // namespace wfq::core

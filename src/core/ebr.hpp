@@ -64,7 +64,9 @@ class Ebr {
   /// GC-phase only (serialized by the queue's gc lock).
   void retire(void* p, void (*del)(void*)) {
     buckets_[epoch_.unsafe_peek() % 3].push_back({p, del});
-    retired_.fetch_add(1, std::memory_order_relaxed);
+    // Single writer (the gc lock): a plain increment, no locked RMW.
+    retired_.store(retired_.load(std::memory_order_relaxed) + 1,
+                   std::memory_order_relaxed);
   }
 
   /// Advances the global epoch if every pinned process has caught up with

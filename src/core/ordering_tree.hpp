@@ -71,9 +71,14 @@
 #include <bit>
 #include <cassert>
 #include <cstdint>
+#include <new>
 #include <optional>
+#include <type_traits>
 #include <utility>
 #include <vector>
+
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include "platform/platform.hpp"
 
@@ -157,10 +162,17 @@ struct TreeBlock {
 };
 
 /// Append-only unbounded block array: geometrically growing segments
-/// installed on demand with an (uncounted, bookkeeping-only) directory CAS.
-/// Slot accesses go through Platform atomics and count as shared steps.
-/// `take`/`tombstone` exist for the bounded client's GC truncation; clients
-/// without collection simply never call them.
+/// installed on demand with an (uncounted, bookkeeping-only) directory CAS,
+/// so a slot lookup is one directory load plus one slot access. Slot
+/// accesses go through Platform atomics and count as shared steps.
+///
+/// Segments of a page or more come straight from mmap: their zero pages
+/// read as null slots and cost no memory until a slot on them is written
+/// (no value-initializing pass touches them up front). The publish that
+/// opens a page populates the next one, so the frontier does not meet a
+/// fresh page with a read fault followed by a write fault. `take`,
+/// `tombstone` and `release_below` exist for the bounded client's GC
+/// truncation; clients without collection simply never call them.
 template <typename T, typename Platform>
 class TreeBlockArray {
  public:
@@ -174,21 +186,23 @@ class TreeBlockArray {
     for (int k = 0; k < kSegments; ++k) {
       Slot* seg = segs_[k].load(std::memory_order_acquire);
       if (!seg) continue;
-      int64_t n = int64_t{1} << (k + kBaseBits);
+      int64_t n = seg_slots(k);
       for (int64_t j = 0; j < n; ++j) {
         Block* b = seg[j].unsafe_peek();
         if (b != tombstone()) delete b;
       }
-      delete[] seg;
+      free_segment(k, seg);
     }
   }
 
   /// Reserved marker stored into truncated slots. Slots go null -> block
-  /// -> tombstone and never back: if take() nulled the slot instead, a
-  /// refresher that built its block long ago and stalled before its
-  /// install CAS (which expects null) could resurrect a STALE block into
-  /// a truncated index (ABA), and readers still holding the old floor
-  /// would read wrong sums through it.
+  /// -> tombstone and never back while an operation may still target
+  /// them: if take() nulled the slot instead, a refresher that built its
+  /// block long ago and stalled before its install CAS (which expects
+  /// null) could resurrect a STALE block into a truncated index (ABA), and
+  /// readers still holding the old floor would read wrong sums through it.
+  /// (release_below zeroes tombstoned slots again, but only once no
+  /// operation can still hold their index; see there.)
   static Block* tombstone() {
     static Block t;
     return &t;
@@ -197,10 +211,17 @@ class TreeBlockArray {
   Block* load(int64_t i) const { return slot(i).load(); }
 
   /// Single-writer publish (leaf appends).
-  void store(int64_t i, Block* b) { slot(i).store(b); }
+  void store(int64_t i, Block* b) {
+    slot(i).store(b);
+    prefault_next(i);
+  }
 
   /// One CAS attempt to install `b` at slot `i` (internal appends).
-  bool cas(int64_t i, Block* b) { return slot(i).cas(nullptr, b); }
+  bool cas(int64_t i, Block* b) {
+    if (!slot(i).cas(nullptr, b)) return false;
+    prefault_next(i);
+    return true;
+  }
 
   /// GC truncation: detaches and returns the block at `i` (the slot
   /// becomes a tombstone; the caller retires the block through EBR).
@@ -211,38 +232,132 @@ class TreeBlockArray {
     return b;
   }
 
+  /// GC truncation of the index itself: hands every whole page of slots
+  /// below `floor` that was not handed out before to `retire(page)`,
+  /// uncounted. The caller must have tombstoned those slots already, and
+  /// must defer release_page(page) until no operation can still read or
+  /// CAS an index below `floor` (the bounded queue retires pages through
+  /// its EBR). The pages stay mapped, so a late read returns null.
+  /// Single caller at a time (the GC lock).
+  template <typename Retire>
+  void release_below(int64_t floor, Retire&& retire) {
+    const int64_t per_page = slots_per_page();
+    while (released_ < floor) {
+      int k = segment_of(released_);
+      int64_t base = seg_base(k);
+      int64_t end = base + seg_slots(k);
+      if (!page_backed(k)) {  // too small to hand pages back: skip it
+        released_ = std::min(end, floor);
+        continue;
+      }
+      int64_t next = released_ + per_page;  // released_ is page-aligned here
+      if (next > floor) break;  // the floor's page is still partly live
+      Slot* seg = segs_[k].load(std::memory_order_acquire);
+      retire(static_cast<void*>(seg + (released_ - base)));
+      released_ = next;
+    }
+  }
+
+  /// The deferred half of release_below: returns one page to the kernel.
+  /// It stays mapped and reads as zeros (null slots) from then on.
+  static void release_page(void* page) {
+    ::madvise(page, page_bytes(), MADV_DONTNEED);
+  }
+
+  /// Slots per kernel page: release_below's unit.
+  static int64_t slots_per_page() {
+    return static_cast<int64_t>(page_bytes() / sizeof(Slot));
+  }
+
   /// Uncounted accessors for construction and debug introspection.
   Block* unsafe_peek(int64_t i) const { return slot(i).unsafe_peek(); }
   void unsafe_install(int64_t i, Block* b) { slot(i).unsafe_store(b); }
+  /// Every page-backed slot below this index has been handed to a
+  /// release_below callback (collector-owned; read it at quiescence).
+  int64_t debug_released() const { return released_; }
 
  private:
   using Slot = typename Platform::template Atomic<Block*>;
+  // mmap'd zero pages are taken as arrays of null slots without running a
+  // constructor: that needs a slot to be a bare lock-free pointer.
+  static_assert(sizeof(Slot) == sizeof(Block*) &&
+                std::is_trivially_destructible_v<Slot> &&
+                std::atomic<Block*>::is_always_lock_free);
   static constexpr int kBaseBits = 6;  // first segment: 64 slots
   static constexpr int kSegments = 42;
 
-  Slot& slot(int64_t i) const {
+  static size_t page_bytes() {
+    static const size_t n = static_cast<size_t>(::sysconf(_SC_PAGESIZE));
+    return n;
+  }
+  static int64_t seg_slots(int k) { return int64_t{1} << (k + kBaseBits); }
+  static int64_t seg_base(int k) { return seg_slots(k) - seg_slots(0); }
+  static int segment_of(int64_t i) {
     uint64_t base = static_cast<uint64_t>(i) + (uint64_t{1} << kBaseBits);
-    int k = std::bit_width(base) - 1 - kBaseBits;
-    int64_t off = static_cast<int64_t>(base - (uint64_t{1} << (k + kBaseBits)));
-    return segment(k)[off];
+    return std::bit_width(base) - 1 - kBaseBits;
+  }
+  static size_t seg_bytes(int k) {
+    return static_cast<size_t>(seg_slots(k)) * sizeof(Slot);
+  }
+  static bool page_backed(int k) { return seg_bytes(k) >= page_bytes(); }
+
+  Slot& slot(int64_t i) const {
+    int k = segment_of(i);
+    return segment(k)[i - seg_base(k)];
   }
 
   Slot* segment(int k) const {
     Slot* seg = segs_[k].load(std::memory_order_acquire);
     if (seg) return seg;
-    int64_t n = int64_t{1} << (k + kBaseBits);
-    Slot* fresh = new Slot[static_cast<size_t>(n)]();
+    Slot* fresh = alloc_segment(k);
     Slot* expected = nullptr;
     if (segs_[k].compare_exchange_strong(expected, fresh,
                                          std::memory_order_acq_rel,
                                          std::memory_order_acquire)) {
       return fresh;
     }
-    delete[] fresh;
+    free_segment(k, fresh);
     return expected;
   }
 
+  static Slot* alloc_segment(int k) {
+    if (!page_backed(k)) return new Slot[static_cast<size_t>(seg_slots(k))]();
+    void* m = ::mmap(nullptr, seg_bytes(k), PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (m == MAP_FAILED) throw std::bad_alloc();
+    populate(m);
+    return static_cast<Slot*>(m);
+  }
+
+  /// Uncounted: after publishing slot `i`, the first slot of its page,
+  /// populates the next page of the segment.
+  void prefault_next(int64_t i) const {
+    int k = segment_of(i);
+    if (!page_backed(k)) return;
+    const int64_t per_page = slots_per_page();
+    int64_t next = i - seg_base(k) + per_page;
+    if ((next & (per_page - 1)) != 0 || next >= seg_slots(k)) return;
+    populate(segs_[k].load(std::memory_order_relaxed) + next);
+  }
+
+  /// Faults one page in writable, as a write to it would, without writing
+  /// (a no-op for a page already present, and where the kernel lacks it).
+  static void populate([[maybe_unused]] void* page) {
+#ifdef MADV_POPULATE_WRITE
+    ::madvise(page, page_bytes(), MADV_POPULATE_WRITE);
+#endif
+  }
+
+  static void free_segment(int k, Slot* seg) {
+    if (!page_backed(k)) {
+      delete[] seg;
+    } else {
+      ::munmap(seg, seg_bytes(k));
+    }
+  }
+
   mutable std::atomic<Slot*> segs_[kSegments] = {};
+  int64_t released_ = 0;  // release_below's progress (collector-only)
 };
 
 template <typename T, typename Platform>

@@ -1,20 +1,28 @@
-// Event loop for the broker daemon (ISSUE 8 tentpole, net layer): a single
-// I/O thread multiplexing any number of listeners and connections through
-// epoll.
+// Event loop for the broker daemon (net layer): one thread multiplexing
+// listeners and connections through epoll. The broker runs N of them, one
+// per process slot, plus an acceptor loop that owns the listeners and deals
+// each accepted socket to a serving loop (Callbacks::on_accept + adopt()).
 //
-// Read path: on a readable event the loop slurps the socket dry (read until
-// EAGAIN), feeds the connection's wfb-v1 Decoder, and hands ALL frames
-// decoded from that wakeup to on_batch in ONE call — the burst the broker
-// turns into one work-queue push per shard. Partial frames stay buffered in
-// the decoder; a framing error gets a best-effort ERR frame and the
-// connection is dropped (sticky decoder contract, see frame.hpp).
+// Read path: on a readable event the loop reads one buffer (64 KiB) from
+// the socket, feeds the connection's wfb-v1 Decoder, and hands ALL frames
+// decoded from it to on_batch in ONE call, on the loop thread. Level-
+// triggered epoll brings a connection with more bytes back on the next
+// wait, so one flooding client cannot starve its loop-mates. Partial frames
+// stay buffered in the decoder; a framing error gets a best-effort ERR
+// frame and the connection is dropped (sticky decoder contract, see
+// frame.hpp).
 //
-// Write path: send() is callable from ANY thread (the broker's servicer
-// threads respond directly — response syscalls scale with servicers instead
-// of funneling through this thread). If the connection's outbox is empty
-// the sender write()s inline under the connection's write mutex; leftovers
-// are buffered and the loop is woken through the self-pipe to arm
-// write-readiness and finish the flush.
+// Write path: send() is callable from ANY thread (the broker's loops answer
+// inline; the raft thread answers deferred SETWs). If the connection's
+// outbox is empty the sender write()s inline under the connection's write
+// mutex; leftovers are buffered, and the loop arms write-readiness to
+// finish the flush (woken through the self-pipe when the sender is another
+// thread).
+//
+// Backpressure is per connection: once a connection's unsent outbox passes
+// kMaxOutbox the loop stops reading it (drops EPOLLIN), and reads again once
+// the outbox drains below half of that. A client that does not read its
+// responses pauses itself; its loop-mates and the rest of the broker go on.
 #pragma once
 
 #include <atomic>
@@ -56,8 +64,10 @@ class Poller {
                                std::string(std::strerror(errno)));
   }
 
-  void add(int fd, bool want_write) { ctl(EPOLL_CTL_ADD, fd, want_write); }
-  void mod(int fd, bool want_write) { ctl(EPOLL_CTL_MOD, fd, want_write); }
+  void add(int fd) { ctl(EPOLL_CTL_ADD, fd, true, false); }
+  void mod(int fd, bool want_read, bool want_write) {
+    ctl(EPOLL_CTL_MOD, fd, want_read, want_write);
+  }
   void del(int fd) { ::epoll_ctl(ep_.get(), EPOLL_CTL_DEL, fd, nullptr); }
 
   void wait(std::vector<Event>& out, int timeout_ms) {
@@ -75,9 +85,9 @@ class Poller {
   }
 
  private:
-  void ctl(int op, int fd, bool want_write) {
+  void ctl(int op, int fd, bool want_read, bool want_write) {
     epoll_event ev{};
-    ev.events = EPOLLIN | (want_write ? EPOLLOUT : 0u);
+    ev.events = (want_read ? EPOLLIN : 0u) | (want_write ? EPOLLOUT : 0u);
     ev.data.fd = fd;
     if (::epoll_ctl(ep_.get(), op, fd, &ev) != 0)
       throw std::runtime_error("net: epoll_ctl failed: " +
@@ -87,9 +97,9 @@ class Poller {
   FdHandle ep_;
 };
 
-/// The multiplexer. One thread calls run(); send()/stop()/wake() are safe
-/// from any thread. Connection ids are never reused, so a servicer holding
-/// an id across a disconnect sends into the void instead of into a
+/// The multiplexer. One thread calls run(); send()/adopt()/stop()/wake()
+/// are safe from any thread. Connection ids are never reused, so a thread
+/// holding an id across a disconnect sends into the void instead of into a
 /// recycled connection.
 class EventLoop {
  public:
@@ -101,6 +111,9 @@ class EventLoop {
     /// frame boundary, `truncated` for EOF mid-frame, or the framing error
     /// that poisoned the stream. Optional.
     std::function<void(uint64_t conn, DecodeStatus reason)> on_close;
+    /// When set, accepted sockets (already nonblocking) go here instead of
+    /// joining this loop: an acceptor loop deals them to serving loops.
+    std::function<void(FdHandle fd)> on_accept;
   };
 
   explicit EventLoop(Callbacks cbs) : cbs_(std::move(cbs)) {
@@ -111,14 +124,24 @@ class EventLoop {
     wake_wr_.reset(pipefd[1]);
     set_nonblocking(wake_rd_.get());
     set_nonblocking(wake_wr_.get());
-    poller_.add(wake_rd_.get(), false);
+    poller_.add(wake_rd_.get());
   }
 
   /// Registers a listening socket (from listen_uds / listen_tcp). Must be
   /// called before run(); accepted connections inherit nonblocking mode.
   void add_listener(FdHandle fd) {
-    poller_.add(fd.get(), false);
+    poller_.add(fd.get());
     listeners_.push_back(std::move(fd));
+  }
+
+  /// Hands a connected socket to this loop from any thread: it is queued,
+  /// the loop is woken, and run() registers it as a connection.
+  void adopt(FdHandle fd) {
+    {
+      std::lock_guard<std::mutex> lk(adopt_mutex_);
+      adopted_.push_back(std::move(fd));
+    }
+    wake();
   }
 
   /// Queues `bytes` on the connection and flushes as much as the socket
@@ -132,18 +155,12 @@ class EventLoop {
     {
       std::lock_guard<std::mutex> lk(c->out_mutex);
       if (c->closed) return false;
-      if (c->outbox.size() - c->out_pos > kMaxOutbox) {
-        // Peer stopped reading: shed it rather than buffer without bound.
-        c->kill = true;
-        need_loop_flush = true;
-      } else {
-        if (c->outbox.size() == c->out_pos) {
-          c->outbox.clear();
-          c->out_pos = 0;
-        }
-        c->outbox.append(bytes);
-        need_loop_flush = !flush_locked(*c);
+      if (c->outbox.size() == c->out_pos) {
+        c->outbox.clear();
+        c->out_pos = 0;
       }
+      c->outbox.append(bytes);
+      need_loop_flush = !flush_locked(*c);
     }
     if (need_loop_flush) {
       mark_dirty(conn_id);
@@ -158,6 +175,7 @@ class EventLoop {
     while (!stop_.load(std::memory_order_acquire)) {
       poller_.wait(events, 200);
       drain_wake_pipe();
+      join_adopted();
       flush_dirty();
       for (const Poller::Event& ev : events) {
         if (ev.fd == wake_rd_.get()) continue;
@@ -188,7 +206,12 @@ class EventLoop {
   /// outbox — blocking briefly on writability, bounded so a peer that
   /// never reads cannot wedge shutdown — then close every connection and
   /// listener, so clients see EOF instead of a socket that never answers.
+  /// Sockets adopted but not yet registered are closed as they are.
   void shutdown_flush_and_close() {
+    {
+      std::lock_guard<std::mutex> lk(adopt_mutex_);
+      adopted_.clear();
+    }
     for (auto& [fd_num, c] : by_fd_) {
       std::unique_lock<std::mutex> lk(c->out_mutex);
       for (int tries = 0; tries < 50 && !c->closed; ++tries) {
@@ -209,15 +232,15 @@ class EventLoop {
     listeners_.clear();
   }
 
-  /// Nudges run() out of its wait (used by send() and stop()).
+  /// Nudges run() out of its wait (used by send(), adopt() and stop()).
   void wake() {
     char b = 1;
     [[maybe_unused]] ssize_t w = ::write(wake_wr_.get(), &b, 1);
   }
 
  private:
-  /// Outbox ceiling per connection (16 MiB): a client that never reads its
-  /// responses gets disconnected, not buffered until OOM.
+  /// Unsent bytes per connection (16 MiB) past which its loop stops
+  /// reading it, until the outbox drains below half (see update_interest).
   static constexpr size_t kMaxOutbox = size_t{16} << 20;
 
   struct Conn {
@@ -231,6 +254,7 @@ class EventLoop {
     bool closed = false;    // fd closed; senders must not touch it
     bool kill = false;      // loop should close at next opportunity
     bool armed_write = false;  // loop-owned: EPOLLOUT currently armed
+    bool paused = false;       // loop-owned: EPOLLIN dropped (backpressure)
   };
 
   std::shared_ptr<Conn> find_conn(uint64_t id) {
@@ -255,36 +279,48 @@ class EventLoop {
       int cfd = ::accept(lfd, nullptr, nullptr);
       if (cfd < 0) return;  // EAGAIN / transient — next wakeup retries
       set_nonblocking(cfd);
-      auto c = std::make_shared<Conn>();
-      c->id = next_id_++;
-      c->fd.reset(cfd);
-      poller_.add(cfd, false);
-      by_fd_[cfd] = c;
-      std::lock_guard<std::mutex> lk(conns_mutex_);
-      by_id_[c->id] = c;
+      if (cbs_.on_accept) {
+        cbs_.on_accept(FdHandle(cfd));
+      } else {
+        join(FdHandle(cfd));
+      }
     }
   }
 
-  /// Reads the socket dry, dispatches the decoded burst. Returns true if
-  /// the connection was closed (caller must not touch it again).
+  /// Registers a connected socket as one of this loop's connections.
+  void join(FdHandle fd) {
+    auto c = std::make_shared<Conn>();
+    c->id = next_id_++;
+    c->fd = std::move(fd);
+    poller_.add(c->fd.get());
+    by_fd_[c->fd.get()] = c;
+    std::lock_guard<std::mutex> lk(conns_mutex_);
+    by_id_[c->id] = c;
+  }
+
+  void join_adopted() {
+    std::vector<FdHandle> fds;
+    {
+      std::lock_guard<std::mutex> lk(adopt_mutex_);
+      fds.swap(adopted_);
+    }
+    for (FdHandle& fd : fds) join(std::move(fd));
+  }
+
+  /// Reads one buffer, dispatches the decoded burst, then re-arms the
+  /// connection's interest from what the burst left in its outbox. Returns
+  /// true if the connection was closed (caller must not touch it again).
   bool on_readable(Conn& c) {
     char buf[65536];
     bool eof = false;
-    while (true) {
-      ssize_t n = ::read(c.fd.get(), buf, sizeof(buf));
-      if (n > 0) {
-        c.decoder.feed(buf, static_cast<size_t>(n));
-        if (n < static_cast<ssize_t>(sizeof(buf))) break;
-        continue;
-      }
-      if (n == 0) {
-        eof = true;
-        break;
-      }
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      eof = true;  // ECONNRESET and friends: treat as EOF
-      break;
+    ssize_t n;
+    do {
+      n = ::read(c.fd.get(), buf, sizeof(buf));
+    } while (n < 0 && errno == EINTR);
+    if (n > 0) {
+      c.decoder.feed(buf, static_cast<size_t>(n));
+    } else if (n == 0 || (errno != EAGAIN && errno != EWOULDBLOCK)) {
+      eof = true;  // EOF, or ECONNRESET and friends: treat as EOF
     }
 
     batch_.clear();
@@ -292,7 +328,10 @@ class EventLoop {
     DecodeStatus st;
     while ((st = c.decoder.next(f)) == DecodeStatus::ok)
       batch_.push_back(std::move(f));
-    if (!batch_.empty() && cbs_.on_batch) cbs_.on_batch(c.id, batch_);
+    if (!batch_.empty() && cbs_.on_batch) {
+      cbs_.on_batch(c.id, batch_);
+      update_interest(c);
+    }
 
     if (st != DecodeStatus::need_more) {
       // Framing error: best-effort ERR frame so a human at the other end
@@ -340,15 +379,30 @@ class EventLoop {
   }
 
   void on_writable(Conn& c) {
-    bool drained;
     {
       std::lock_guard<std::mutex> lk(c.out_mutex);
-      drained = flush_locked(c);
+      flush_locked(c);
     }
-    if (drained && c.armed_write) {
-      poller_.mod(c.fd.get(), false);
-      c.armed_write = false;
+    update_interest(c);
+  }
+
+  /// Re-arms `c`'s epoll interest from its unsent outbox (loop thread
+  /// only): write readiness while bytes are pending; read readiness dropped
+  /// once they pass kMaxOutbox and restored once they fall below half.
+  void update_interest(Conn& c) {
+    size_t pending;
+    {
+      std::lock_guard<std::mutex> lk(c.out_mutex);
+      if (c.closed) return;
+      pending = c.outbox.size() - c.out_pos;
     }
+    bool paused =
+        c.paused ? pending >= kMaxOutbox / 2 : pending > kMaxOutbox;
+    bool want_write = pending > 0;
+    if (paused == c.paused && want_write == c.armed_write) return;
+    poller_.mod(c.fd.get(), !paused, want_write);
+    c.paused = paused;
+    c.armed_write = want_write;
   }
 
   void mark_dirty(uint64_t id) {
@@ -356,7 +410,8 @@ class EventLoop {
     dirty_.push_back(id);
   }
 
-  /// Arms write-readiness for connections whose senders left bytes behind.
+  /// Flushes connections whose senders left bytes behind and re-arms
+  /// their interest.
   void flush_dirty() {
     std::vector<uint64_t> ids;
     {
@@ -365,16 +420,12 @@ class EventLoop {
     }
     for (uint64_t id : ids) {
       std::shared_ptr<Conn> c = find_conn(id);
-      if (!c || c->closed) continue;
-      bool drained;
+      if (!c) continue;
       {
         std::lock_guard<std::mutex> lk(c->out_mutex);
-        drained = flush_locked(*c);
+        flush_locked(*c);
       }
-      if (!drained && !c->armed_write) {
-        poller_.mod(c->fd.get(), true);
-        c->armed_write = true;
-      }
+      update_interest(*c);
     }
   }
 
@@ -422,6 +473,8 @@ class EventLoop {
   std::unordered_map<uint64_t, std::shared_ptr<Conn>> by_id_;
   std::mutex dirty_mutex_;
   std::vector<uint64_t> dirty_;
+  std::mutex adopt_mutex_;
+  std::vector<FdHandle> adopted_;
   std::vector<Frame> batch_;
   uint64_t next_id_ = 1;
   std::atomic<bool> stop_{false};

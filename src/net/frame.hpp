@@ -153,19 +153,27 @@ inline const char* decode_status_name(DecodeStatus s) {
 
 namespace detail {
 
+/// Writes the low `n` bytes of `v` to `p`, little-endian.
+inline void store_le(char* p, uint64_t v, int n) {
+  for (int i = 0; i < n; ++i) p[i] = static_cast<char>((v >> (8 * i)) & 0xff);
+}
+
 inline void put_u16(std::string& out, uint16_t v) {
-  out.push_back(static_cast<char>(v & 0xff));
-  out.push_back(static_cast<char>((v >> 8) & 0xff));
+  char b[2];
+  store_le(b, v, 2);
+  out.append(b, sizeof(b));
 }
 
 inline void put_u32(std::string& out, uint32_t v) {
-  for (int i = 0; i < 4; ++i)
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+  char b[4];
+  store_le(b, v, 4);
+  out.append(b, sizeof(b));
 }
 
 inline void put_u64(std::string& out, uint64_t v) {
-  for (int i = 0; i < 8; ++i)
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+  char b[8];
+  store_le(b, v, 8);
+  out.append(b, sizeof(b));
 }
 
 inline uint16_t get_u16(const char* p) {
@@ -192,15 +200,17 @@ inline uint64_t get_u64(const char* p) {
 }  // namespace detail
 
 /// Appends the encoded frame to `out`. Appending (not returning) is the
-/// point: a servicer encodes a whole burst of responses into one buffer
-/// and hands the event loop a single write.
+/// point: a loop encodes a whole burst of responses into one buffer and
+/// hands it to the socket in a single write.
 inline void encode_frame(const Frame& f, std::string& out) {
-  out.append(kMagic, sizeof(kMagic));
-  out.push_back(static_cast<char>(kVersion));
-  out.push_back(static_cast<char>(f.op));
-  detail::put_u16(out, f.flags);
-  detail::put_u32(out, f.key);
-  detail::put_u32(out, static_cast<uint32_t>(f.payload.size()));
+  char h[kHeaderSize];  // built on the stack, appended once
+  std::memcpy(h, kMagic, sizeof(kMagic));
+  h[4] = static_cast<char>(kVersion);
+  h[5] = static_cast<char>(f.op);
+  detail::store_le(h + 6, f.flags, 2);
+  detail::store_le(h + 8, f.key, 4);
+  detail::store_le(h + 12, f.payload.size(), 4);
+  out.append(h, sizeof(h));
   out.append(f.payload);
 }
 

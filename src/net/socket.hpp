@@ -75,23 +75,31 @@ inline void fill_uds_addr(const std::string& path, sockaddr_un& addr) {
   std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
 }
 
-/// Nonblocking Unix-domain listener on `path`. An existing socket file at
-/// `path` is unlinked first (the daemon-restart idiom; a stale socket left
-/// by a killed broker must not wedge the next one).
+/// Nonblocking Unix-domain listener on `path`. The socket is bound and
+/// listening under `path` + ".new" first and then renamed onto `path`, so
+/// a client that waits for the file never finds a socket nobody listens
+/// on yet; the rename also replaces a stale socket left by a killed broker
+/// (the daemon-restart idiom).
 inline FdHandle listen_uds(const std::string& path, int backlog = 128) {
   sockaddr_un addr;
   fill_uds_addr(path, addr);
+  const std::string tmp = path + ".new";
+  fill_uds_addr(tmp, addr);
   FdHandle fd(::socket(AF_UNIX, SOCK_STREAM, 0));
   if (!fd.valid())
     throw std::runtime_error("net: socket(AF_UNIX): " +
                              std::string(std::strerror(errno)));
-  ::unlink(path.c_str());
+  ::unlink(tmp.c_str());
   if (::bind(fd.get(), reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0)
-    throw std::runtime_error("net: bind(" + path + "): " +
+    throw std::runtime_error("net: bind(" + tmp + "): " +
                              std::string(std::strerror(errno)));
-  if (::listen(fd.get(), backlog) != 0)
+  if (::listen(fd.get(), backlog) != 0 ||
+      ::rename(tmp.c_str(), path.c_str()) != 0) {
+    int err = errno;
+    ::unlink(tmp.c_str());
     throw std::runtime_error("net: listen(" + path + "): " +
-                             std::string(std::strerror(errno)));
+                             std::string(std::strerror(err)));
+  }
   if (!set_nonblocking(fd.get()))
     throw std::runtime_error("net: set_nonblocking(" + path + ") failed");
   return fd;

@@ -1,4 +1,4 @@
-// Thread-pinning helper (ISSUE 8 satellite): wall-clock experiments (E13c
+// Thread-pinning and naming helpers: wall-clock experiments (E13c
 // service-loop ns/item, the E14 broker rig) pin their servicer/loadgen
 // threads so throughput numbers stop wandering with the OS scheduler's
 // placement choices run to run. Pinning is best-effort by design: on a
@@ -7,6 +7,7 @@
 // proceed unpinned — a bench must never fail because the host cannot pin.
 #pragma once
 
+#include <string>
 #include <thread>
 
 #if defined(__linux__)
@@ -37,6 +38,16 @@ inline bool pin_thread_to_core(int core) {
 #else
   (void)core;
   return false;
+#endif
+}
+
+/// Names the CALLING thread (top -H, /proc/<pid>/task/*/comm, debuggers);
+/// Linux keeps the first 15 characters. No-op elsewhere.
+inline void name_thread(const std::string& name) {
+#if defined(__linux__)
+  pthread_setname_np(pthread_self(), name.substr(0, 15).c_str());
+#else
+  (void)name;
 #endif
 }
 

@@ -12,8 +12,8 @@
 // the event loop stays the only reader.
 //
 // Threading: one raft thread owns the tick loop; a mutex (mu_) serializes
-// the Node against propose() from servicer threads and deliver_frame() from
-// the loop thread. Three things deliberately happen OUTSIDE mu_:
+// the Node against propose() and deliver_frame() from the broker's event
+// loop threads. Three things deliberately happen OUTSIDE mu_:
 //   - outbound sends: buffered while the node runs, flushed after the lock
 //     drops — the node never blocks on a socket;
 //   - apply/role callbacks: queued under mu_, delivered on the RAFT THREAD
@@ -48,6 +48,7 @@
 
 #include "net/frame.hpp"
 #include "net/socket.hpp"
+#include "platform/affinity.hpp"
 #include "raft/raft.hpp"
 #include "raft/wire.hpp"
 
@@ -110,7 +111,10 @@ class RaftService {
       publish_locked();
     }
     after_node_work();
-    thread_ = std::thread([this] { run(); });
+    thread_ = std::thread([this] {
+      platform::name_thread("wfb-raft");
+      run();
+    });
   }
 
   void stop() {

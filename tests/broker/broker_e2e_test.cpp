@@ -1,13 +1,21 @@
-// Broker end-to-end (ISSUE 8 satellite): an in-process Broker on a temp UDS
-// socket, driven through real sockets by the same loadgen the binary wraps.
-// Checks, per the acceptance list: K messages spread over 4 shards arrive,
-// FIFO-per-key holds (per-connection sequence values dequeue in send
-// order), enq == deq in the drained broker's counters, the SIGTERM drain
-// path (stop()) answers everything already read, and the STAT surface
-// (JSON payload + live space + dwrr tenant rows) is coherent.
+// Broker end-to-end: an in-process Broker on a temp UDS socket, driven
+// through real sockets by the same loadgen the binary wraps. Checks: K
+// messages spread over 4 shards arrive, FIFO-per-key holds (per-connection
+// sequence values dequeue in send order), one connection's responses come
+// back in request order across every shard, two loops sharing one shard
+// neither lose nor duplicate items, a client that does not read is paused
+// without stalling its loop-mates, enq == deq in the drained broker's
+// counters, the SIGTERM drain path (stop()) answers everything already
+// read, and the STAT surface (JSON payload + live space + dwrr tenant
+// rows) is coherent.
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <map>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -218,15 +226,15 @@ int64_t shard_field(const std::string& j, int shard, const std::string& field) {
 /// to the traffic, every bounded shard reports its space live, and a dwrr
 /// backing reports per-tenant rows through the same opcode.
 void test_stat_surface() {
-  {  // queue backing with a space surface, one servicer per shard
+  {  // queue backing with a space surface, two loops
     broker::BrokerConfig bcfg;
     bcfg.shards = 2;
     bcfg.groups = 2;
     bcfg.backing = "bounded:g=64";
     bcfg.uds_path = temp_uds_path("stat");
-    // Every ENQ goes to shard 1 (servicer 1); the STAT is served by
-    // servicer 0. Shard 1 must still report space that covers the ENQs,
-    // read at STAT time rather than from a snapshot its servicer took.
+    // Every ENQ goes to shard 1; the STAT is keyed to shard 0. Shard 1
+    // must still report space that covers the ENQs, read at STAT time
+    // rather than from a snapshot.
     uint32_t k1 = 0, k0 = 0;
     while (broker::shard_of(k1, 2) != 1) ++k1;
     while (broker::shard_of(k0, 2) != 0) ++k0;
@@ -398,6 +406,219 @@ void test_tcp_transport() {
   CHECK_EQ(b.totals().enq, b.totals().deq_hit);
 }
 
+/// Keys 0, 1, ... picked so that key i routes to shard i.
+std::vector<uint32_t> one_key_per_shard(int shards) {
+  std::vector<uint32_t> keys(static_cast<size_t>(shards));
+  std::vector<bool> taken(static_cast<size_t>(shards), false);
+  for (uint32_t k = 0, found = 0; found < static_cast<uint32_t>(shards); ++k) {
+    auto s = static_cast<size_t>(broker::shard_of(k, shards));
+    if (taken[s]) continue;
+    taken[s] = true;
+    keys[s] = k;
+    ++found;
+  }
+  return keys;
+}
+
+/// Request order is response order on one connection, whichever shards its
+/// keys route to: 20 000 pipelined PINGs cycle over every shard of a
+/// 4-shard, 2-loop broker, and the response keys must come back in the
+/// order sent.
+void test_response_order() {
+  const int kShards = 4;
+  const uint32_t kPings = 20'000;
+  broker::BrokerConfig bcfg;
+  bcfg.shards = kShards;
+  bcfg.groups = 2;
+  bcfg.backing = "bounded";
+  bcfg.uds_path = temp_uds_path("order");
+  const std::vector<uint32_t> keys = one_key_per_shard(kShards);
+  broker::Broker b(bcfg);
+  b.start();
+  TestClient cl(bcfg.uds_path);
+  CHECK(cl.ok());
+  std::string wire;
+  for (uint32_t i = 0; i < kPings; ++i) {
+    net::Frame f;
+    f.op = net::Opcode::ping;
+    f.key = keys[i % kShards];
+    f.payload = std::to_string(i);
+    net::encode_frame(f, wire);
+  }
+  CHECK(net::write_all(cl.fd.get(), wire));
+  uint32_t out_of_order = 0;
+  for (uint32_t i = 0; i < kPings; ++i) {
+    net::Frame resp = cl.recv();
+    if (resp.op != net::Opcode::pong || resp.key != keys[i % kShards] ||
+        resp.payload != std::to_string(i))
+      ++out_of_order;
+  }
+  CHECK_EQ(out_of_order, uint32_t{0});
+  b.stop();
+  CHECK_EQ(b.totals().ping, uint64_t{kPings});
+}
+
+/// Two connections, dealt to the two loops, drive ONE shard with pipelined
+/// ENQ/DEQ pairs, so the backing runs as a 2-process object. Values are
+/// conn << 32 | seq. After a final drain every value was dequeued exactly
+/// once, and each consumer saw each producer's values in send order.
+void test_two_loops_one_shard(const std::string& backing) {
+  const int kConns = 2;
+  const uint64_t kPairs = 5'000;
+  const uint64_t kWindow = 32;  // pairs in flight per burst
+  broker::BrokerConfig bcfg;
+  bcfg.shards = 2;
+  bcfg.groups = 2;
+  bcfg.backing = backing;
+  bcfg.uds_path = temp_uds_path("share");
+  // Two keys on one shard; for dwrr:4 they land on different tenants.
+  std::vector<uint32_t> keys;
+  for (uint32_t k = 0; keys.size() < 2; ++k)
+    if (broker::shard_of(k, bcfg.shards) == 0 &&
+        (keys.empty() || k % 4 != keys[0] % 4))
+      keys.push_back(k);
+  broker::Broker b(bcfg);
+  b.start();
+
+  // Connect both before either sends: the acceptor deals them round-robin,
+  // so they sit on different loops.
+  std::vector<TestClient> clients;
+  for (int c = 0; c < kConns; ++c) clients.emplace_back(bcfg.uds_path);
+  std::vector<std::vector<uint64_t>> got(kConns);
+  std::vector<std::thread> threads;
+  for (int c = 0; c < kConns; ++c) {
+    threads.emplace_back([&, c] {
+      TestClient& cl = clients[static_cast<size_t>(c)];
+      CHECK(cl.ok());
+      if (!cl.ok()) return;
+      const uint64_t tag = static_cast<uint64_t>(c) << 32;
+      for (uint64_t i = 0; i < kPairs; i += kWindow) {
+        std::string wire;
+        const uint64_t n = std::min(kWindow, kPairs - i);
+        for (uint64_t j = i; j < i + n; ++j) {
+          net::Frame f;
+          f.op = net::Opcode::enq;
+          f.key = keys[static_cast<size_t>(c)];
+          f.payload = net::encode_value(tag | j);
+          net::encode_frame(f, wire);
+          f.op = net::Opcode::deq;
+          f.payload.clear();
+          net::encode_frame(f, wire);
+        }
+        CHECK(net::write_all(cl.fd.get(), wire));
+        for (uint64_t j = 0; j < 2 * n; ++j) {
+          net::Frame resp = cl.recv();
+          uint64_t v = 0;
+          if (resp.op == net::Opcode::deq_ok &&
+              net::decode_value(resp.payload, v))
+            got[static_cast<size_t>(c)].push_back(v);
+          else
+            CHECK(resp.op == net::Opcode::enq_ok ||
+                  resp.op == net::Opcode::deq_empty);
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  // Final drain on one connection: DEQ until the shard reports empty.
+  std::vector<uint64_t> drained;
+  for (;;) {
+    net::Frame req;
+    req.op = net::Opcode::deq;
+    req.key = keys[0];
+    clients[0].send(req);
+    net::Frame resp = clients[0].recv();
+    uint64_t v = 0;
+    if (resp.op != net::Opcode::deq_ok || !net::decode_value(resp.payload, v))
+      break;
+    drained.push_back(v);
+  }
+  b.stop();
+
+  std::set<uint64_t> seen;
+  uint64_t dups = 0, fifo_bad = 0;
+  for (const auto* seq : {&got[0], &got[1], &drained}) {
+    std::map<uint64_t, uint64_t> next;  // producer -> lowest seq still due
+    for (uint64_t v : *seq) {
+      if (!seen.insert(v).second) ++dups;
+      uint64_t& due = next[v >> 32];
+      if ((v & 0xffffffffu) < due) ++fifo_bad;
+      due = (v & 0xffffffffu) + 1;
+    }
+  }
+  CHECK_EQ(dups, uint64_t{0});
+  CHECK_EQ(fifo_bad, uint64_t{0});
+  CHECK_EQ(seen.size(), static_cast<size_t>(kConns * kPairs));
+  CHECK_EQ(b.totals().enq, uint64_t{kConns * kPairs});
+}
+
+/// Backpressure is per connection: a client writes 200k PINGs with 1 KiB
+/// payloads and reads nothing until the broker has stopped reading it; a
+/// second connection on the same (only) loop still gets a PONG within
+/// 100 ms meanwhile, and the first client then receives every PONG — it
+/// was paused, not disconnected.
+void test_backpressure_per_connection() {
+  const uint32_t kPings = 200'000;
+  const uint32_t kChunk = 1'000;  // PINGs per write
+  broker::BrokerConfig bcfg;
+  bcfg.shards = 2;
+  bcfg.groups = 1;
+  bcfg.backing = "bounded";
+  bcfg.uds_path = temp_uds_path("bp");
+  broker::Broker b(bcfg);
+  b.start();
+  TestClient flood(bcfg.uds_path);
+  TestClient other(bcfg.uds_path);
+  CHECK(flood.ok() && other.ok());
+
+  std::atomic<uint64_t> written{0};
+  std::thread writer([&] {
+    const std::string payload(1024, 'x');
+    for (uint32_t i = 0; i < kPings; i += kChunk) {
+      std::string wire;
+      for (uint32_t j = i; j < i + kChunk; ++j) {
+        net::Frame f;
+        f.op = net::Opcode::ping;
+        f.key = j;
+        f.payload = payload;
+        net::encode_frame(f, wire);
+      }
+      if (!net::write_all(flood.fd.get(), wire)) return;
+      written.fetch_add(kChunk, std::memory_order_relaxed);
+    }
+  });
+  // Wait until the writer stalls: the broker has stopped reading it.
+  uint64_t last = 0;
+  for (int quiet = 0; quiet < 5;) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    uint64_t now = written.load(std::memory_order_relaxed);
+    quiet = now == last ? quiet + 1 : 0;
+    last = now;
+  }
+  CHECK(last < kPings);  // the flood really was held back
+
+  net::Frame ping;
+  ping.op = net::Opcode::ping;
+  ping.payload = "still here";
+  auto t0 = std::chrono::steady_clock::now();
+  other.send(ping);
+  net::Frame pong = other.recv();
+  auto waited = std::chrono::steady_clock::now() - t0;
+  CHECK(pong.op == net::Opcode::pong);
+  CHECK(waited < std::chrono::milliseconds(100));
+
+  uint32_t pongs = 0;
+  for (; pongs < kPings; ++pongs) {
+    net::Frame f;
+    if (net::read_frame(flood.fd.get(), flood.dec, f) != net::DecodeStatus::ok)
+      break;
+    CHECK(f.op == net::Opcode::pong && f.key == pongs);
+  }
+  writer.join();
+  CHECK_EQ(pongs, kPings);
+  b.stop();
+}
+
 }  // namespace
 
 int main() {
@@ -405,6 +626,10 @@ int main() {
   test_throughput_and_counters("bounded:g=64");
   test_throughput_and_counters("dwrr:4:ubq");
   test_fifo_per_key();
+  test_response_order();
+  test_two_loops_one_shard("bounded");
+  test_two_loops_one_shard("dwrr:4:bounded");
+  test_backpressure_per_connection();
   test_drain_on_stop();
   test_stat_surface();
   test_protocol_edges();

@@ -10,9 +10,15 @@
 //  (d) chunk boundaries: a deep prefill drained under G below, at and above
 //      the archive's chunk size, with FIFO and conservation asserted and
 //      dead chunks erased afterwards;
-//  (e) the archive itself plateaus as ops grow.
+//  (e) the archive itself plateaus as ops grow;
+//  (f) the slot index is bounded too: whole slot pages below every node's
+//      floor go back to the kernel, so a long run's resident memory stays
+//      far below an unbounded queue's.
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdint>
+#include <fstream>
 #include <optional>
 #include <queue>
 #include <random>
@@ -182,6 +188,67 @@ void archive_plateau() {
   CHECK(max_rest <= max_first);
 }
 
+// Sanitizer allocators keep freed memory resident (ASan's quarantine holds
+// every retired block), so there the resident set measures the sanitizer,
+// not the queue; slot_pages_released compares it only in plain builds.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kRssMeasurable = false;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+constexpr bool kRssMeasurable = false;
+#else
+constexpr bool kRssMeasurable = true;
+#endif
+#else
+constexpr bool kRssMeasurable = true;
+#endif
+
+/// Resident set of this process in bytes (/proc/self/statm).
+int64_t resident_bytes() {
+  std::ifstream statm("/proc/self/statm");
+  int64_t size = 0, resident = 0;
+  statm >> size >> resident;
+  return resident * static_cast<int64_t>(::sysconf(_SC_PAGESIZE));
+}
+
+/// Resident growth over `ops` single-thread operations (enqueue+dequeue
+/// pairs) on `q`.
+template <typename Queue>
+int64_t rss_growth(Queue& q, uint64_t ops) {
+  q.bind_thread(0);
+  int64_t before = resident_bytes();
+  for (uint64_t i = 0; i < ops / 2; ++i) {
+    q.enqueue(i);
+    CHECK(q.dequeue().has_value());
+  }
+  return resident_bytes() - before;
+}
+
+void slot_pages_released() {
+  constexpr uint64_t kOps = 1'000'000;
+  using Array = BoundedQueue<uint64_t>::BlockArray;
+  const int64_t per_page = Array::slots_per_page();
+  BoundedQueue<uint64_t> b(2, /*gc_period=*/4);
+  int64_t bounded = rss_growth(b, kOps);
+  auto floors = b.debug_floors();
+  CHECK_EQ(floors.size(), size_t{3});
+  for (auto [kfloor, released] : floors) {
+    CHECK(released <= kfloor);
+    CHECK(kfloor - released < per_page);  // within one page of the floor
+  }
+  CHECK(floors[0].second > int64_t{kOps} / 2);  // the root really released
+  if (!kRssMeasurable) return;
+
+  UnboundedQueue<uint64_t> u(2);
+  int64_t unbounded = rss_growth(u, kOps);
+  // The unbounded queue keeps every block and slot (~170 MB here); the
+  // bounded one its live suffixes and < one dead page per node (~50 KiB).
+  // Keeping the dead slot pages alone would make it ~17 MB, which the
+  // generous 16x margin still catches.
+  CHECK(unbounded > 0);
+  CHECK(std::max<int64_t>(bounded, 0) * 16 < unbounded);
+}
+
 }  // namespace
 
 int main() {
@@ -189,5 +256,6 @@ int main() {
   space_plateau();
   for (int64_t g : {2, 5, 63, 64, 65, 0}) deep_drain_across_chunks(g);
   archive_plateau();
+  slot_pages_released();
   return wfq::test::exit_code();
 }
