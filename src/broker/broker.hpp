@@ -34,6 +34,7 @@
 // covers metadata only. Documented in docs/PROTOCOL.md.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
@@ -60,7 +61,9 @@ namespace wfq::broker {
 struct BrokerConfig {
   int shards = 1;
   /// Event loops, each one process slot on every shard; 0 = one per
-  /// hardware core. Connections are dealt to them round-robin.
+  /// hardware core, capped at max_procs(shards). An explicit count above
+  /// that cap is a configuration error (check_procs). Connections are
+  /// dealt to the loops round-robin.
   int groups = 0;
   /// Backing key per shard: any make_queue or make_service spelling.
   std::string backing = "bounded";
@@ -116,7 +119,10 @@ class Broker {
             "broker::Broker: cluster mode requires tcp_port == "
             "peer_ports[node_id] (peers dial fixed ports)");
     }
-    if (cfg_.groups <= 0) cfg_.groups = platform::hardware_cores();
+    if (cfg_.groups <= 0)
+      cfg_.groups =
+          std::min(platform::hardware_cores(), max_procs(cfg_.shards));
+    check_procs(cfg_.shards, cfg_.groups);
     if (!cfg_.cluster) {
       // Single-node: the map exists from birth. Cluster replicas build it
       // when the replicated config entry applies (see on_raft_apply).

@@ -46,7 +46,9 @@ void usage(std::ostream& os) {
         "  --shards <n>      number of backing shards (default 1)\n"
         "  --groups <g>      event loops; each serves the connections dealt\n"
         "                    to it and is one process of every shard's\n"
-        "                    backing (default: one per hardware core)\n"
+        "                    backing (default: one per hardware core).\n"
+        "                    At most the largest power of two p with\n"
+        "                    shards * (2p - 1) <= 32768: 4 at 4096 shards\n"
         "  --backing <key>   per-shard backing: any queue registry key\n"
         "                    (bounded, bounded:g=64, ubq, faaq, ...) or\n"
         "                    service key (dwrr:<n>:<backing>)\n"
@@ -191,6 +193,7 @@ int main(int argc, char** argv) {
     }
     if (cfg.uds_path.empty() && cfg.tcp_port < 0)
       throw std::invalid_argument("need --uds and/or --tcp (or --cluster)");
+    if (cfg.groups > 0) wfq::broker::check_procs(cfg.shards, cfg.groups);
   } catch (const std::exception& ex) {
     std::cerr << "broker: " << ex.what() << "\n\n";
     usage(std::cerr);

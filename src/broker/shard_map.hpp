@@ -21,6 +21,8 @@
 // time.
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <deque>
 #include <mutex>
@@ -46,6 +48,31 @@ inline int shard_of(uint32_t key, int nshards) {
   return static_cast<int>(mix_key(key) % static_cast<uint64_t>(nshards));
 }
 
+/// Ceiling on the ordering-tree nodes a map builds per tenant queue, summed
+/// over its shards. A backing for p processes is a tree of
+/// 2 * bit_ceil(p) - 1 nodes, each holding about 1 KB even when idle (slot
+/// directory, first segment, sentinel), so memory grows with shards x procs;
+/// this caps it at about 32 MB per tenant queue.
+inline constexpr int64_t kMaxTreeNodes = int64_t{1} << 15;
+
+/// The most processes a map of `nshards` shards may be built for: the
+/// largest power of two p with nshards * (2p - 1) <= kMaxTreeNodes.
+inline int max_procs(int nshards) {
+  return static_cast<int>(std::bit_floor(
+      static_cast<uint64_t>((kMaxTreeNodes / std::max(nshards, 1) + 1) / 2)));
+}
+
+/// Throws std::invalid_argument unless procs is in [1, max_procs(nshards)].
+inline void check_procs(int nshards, int procs) {
+  if (procs >= 1 && procs <= max_procs(nshards)) return;
+  throw std::invalid_argument(
+      "broker::ShardMap: " + std::to_string(procs) +
+      " process slots (event loops) over " + std::to_string(nshards) +
+      " shards is out of range; at most " + std::to_string(max_procs(nshards)) +
+      " at this shard count (tree nodes per tenant queue are capped at " +
+      std::to_string(kMaxTreeNodes) + ")");
+}
+
 /// One tenant row of a STAT report (dwrr-backed shards only).
 struct TenantRow {
   int tenant = 0;
@@ -56,7 +83,8 @@ struct TenantRow {
 
 class ShardMap {
  public:
-  /// Builds `nshards` backings of `backing_key` for `procs` processes.
+  /// Builds `nshards` backings of `backing_key` for `procs` processes
+  /// (check_procs bounds procs by the shard count).
   /// `expected_ops` sizes fixed-segment backings (faaq cell arrays) via
   /// api::sized_config, the same contract the experiments follow; a shard's
   /// cells are claimed shard-wide, so the budget does not scale with procs.
@@ -66,6 +94,7 @@ class ShardMap {
       throw std::invalid_argument(
           "broker::ShardMap: shard count must be in [1, 4096] (got " +
           std::to_string(nshards) + ")");
+    check_procs(nshards, procs);
     backing_ = backing_key;
     api::QueueConfig cfg =
         api::sized_config(1, api::Backend::real, expected_ops);

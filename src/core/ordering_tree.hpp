@@ -168,9 +168,7 @@ struct TreeBlock {
 ///
 /// Segments of a page or more come straight from mmap: their zero pages
 /// read as null slots and cost no memory until a slot on them is written
-/// (no value-initializing pass touches them up front). The publish that
-/// opens a page populates the next one, so the frontier does not meet a
-/// fresh page with a read fault followed by a write fault. `take`,
+/// (no value-initializing pass touches them up front). `take`,
 /// `tombstone` and `release_below` exist for the bounded client's GC
 /// truncation; clients without collection simply never call them.
 template <typename T, typename Platform>
@@ -211,17 +209,10 @@ class TreeBlockArray {
   Block* load(int64_t i) const { return slot(i).load(); }
 
   /// Single-writer publish (leaf appends).
-  void store(int64_t i, Block* b) {
-    slot(i).store(b);
-    prefault_next(i);
-  }
+  void store(int64_t i, Block* b) { slot(i).store(b); }
 
   /// One CAS attempt to install `b` at slot `i` (internal appends).
-  bool cas(int64_t i, Block* b) {
-    if (!slot(i).cas(nullptr, b)) return false;
-    prefault_next(i);
-    return true;
-  }
+  bool cas(int64_t i, Block* b) { return slot(i).cas(nullptr, b); }
 
   /// GC truncation: detaches and returns the block at `i` (the slot
   /// becomes a tombstone; the caller retires the block through EBR).
@@ -325,27 +316,7 @@ class TreeBlockArray {
     void* m = ::mmap(nullptr, seg_bytes(k), PROT_READ | PROT_WRITE,
                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
     if (m == MAP_FAILED) throw std::bad_alloc();
-    populate(m);
     return static_cast<Slot*>(m);
-  }
-
-  /// Uncounted: after publishing slot `i`, the first slot of its page,
-  /// populates the next page of the segment.
-  void prefault_next(int64_t i) const {
-    int k = segment_of(i);
-    if (!page_backed(k)) return;
-    const int64_t per_page = slots_per_page();
-    int64_t next = i - seg_base(k) + per_page;
-    if ((next & (per_page - 1)) != 0 || next >= seg_slots(k)) return;
-    populate(segs_[k].load(std::memory_order_relaxed) + next);
-  }
-
-  /// Faults one page in writable, as a write to it would, without writing
-  /// (a no-op for a page already present, and where the kernel lacks it).
-  static void populate([[maybe_unused]] void* page) {
-#ifdef MADV_POPULATE_WRITE
-    ::madvise(page, page_bytes(), MADV_POPULATE_WRITE);
-#endif
   }
 
   static void free_segment(int k, Slot* seg) {

@@ -2,6 +2,7 @@
 // listeners and connections through epoll. The broker runs N of them, one
 // per process slot, plus an acceptor loop that owns the listeners and deals
 // each accepted socket to a serving loop (Callbacks::on_accept + adopt()).
+// A connection joins a loop only through adopt().
 //
 // Read path: on a readable event the loop reads one buffer (64 KiB) from
 // the socket, feeds the connection's wfb-v1 Decoder, and hands ALL frames
@@ -111,8 +112,9 @@ class EventLoop {
     /// frame boundary, `truncated` for EOF mid-frame, or the framing error
     /// that poisoned the stream. Optional.
     std::function<void(uint64_t conn, DecodeStatus reason)> on_close;
-    /// When set, accepted sockets (already nonblocking) go here instead of
-    /// joining this loop: an acceptor loop deals them to serving loops.
+    /// Accepted sockets (already nonblocking) go here: a loop with
+    /// listeners deals its connections to serving loops, which adopt() them.
+    /// Required by add_listener().
     std::function<void(FdHandle fd)> on_accept;
   };
 
@@ -128,8 +130,10 @@ class EventLoop {
   }
 
   /// Registers a listening socket (from listen_uds / listen_tcp). Must be
-  /// called before run(); accepted connections inherit nonblocking mode.
+  /// called before run(); each accepted connection goes to on_accept.
   void add_listener(FdHandle fd) {
+    if (!cbs_.on_accept)
+      throw std::logic_error("net: add_listener needs Callbacks::on_accept");
     poller_.add(fd.get());
     listeners_.push_back(std::move(fd));
   }
@@ -279,15 +283,11 @@ class EventLoop {
       int cfd = ::accept(lfd, nullptr, nullptr);
       if (cfd < 0) return;  // EAGAIN / transient — next wakeup retries
       set_nonblocking(cfd);
-      if (cbs_.on_accept) {
-        cbs_.on_accept(FdHandle(cfd));
-      } else {
-        join(FdHandle(cfd));
-      }
+      cbs_.on_accept(FdHandle(cfd));
     }
   }
 
-  /// Registers a connected socket as one of this loop's connections.
+  /// Registers an adopted socket as one of this loop's connections.
   void join(FdHandle fd) {
     auto c = std::make_shared<Conn>();
     c->id = next_id_++;

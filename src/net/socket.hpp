@@ -9,6 +9,7 @@
 // to fall back to).
 #pragma once
 
+#include <atomic>
 #include <cerrno>
 #include <cstdint>
 #include <cstring>
@@ -76,14 +77,24 @@ inline void fill_uds_addr(const std::string& path, sockaddr_un& addr) {
 }
 
 /// Nonblocking Unix-domain listener on `path`. The socket is bound and
-/// listening under `path` + ".new" first and then renamed onto `path`, so
-/// a client that waits for the file never finds a socket nobody listens
-/// on yet; the rename also replaces a stale socket left by a killed broker
-/// (the daemon-restart idiom).
+/// listening under a short temporary name in the same directory (unique to
+/// this process and call) and then renamed onto `path`, so a client that
+/// waits for the file never finds a socket nobody listens on yet; the
+/// rename also replaces a stale socket left by a killed broker (the
+/// daemon-restart idiom).
 inline FdHandle listen_uds(const std::string& path, int backlog = 128) {
+  static std::atomic<uint64_t> seq{0};
   sockaddr_un addr;
   fill_uds_addr(path, addr);
-  const std::string tmp = path + ".new";
+  const std::string tmp =
+      path.substr(0, path.rfind('/') + 1) + ".wfb-" +
+      std::to_string(::getpid()) + "-" +
+      std::to_string(seq.fetch_add(1, std::memory_order_relaxed));
+  if (tmp.size() >= sizeof(addr.sun_path))
+    throw std::runtime_error("net: listen_uds(" + path +
+                             "): its temporary name \"" + tmp +
+                             "\" is longer than sun_path (" +
+                             std::to_string(sizeof(addr.sun_path) - 1) + ")");
   fill_uds_addr(tmp, addr);
   FdHandle fd(::socket(AF_UNIX, SOCK_STREAM, 0));
   if (!fd.valid())

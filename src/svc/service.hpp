@@ -34,7 +34,11 @@ class ServiceFacade {
 
   /// Bind the calling thread to a process slot, like AnyQueue::bind_thread;
   /// the slot is forwarded to every backing-queue op this thread performs.
-  void bind_thread(int pid) { bound_pid() = pid; }
+  void bind_thread(int pid) {
+    std::vector<int>& binds = thread_binds();
+    if (bind_id_ >= binds.size()) binds.resize(bind_id_ + 1, 0);
+    binds[bind_id_] = pid;
+  }
 
   /// Producer op: enqueue v for `tenant`. The order here is the whole
   /// correctness story — backing enqueue, then the completed-enqueue
@@ -108,29 +112,33 @@ class ServiceFacade {
 
  private:
   /// Per-(facade, thread) binding: each facade gets a never-reused id and
-  /// each thread keeps its own {id -> pid} list, so a thread that binds
-  /// different pids on two facades does not clobber one binding with the
-  /// other (a single static thread_local would). Ids survive moves (the
-  /// moved-from facade keeps the value but its map_ is null, so it is
-  /// unusable anyway) and are never recycled, so a new facade can't
-  /// inherit a stale binding. Entries for destroyed facades linger — a few
-  /// bytes per facade a thread ever bound, scanned linearly.
-  static uint64_t next_bind_id() {
-    static std::atomic<uint64_t> n{0};
-    return n.fetch_add(1, std::memory_order_relaxed) + 1;
+  /// each thread keeps its own pid table indexed by that id, so a thread
+  /// that binds different pids on two facades does not clobber one binding
+  /// with the other (a single static thread_local would), and a lookup is
+  /// one load however many facades the thread has bound (a broker loop
+  /// binds every shard's). Ids survive moves (the moved-from facade keeps
+  /// the value but its map_ is null, so it is unusable anyway) and are
+  /// never recycled, so a new facade can't inherit a stale binding. A
+  /// thread's table holds one int per facade id up to the highest it bound;
+  /// an unbound facade reads pid 0.
+  static size_t next_bind_id() {
+    static std::atomic<size_t> n{0};
+    return n.fetch_add(1, std::memory_order_relaxed);
   }
 
-  int& bound_pid() const {
-    static thread_local std::vector<std::pair<uint64_t, int>> binds;
-    for (auto& [id, pid] : binds)
-      if (id == bind_id_) return pid;
-    binds.emplace_back(bind_id_, 0);
-    return binds.back().second;
+  static std::vector<int>& thread_binds() {
+    static thread_local std::vector<int> binds;
+    return binds;
+  }
+
+  int bound_pid() const {
+    const std::vector<int>& binds = thread_binds();
+    return bind_id_ < binds.size() ? binds[bind_id_] : 0;
   }
 
   std::unique_ptr<TenantMap<T>> map_;
   std::unique_ptr<DwrrScheduler<T>> sched_;
-  uint64_t bind_id_ = next_bind_id();
+  size_t bind_id_ = next_bind_id();
 };
 
 }  // namespace wfq::svc

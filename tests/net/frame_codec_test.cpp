@@ -5,13 +5,17 @@
 // sticky thereafter. The fuzz section shreds random byte streams (valid
 // frames, corrupted frames, garbage) through random chunkings; under ASan
 // this is the no-crash/no-overread gate. Last, the blocking client reader
-// net::read_frame over a socketpair: leftovers, EOF, poison and timeout.
+// net::read_frame over a socketpair: leftovers, EOF, poison and timeout;
+// and net::listen_uds's bind-then-rename under paths near sun_path's limit
+// and under two listeners racing for one path.
 #include <sys/socket.h>
+#include <unistd.h>
 
 #include <cerrno>
 #include <cstdint>
 #include <random>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -502,6 +506,43 @@ void test_read_frame() {
   }
 }
 
+/// listen_uds binds a temporary name, listens, then renames it onto the
+/// path. The temporary name must not cost a long path its last bytes, and
+/// two listeners racing for one path (two daemons on one socket) must both
+/// succeed, the later rename winning.
+void test_listen_uds() {
+  const std::string prefix = "/tmp/wfq-lu-" + std::to_string(::getpid()) + "-";
+  const std::string path = prefix + std::string(106 - prefix.size(), 'x');
+  CHECK_EQ(path.size(), size_t{106});  // sun_path holds 107 bytes + NUL
+  {
+    net::FdHandle l = net::listen_uds(path);
+    CHECK(l.valid());
+    net::FdHandle c = net::connect_uds(path);
+    CHECK(c.valid());
+    int a = ::accept(l.get(), nullptr, nullptr);
+    CHECK(a >= 0);
+    if (a >= 0) ::close(a);
+  }
+  for (int round = 0; round < 20; ++round) {
+    net::FdHandle l[2];
+    bool ok[2] = {false, false};
+    std::thread t[2];
+    for (int i = 0; i < 2; ++i)
+      t[i] = std::thread([&, i] {
+        try {
+          l[i] = net::listen_uds(path);
+          ok[i] = l[i].valid();
+        } catch (const std::exception&) {
+        }
+      });
+    for (std::thread& th : t) th.join();
+    CHECK(ok[0] && ok[1]);
+    net::FdHandle c = net::connect_uds(path);
+    CHECK(c.valid());
+  }
+  ::unlink(path.c_str());
+}
+
 }  // namespace
 
 int main() {
@@ -514,5 +555,6 @@ int main() {
   test_mutation_sweep();
   test_fuzz_no_crash();
   test_read_frame();
+  test_listen_uds();
   return wfq::test::exit_code();
 }
