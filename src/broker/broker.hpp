@@ -9,15 +9,18 @@
 // to the N loops. Loop i is process slot i on every shard's backing (the
 // backings are built for procs = N), so the shards are used as the paper's
 // p-process objects. A loop reads a connection's burst of frames, runs each
-// request inline in arrival order, and sends all the responses in one
-// write: a request executes on the thread that read it, with no hand-off.
-// One connection lives on one loop, so its requests execute and answer in
+// request inline in arrival order, and writes all the responses in one go:
+// a request executes on the thread that read it, with no hand-off. One
+// connection lives on one loop, so its requests execute and answer in
 // request order; ordering across connections is the backing's
-// linearizability (docs/PROTOCOL.md).
+// linearizability (docs/PROTOCOL.md). The loop owns the connection: the
+// one answer written from another thread, a cluster SETW's deferred reply,
+// is posted by the raft thread to the loop's mailbox.
 //
 // Shutdown (stop(), also the SIGINT/SIGTERM path): stop raft, stop the
-// acceptor, stop and join the loops, then flush every outbox and close.
-// Every request a loop read has already run, so the drain is the flush.
+// acceptor, stop and join the loops, then deliver what each mailbox holds,
+// flush every outbox and close. Every request a loop read has already run,
+// so the drain is the flush.
 // Backpressure is per connection: a loop stops reading a client whose
 // responses pile up unread (net::EventLoop), and no one else waits.
 //
@@ -143,9 +146,9 @@ class Broker {
     for (int i = 0; i < cfg_.groups; ++i) {
       net::EventLoop::Callbacks cbs;
       cbs.on_batch = [this, i, bound = false](
-                         uint64_t conn,
-                         std::vector<net::Frame>& batch) mutable {
-        serve(i, conn, batch, bound);
+                         uint64_t conn, std::vector<net::Frame>& batch,
+                         std::string& out) mutable {
+        serve(i, conn, batch, out, bound);
       };
       loops_.push_back(std::make_unique<net::EventLoop>(std::move(cbs)));
     }
@@ -154,13 +157,16 @@ class Broker {
       loops_[next++ % loops_.size()]->adopt(std::move(fd));
     };
     acceptor_ = std::make_unique<net::EventLoop>(std::move(acb));
-    if (!cfg_.uds_path.empty())
-      acceptor_->add_listener(net::listen_uds(cfg_.uds_path));
+    // TCP binds first: listen_uds renames the socket file into place, so
+    // nothing that can fail may follow it, or a failed start() would leave
+    // a file at uds_path that refuses every connect.
     if (cfg_.tcp_port >= 0) {
       net::FdHandle fd = net::listen_tcp(static_cast<uint16_t>(cfg_.tcp_port));
       tcp_port_ = net::bound_tcp_port(fd.get());
       acceptor_->add_listener(std::move(fd));
     }
+    if (!cfg_.uds_path.empty())
+      acceptor_->add_listener(net::listen_uds(cfg_.uds_path));
     // The RaftService must exist before a loop can serve a frame: serve()
     // reads raft_ unsynchronized, which is only sound because after this
     // point raft_ never changes until stop(). Peer dials retry, so starting
@@ -213,9 +219,10 @@ class Broker {
     accept_thread_.join();
     for (auto& loop : loops_) loop->stop();
     for (std::thread& t : loop_threads_) t.join();
-    // Every request read has run and queued its response (loops joined):
-    // flush the last bytes out and close, so clients waiting on responses
-    // see EOF rather than a silent socket.
+    // Every request read has run and queued its response (loops joined),
+    // and raft posts no more SETW replies (raft stopped): flush the last
+    // bytes out and close, so clients waiting on responses see EOF rather
+    // than a silent socket.
     for (auto& loop : loops_) loop->shutdown_flush_and_close();
     acceptor_->shutdown_flush_and_close();
     if (!cfg_.uds_path.empty()) ::unlink(cfg_.uds_path.c_str());
@@ -334,18 +341,17 @@ class Broker {
   };
 
   /// Loop `loop`'s on_batch: raft-band frames go to the raft service, every
-  /// other frame runs inline in arrival order, and all the responses leave
-  /// in one send. `bound` is the loop's own flag: it has bound its process
-  /// slot on every shard. Single-node brokers bind on the first batch;
-  /// cluster replicas on the first batch after the replicated config
-  /// applied.
+  /// other frame runs inline in arrival order and appends its response to
+  /// `out`, which the loop writes in one go when serve returns. `bound` is
+  /// the loop's own flag: it has bound its process slot on every shard.
+  /// Single-node brokers bind on the first batch; cluster replicas on the
+  /// first batch after the replicated config applied.
   void serve(int loop, uint64_t conn, std::vector<net::Frame>& batch,
-             bool& bound) {
+             std::string& out, bool& bound) {
     if (!bound && map_ready_.load(std::memory_order_acquire)) {
       for (int s = 0; s < cfg_.shards; ++s) map_->bind_servicer(s, loop);
       bound = true;
     }
-    std::string out;
     for (net::Frame& f : batch) {
       if (raft_ && f.op >= net::Opcode::raft_vote_req &&
           f.op <= net::Opcode::raft_append_resp) {
@@ -354,8 +360,6 @@ class Broker {
       }
       handle(loop, conn, f, out, bound);
     }
-    if (!out.empty())
-      loops_[static_cast<size_t>(loop)]->send(conn, std::move(out));
   }
 
   /// Leader/readiness gate for data-path requests in cluster mode:
@@ -530,7 +534,7 @@ class Broker {
       return true;  // duplicate bootstrap proposal
     bool match = false;
     try {
-      match = api::parse_num<int>(shards, "config shards", 1, 4096) ==
+      match = api::parse_num<int>(shards, "config shards", 1, kMaxShards) ==
                   cfg_.shards &&
               backing == cfg_.backing;
     } catch (const std::invalid_argument&) {
@@ -579,15 +583,15 @@ class Broker {
     }
   }
 
-  /// Sends the deferred answer to a SETW this replica proposed (raft
-  /// thread) on the loop that read it; `resp` carries the opcode and
-  /// payload.
+  /// Posts the deferred answer to a SETW this replica proposed (raft
+  /// thread) to the loop that read it, which writes it to the connection;
+  /// `resp` carries the opcode and payload.
   void reply_setw(const PendingSetw& p, net::Frame resp) {
     resp.key = p.key;
     resp.flags = p.flags;
     std::string buf;
     net::encode_frame(resp, buf);
-    loops_[static_cast<size_t>(p.loop)]->send(p.conn, std::move(buf));
+    loops_[static_cast<size_t>(p.loop)]->post(p.conn, std::move(buf));
   }
 
   BrokerConfig cfg_;

@@ -151,7 +151,8 @@ int main(int argc, char** argv) {
       } else if (a == "--tcp") {
         cfg.tcp_port = parse_num<uint16_t>(need("--tcp"), "--tcp");
       } else if (a == "--shards") {
-        cfg.shards = parse_num<int>(need("--shards"), "--shards", 1, 4096);
+        cfg.shards = parse_num<int>(need("--shards"), "--shards", 1,
+                                    wfq::broker::kMaxShards);
       } else if (a == "--groups") {
         cfg.groups = parse_num<int>(need("--groups"), "--groups", 0, 4096);
       } else if (a == "--backing") {

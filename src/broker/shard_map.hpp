@@ -48,6 +48,10 @@ inline int shard_of(uint32_t key, int nshards) {
   return static_cast<int>(mix_key(key) % static_cast<uint64_t>(nshards));
 }
 
+/// Most shards a map may have (ShardMap, the replicated config entry and
+/// the broker's --shards flag all check this one bound).
+inline constexpr int kMaxShards = 4096;
+
 /// Ceiling on the ordering-tree nodes a map builds per tenant queue, summed
 /// over its shards. A backing for p processes is a tree of
 /// 2 * bit_ceil(p) - 1 nodes, each holding about 1 KB even when idle (slot
@@ -90,10 +94,11 @@ class ShardMap {
   /// cells are claimed shard-wide, so the budget does not scale with procs.
   ShardMap(int nshards, const std::string& backing_key, int64_t expected_ops,
            int procs = 1) {
-    if (nshards < 1 || nshards > 4096)
+    if (nshards < 1 || nshards > kMaxShards)
       throw std::invalid_argument(
-          "broker::ShardMap: shard count must be in [1, 4096] (got " +
-          std::to_string(nshards) + ")");
+          "broker::ShardMap: shard count must be in [1, " +
+          std::to_string(kMaxShards) + "] (got " + std::to_string(nshards) +
+          ")");
     check_procs(nshards, procs);
     backing_ = backing_key;
     api::QueueConfig cfg =

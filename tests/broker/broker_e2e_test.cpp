@@ -6,8 +6,8 @@
 // neither lose nor duplicate items, a client that does not read is paused
 // without stalling its loop-mates, enq == deq in the drained broker's
 // counters, the SIGTERM drain path (stop()) answers everything already
-// read, and the STAT surface (JSON payload + live space + dwrr tenant
-// rows) is coherent.
+// read, the STAT surface (JSON payload + live space + dwrr tenant rows)
+// is coherent, and a start() that fails leaves no socket file behind.
 #include <unistd.h>
 
 #include <algorithm>
@@ -406,6 +406,28 @@ void test_tcp_transport() {
   CHECK_EQ(b.totals().enq, b.totals().deq_hit);
 }
 
+/// A broker whose TCP port is taken fails start() and leaves nothing at
+/// its UDS path: a stale socket file there would refuse every connect.
+void test_failed_start_leaves_no_socket() {
+  net::FdHandle busy = net::listen_tcp(0);
+  const std::string path = temp_uds_path("busy");
+  ::unlink(path.c_str());
+  broker::BrokerConfig bcfg;
+  bcfg.backing = "ubq";
+  bcfg.uds_path = path;
+  bcfg.tcp_port = net::bound_tcp_port(busy.get());
+  broker::Broker b(bcfg);
+  bool threw = false;
+  try {
+    b.start();
+  } catch (const std::runtime_error&) {
+    threw = true;
+  }
+  CHECK(threw);
+  CHECK(::access(path.c_str(), F_OK) != 0);
+  ::unlink(path.c_str());
+}
+
 /// Keys 0, 1, ... picked so that key i routes to shard i.
 std::vector<uint32_t> one_key_per_shard(int shards) {
   std::vector<uint32_t> keys(static_cast<size_t>(shards));
@@ -635,5 +657,6 @@ int main() {
   test_protocol_edges();
   test_open_loop_smoke();
   test_tcp_transport();
+  test_failed_start_leaves_no_socket();
   return wfq::test::exit_code();
 }

@@ -7,18 +7,23 @@
 // this is the no-crash/no-overread gate. Last, the blocking client reader
 // net::read_frame over a socketpair: leftovers, EOF, poison and timeout;
 // and net::listen_uds's bind-then-rename under paths near sun_path's limit
-// and under two listeners racing for one path.
+// and under two listeners racing for one path. Last of all, one
+// net::EventLoop over adopted socketpairs: bytes another thread post()s
+// land after the responses already written, die with their connection,
+// and still go out when posted just before stop().
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstdint>
+#include <future>
 #include <random>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "net/event_loop.hpp"
 #include "net/frame.hpp"
 #include "net/socket.hpp"
 #include "tests/test_util.hpp"
@@ -543,6 +548,119 @@ void test_listen_uds() {
   ::unlink(path.c_str());
 }
 
+/// One EventLoop whose on_batch answers every frame with a PONG carrying
+/// the connection's id; clients are adopted socketpairs.
+void test_event_loop_mailbox() {
+  constexpr uint32_t kHold = 99;  // on_batch parks on this key until `gate`
+  std::promise<void> entered, gate;
+  std::shared_future<void> gate_f = gate.get_future().share();
+  net::EventLoop::Callbacks cbs;
+  cbs.on_batch = [&](uint64_t conn, std::vector<net::Frame>& batch,
+                     std::string& out) {
+    for (net::Frame& f : batch) {
+      net::Frame r;
+      r.op = net::Opcode::pong;
+      r.key = f.key;
+      r.payload = net::encode_value(conn);
+      net::encode_frame(r, out);
+      if (f.key == kHold) {
+        entered.set_value();
+        gate_f.wait();
+      }
+    }
+  };
+  net::EventLoop loop(std::move(cbs));
+  std::thread runner([&] { loop.run(); });
+
+  auto adopt = [&loop] {
+    int sv[2] = {-1, -1};
+    CHECK(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) == 0);
+    net::set_nonblocking(sv[0]);
+    net::set_recv_timeout(sv[1], 5000);
+    loop.adopt(net::FdHandle(sv[0]));
+    return net::FdHandle(sv[1]);
+  };
+  auto send = [](const net::FdHandle& fd, net::Opcode op, uint32_t key) {
+    net::Frame f;
+    f.op = op;
+    f.key = key;
+    std::string wire;
+    net::encode_frame(f, wire);
+    CHECK(net::write_all(fd.get(), wire));
+  };
+  auto posted = [](uint32_t key) {
+    net::Frame f;
+    f.op = net::Opcode::stat_ok;
+    f.key = key;
+    f.payload = "posted";
+    std::string wire;
+    net::encode_frame(f, wire);
+    return wire;
+  };
+  // Reads one frame; a PONG yields the connection id it carries.
+  auto read = [](const net::FdHandle& fd, net::Decoder& dec, net::Frame& f) {
+    CHECK(net::read_frame(fd.get(), dec, f) == net::DecodeStatus::ok);
+    uint64_t id = 0;
+    if (f.op == net::Opcode::pong) CHECK(net::decode_value(f.payload, id));
+    return id;
+  };
+  auto expect_eof = [](const net::FdHandle& fd, net::Decoder& dec) {
+    net::Frame f;
+    CHECK(net::read_frame(fd.get(), dec, f) == net::DecodeStatus::need_more);
+    CHECK_EQ(errno, 0);
+  };
+
+  // (a) a foreign thread's post lands after the PONG already written
+  net::FdHandle a = adopt();
+  net::Decoder da;
+  net::Frame f;
+  send(a, net::Opcode::ping, 1);
+  uint64_t id_a = read(a, da, f);
+  CHECK(f.op == net::Opcode::pong && f.key == 1);
+  std::thread([&] { loop.post(id_a, posted(2)); }).join();
+  read(a, da, f);
+  CHECK(f.op == net::Opcode::stat_ok && f.key == 2 && f.payload == "posted");
+
+  // (b) bytes posted to a closed connection are dropped: garbage makes the
+  // loop answer ERR and close, and a connection adopted afterwards (likely
+  // on the same fd number) sees only its own PONGs. Its second PING is
+  // read after the post was drained.
+  net::FdHandle b = adopt();
+  net::Decoder db;
+  send(b, net::Opcode::ping, 3);
+  uint64_t id_b = read(b, db, f);
+  CHECK(net::write_all(b.get(), std::string(net::kHeaderSize, 'X')));
+  read(b, db, f);
+  CHECK(f.op == net::Opcode::err);
+  expect_eof(b, db);
+  net::FdHandle c = adopt();
+  loop.post(id_b, posted(4));
+  net::Decoder dc;
+  send(c, net::Opcode::ping, 5);
+  uint64_t id_c = read(c, dc, f);
+  CHECK(f.op == net::Opcode::pong && f.key == 5);
+  CHECK(id_c != id_b);
+  send(c, net::Opcode::ping, 7);
+  read(c, dc, f);
+  CHECK(f.op == net::Opcode::pong && f.key == 7);
+
+  // (c) bytes posted while the loop is inside a dispatch, just before
+  // stop(), go out through shutdown_flush_and_close, then EOF
+  send(c, net::Opcode::ping, kHold);
+  entered.get_future().wait();
+  loop.post(id_c, posted(6));
+  loop.stop();
+  gate.set_value();
+  runner.join();
+  loop.shutdown_flush_and_close();
+  read(c, dc, f);
+  CHECK(f.op == net::Opcode::pong && f.key == kHold);
+  read(c, dc, f);
+  CHECK(f.op == net::Opcode::stat_ok && f.key == 6);
+  expect_eof(c, dc);
+  expect_eof(a, da);
+}
+
 }  // namespace
 
 int main() {
@@ -556,5 +674,6 @@ int main() {
   test_fuzz_no_crash();
   test_read_frame();
   test_listen_uds();
+  test_event_loop_mailbox();
   return wfq::test::exit_code();
 }
