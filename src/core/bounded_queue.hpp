@@ -21,7 +21,8 @@
 //    to null, so a stalled refresher's install CAS cannot resurrect a stale
 //    block into a collected index — and the Block objects are retired into
 //    an epoch-based-reclamation layer (core/ebr.hpp) so a concurrent reader
-//    holding a raw pointer never sees freed memory.
+//    holding a raw pointer never sees a recycled block. After the grace
+//    period a block goes back to the collector's BlockPool, not to delete.
 //  - Readers route every historical block access through the tree's Storage
 //    hook, which lands in load_block() below: an index under the node's
 //    floor falls back to a lookup in the current archive version. Archive
@@ -111,6 +112,7 @@ class BoundedQueue {
   using Tree = OrderingTree<T, Platform, ArchiveStorage>;
   using Node = typename Tree::Node;
   using BlockArray = typename Tree::BlockArray;
+  using Pool = typename Tree::Pool;
 
   /// gc_period == 0 selects the paper default G = p^2 ceil(log2 p);
   /// gc_period < 0 (canonically -1) disables collection entirely (the E8
@@ -150,7 +152,7 @@ class BoundedQueue {
       OpGuard guard(this, pid);
       tree_.append(pid, std::optional<T>(std::move(x)), /*is_enq=*/true);
     }
-    after_op();
+    after_op(pid);
   }
 
   std::optional<T> dequeue() {
@@ -162,7 +164,7 @@ class BoundedQueue {
       auto [rb, r] = tree_.index_op(pid, b, /*is_enq=*/false);
       out = tree_.find_response(rb, r);
     }
-    after_op();
+    after_op(pid);
     return out;
   }
 
@@ -187,6 +189,12 @@ class BoundedQueue {
   }
 
   const Ebr& debug_ebr() const { return ebr_; }
+
+  /// Block-pool totals (test surface; read at quiescence).
+  PoolStats debug_pool() const { return tree_.debug_pool(); }
+
+  /// pid's leaf (test surface: its blocks' addresses).
+  const Node* debug_leaf(int pid) const { return tree_.leaf(pid); }
 
   /// Per node, in id order: the array floor and the index below which its
   /// slot pages have been handed back (test surface; read at quiescence).
@@ -230,10 +238,10 @@ class BoundedQueue {
     }
   };
 
-  void after_op() {
+  void after_op(int pid) {
     if (g_ < 0) return;
     int64_t n = opcount_.fetch_add(1) + 1;
-    if (n % g_ == 0) gc_phase();
+    if (n % g_ == 0) gc_phase(pid);
   }
 
   // --- block access with archive fallback ----------------------------------
@@ -298,14 +306,25 @@ class BoundedQueue {
     int64_t k_new;
   };
 
-  void gc_phase() {
+  void gc_phase(int pid) {
     if (!gclock_.cas(0, 1)) return;  // a collection is already running
-    collect();
+    collect(pid);
     gc_phases_.fetch_add(1, std::memory_order_relaxed);
     gclock_.store(0);
   }
 
-  void collect() {
+  /// A truncated block's end of life: back into the collector's pool, or,
+  /// from ~Ebr (ctx null, the tree still holds its slabs), just destroyed.
+  static void recycle_block(void* p, void* pool) {
+    auto* b = static_cast<Block*>(p);
+    if (pool != nullptr) {
+      static_cast<Pool*>(pool)->recycle(b);
+    } else {
+      std::destroy_at(b);
+    }
+  }
+
+  void collect(int pid) {
     Node* root = tree_.root();
     // 1. Retention scan: the oldest root index any in-flight op observed.
     // `last` MUST be read before the start slots are scanned: an op whose
@@ -389,28 +408,32 @@ class BoundedQueue {
       archive_.store(new ArchiveVersion{std::move(aroot)});
       archived_.store(count, std::memory_order_relaxed);
       if (old_av != nullptr) {
-        ebr_.retire(const_cast<ArchiveVersion*>(old_av),
-                    +[](void* p) { delete static_cast<ArchiveVersion*>(p); });
+        ebr_.retire(const_cast<ArchiveVersion*>(old_av), +[](void* p, void*) {
+          delete static_cast<ArchiveVersion*>(p);
+        });
       }
     }
 
     // 5. Truncate the arrays (floor first — release — then tombstone slots)
     // and retire the detached blocks, then the whole slot pages now below
     // the floor (DESIGN.md "TreeBlockArray": after the grace period no op
-    // holds an index below the floor); then give the epoch a push.
+    // holds an index below the floor); then give the epoch a push. What it
+    // frees lands in this process's pool, which spills its excess.
     for (const Plan& pl : plans) {
       pl.v->floor.store(pl.k_new);
       for (int64_t i = pl.v->kfloor; i < pl.k_new; ++i) {
-        Block* b = pl.v->blocks.take(i);
-        ebr_.retire(b, +[](void* p) { delete static_cast<Block*>(p); });
+        ebr_.retire(pl.v->blocks.take(i), &recycle_block);
       }
       pl.v->blocks.release_below(pl.k_new, [this](void* page) {
-        ebr_.retire(page, &BlockArray::release_page);
+        ebr_.retire(page, +[](void* pg, void*) {
+          BlockArray::release_page(pg);
+        });
       });
       pl.v->kfloor = pl.k_new;
       pl.v->af = pl.af_new;
     }
-    ebr_.try_advance();
+    ebr_.try_advance(&tree_.pool(pid));
+    tree_.spill_excess(pid);
   }
 
   /// Smallest retained root index whose sumenq reaches e (last+1 if none).

@@ -15,6 +15,10 @@
 //  - retired_count() is the E6/E8 introspection surface: the backlog of
 //    retired-but-not-yet-freed objects, which stays bounded because every
 //    GC phase attempts an epoch advance.
+//  - "Freed" means the object's deleter ran. A deleter gets the context
+//    the freeing try_advance was given (the bounded queue passes the
+//    collector's block pool, so truncated blocks are recycled, not
+//    deleted); the destructor's late deleters get nullptr.
 //
 // Epoch accesses go through Platform atomics: each pin/unpin/scan access is
 // a shared-memory step in the paper's model (and a yield point under the
@@ -43,8 +47,11 @@ class Ebr {
   Ebr(const Ebr&) = delete;
   Ebr& operator=(const Ebr&) = delete;
 
+  /// Ends a retired object's life: del(p, ctx), ctx from try_advance.
+  using Deleter = void (*)(void* p, void* ctx);
+
   ~Ebr() {
-    for (auto& bucket : buckets_) free_bucket(bucket);
+    for (auto& bucket : buckets_) free_bucket(bucket, nullptr);
   }
 
   /// Marks process `pid` as reading under the current epoch. The seq_cst
@@ -62,7 +69,7 @@ class Ebr {
 
   /// Hands `p` to the collector; freed via `del` two epoch advances later.
   /// GC-phase only (serialized by the queue's gc lock).
-  void retire(void* p, void (*del)(void*)) {
+  void retire(void* p, Deleter del) {
     buckets_[epoch_.unsafe_peek() % 3].push_back({p, del});
     // Single writer (the gc lock): a plain increment, no locked RMW.
     retired_.store(retired_.load(std::memory_order_relaxed) + 1,
@@ -71,8 +78,9 @@ class Ebr {
 
   /// Advances the global epoch if every pinned process has caught up with
   /// it, then frees the bucket that just became unreachable (retired two
-  /// epochs ago). GC-phase only. Returns true if the epoch moved.
-  bool try_advance() {
+  /// epochs ago), passing `ctx` to its deleters. GC-phase only. Returns
+  /// true if the epoch moved.
+  bool try_advance(void* ctx) {
     std::atomic_thread_fence(std::memory_order_seq_cst);
     uint64_t g = epoch_.load();
     for (int i = 0; i < procs_; ++i) {
@@ -80,7 +88,7 @@ class Ebr {
       if (e != kIdle && e != g) return false;  // a reader is still behind
     }
     if (!epoch_.cas(g, g + 1)) return false;
-    free_bucket(buckets_[(g + 1) % 3]);  // epoch g-2's garbage
+    free_bucket(buckets_[(g + 1) % 3], ctx);  // epoch g-2's garbage
     return true;
   }
 
@@ -104,15 +112,15 @@ class Ebr {
  private:
   struct Retired {
     void* p;
-    void (*del)(void*);
+    Deleter del;
   };
 
   struct alignas(64) Slot {
     typename Platform::template Atomic<uint64_t> epoch{kIdle};
   };
 
-  void free_bucket(std::vector<Retired>& bucket) {
-    for (const Retired& r : bucket) r.del(r.p);
+  void free_bucket(std::vector<Retired>& bucket, void* ctx) {
+    for (const Retired& r : bucket) r.del(r.p, ctx);
     freed_.fetch_add(bucket.size(), std::memory_order_release);
     bucket.clear();
   }

@@ -65,6 +65,10 @@ class UnboundedQueue {
   /// Every block ever appended (nothing is freed); see core::Space.
   Space space() const { return {tree_.live_blocks(), 0}; }
 
+  /// Block-pool totals (read at quiescence): nothing is ever recycled, so
+  /// every block carved is installed or a process's spare.
+  PoolStats debug_pool() const { return tree_.debug_pool(); }
+
   int procs() const { return tree_.procs(); }
 
  private:

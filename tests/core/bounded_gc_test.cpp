@@ -241,10 +241,11 @@ void slot_pages_released() {
 
   UnboundedQueue<uint64_t> u(2);
   int64_t unbounded = rss_growth(u, kOps);
-  // The unbounded queue keeps every block and slot (~170 MB here); the
-  // bounded one its live suffixes and < one dead page per node (~50 KiB).
-  // Keeping the dead slot pages alone would make it ~17 MB, which the
-  // generous 16x margin still catches.
+  // The unbounded queue keeps every block and slot (~144 MB on x86-64
+  // Linux: 64-byte pooled blocks plus 8-byte slots); the bounded one its
+  // live suffixes and < one dead page per node (~45 KiB). Keeping the dead
+  // slot pages alone would make it ~17 MB, which the generous 16x margin
+  // still catches.
   CHECK(unbounded > 0);
   CHECK(std::max<int64_t>(bounded, 0) * 16 < unbounded);
 }
