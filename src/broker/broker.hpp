@@ -15,7 +15,9 @@
 // request order; ordering across connections is the backing's
 // linearizability (docs/PROTOCOL.md). The loop owns the connection: the
 // one answer written from another thread, a cluster SETW's deferred reply,
-// is posted by the raft thread to the loop's mailbox.
+// is posted by the raft thread to the loop's mailbox. The cluster state
+// (pending SETWs, whether a config entry has applied) belongs to the raft
+// thread; loops reach it only through RaftService::propose.
 //
 // Shutdown (stop(), also the SIGINT/SIGTERM path): stop raft, stop the
 // acceptor, stop and join the loops, then deliver what each mailbox holds,
@@ -43,7 +45,6 @@
 #include <cstdio>
 #include <deque>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -74,9 +75,6 @@ struct BrokerConfig {
   /// configuration error (a broker nobody can reach).
   std::string uds_path;
   int tcp_port = -1;  // -1 = none, 0 = kernel-picked (read back via tcp_port())
-  /// Pin loop i to core i (platform::pin_thread_to_core; no-op where
-  /// unsupported).
-  bool pin_threads = false;
   /// Sizes fixed-segment backings (api::sized_config contract).
   int64_t expected_ops = int64_t{1} << 18;
 
@@ -182,14 +180,7 @@ class Broker {
           [this](uint64_t idx, const std::string& cmd) {
             on_raft_apply(idx, cmd);
           },
-          [this](bool leader) { on_raft_role(leader); },
-          [this]() -> std::optional<std::string> {
-            // Leader bootstrap: until SOME config entry has applied, keep
-            // proposing ours. Duplicates are idempotent at apply.
-            if (map_ready_.load(std::memory_order_acquire))
-              return std::nullopt;
-            return "cfg|" + std::to_string(cfg_.shards) + "|" + cfg_.backing;
-          });
+          [this](bool leader) { on_raft_role(leader); });
       raft_->start();
     }
     // Spawn order is part of the surface (loops first, then the acceptor):
@@ -197,7 +188,6 @@ class Broker {
     for (int i = 0; i < cfg_.groups; ++i)
       loop_threads_.emplace_back([this, i] {
         platform::name_thread("wfb-loop-" + std::to_string(i));
-        if (cfg_.pin_threads) platform::pin_thread_to_core(i);
         loops_[static_cast<size_t>(i)]->run();
       });
     accept_thread_ = std::thread([this] {
@@ -213,8 +203,13 @@ class Broker {
     if (!started_ || stopped_.exchange(true)) return;
     // Cluster drain: silence raft FIRST — the leader stops heartbeating, so
     // the survivors elect a successor one election timeout later, while this
-    // replica still answers every client request it already read.
-    if (raft_) raft_->stop();
+    // replica still answers every client request it already read. With the
+    // raft thread joined, the SETWs still waiting for an apply are answered
+    // here, as on a step-down.
+    if (raft_) {
+      raft_->stop();
+      on_raft_role(false);
+    }
     acceptor_->stop();
     accept_thread_.join();
     for (auto& loop : loops_) loop->stop();
@@ -325,7 +320,7 @@ class Broker {
       "SETW rejected: dwrr backing required, tenant in range, weight >= 1";
 
   /// A cluster-mode SETW awaiting its log entry's apply (the raft thread
-  /// answers it on loop `loop`; see on_raft_apply).
+  /// answers it on loop `loop`; see propose_setw).
   struct PendingSetw {
     int loop = 0;
     uint64_t conn = 0;
@@ -451,21 +446,11 @@ class Broker {
           break;
         }
         if (raft_) {
-          // Replicate through the log; the response is deferred until the
-          // entry APPLIES (on_raft_apply), so SETW_OK means "committed and
-          // visible on this leader", not "received". pending_mu_ is held
-          // across propose-and-register: the raft thread cannot deliver the
-          // apply until it can take pending_mu_, so registration wins even
-          // if the entry commits instantly.
-          std::lock_guard<std::mutex> lk(pending_mu_);
-          uint64_t idx = raft_->propose("w|" + std::to_string(tenant) + "|" +
-                                        std::to_string(weight));
-          if (idx == 0) {
-            fill_not_leader(resp);
-            break;
-          }
-          pending_setw_[idx] = PendingSetw{loop, conn, req.key, req.flags};
-          return;  // no response yet
+          if (propose_setw(PendingSetw{loop, conn, req.key, req.flags},
+                           tenant, weight))
+            return;  // answered by the raft thread
+          fill_not_leader(resp);  // raft stopped
+          break;
         }
         if (map_->set_weight_all(static_cast<int>(tenant), weight)) {
           resp.op = net::Opcode::setw_ok;
@@ -487,14 +472,35 @@ class Broker {
     net::encode_frame(resp, out);
   }
 
+  /// Cluster SETW (loop thread): replicate the weight through the log and
+  /// answer from the raft thread once the entry APPLIES (on_raft_apply),
+  /// so SETW_OK means "committed and visible on this leader", not
+  /// "received". The completion registers the entry's index before that
+  /// entry can apply, and answers at once if this replica is no longer
+  /// the leader. False after raft stopped (no answer will come).
+  bool propose_setw(PendingSetw p, uint32_t tenant, uint32_t weight) {
+    return raft_->propose(
+        "w|" + std::to_string(tenant) + "|" + std::to_string(weight),
+        [this, p](uint64_t idx) {
+          if (idx != 0) {
+            pending_setw_[idx] = p;
+            return;
+          }
+          net::Frame resp;
+          fill_not_leader(resp);
+          reply_setw(p, std::move(resp));
+        });
+  }
+
   /// Raft apply (raft thread, index order, exactly once per committed
   /// entry). Two command shapes, both replica-deterministic:
   ///   "cfg|<shards>|<backing>" — the cluster topology. The FIRST one to
-  ///     apply builds the shard map; every replica therefore serves the
-  ///     same topology no matter whose CLI won the race. A replica whose
-  ///     own CLI flags disagree with the committed config refuses to serve
-  ///     (loud stderr, stays not-ready) rather than silently diverging.
-  ///     Later duplicates (bootstrap re-proposals) are ignored.
+  ///     apply decides on every replica, and later ones (re-proposals by
+  ///     later leaders) are ignored everywhere. A replica whose own CLI
+  ///     flags match it builds the shard map; one whose flags disagree
+  ///     refuses to serve (loud stderr, stays not-ready for good) rather
+  ///     than silently diverging. Every replica therefore serves the same
+  ///     topology no matter whose CLI won the race.
   ///   "w|<tenant>|<weight>" — DWRR weight update, applied to all shards.
   /// Fields parse strictly (api::parse_num); a malformed entry applies as
   /// not-ok on every replica alike.
@@ -508,30 +514,22 @@ class Broker {
     }
     // If this entry was a SETW this replica proposed, answer the client now
     // — SETW_OK strictly after commit+apply.
-    std::optional<PendingSetw> p;
-    {
-      std::lock_guard<std::mutex> lk(pending_mu_);
-      auto it = pending_setw_.find(index);
-      if (it != pending_setw_.end()) {
-        p = it->second;
-        pending_setw_.erase(it);
-      }
+    auto it = pending_setw_.find(index);
+    if (it == pending_setw_.end()) return;
+    net::Frame resp;
+    if (ok) {
+      resp.op = net::Opcode::setw_ok;
+    } else {
+      resp.op = net::Opcode::err;
+      resp.payload = kSetwRejected;
     }
-    if (p) {
-      net::Frame resp;
-      if (ok) {
-        resp.op = net::Opcode::setw_ok;
-      } else {
-        resp.op = net::Opcode::err;
-        resp.payload = kSetwRejected;
-      }
-      reply_setw(*p, std::move(resp));
-    }
+    reply_setw(it->second, std::move(resp));
+    pending_setw_.erase(it);
   }
 
   bool apply_config(const std::string& shards, const std::string& backing) {
-    if (map_ready_.load(std::memory_order_acquire))
-      return true;  // duplicate bootstrap proposal
+    if (config_applied_) return true;  // a later leader's re-proposal
+    config_applied_ = true;
     bool match = false;
     try {
       match = api::parse_num<int>(shards, "config shards", 1, kMaxShards) ==
@@ -565,22 +563,25 @@ class Broker {
     }
   }
 
-  /// Role transitions (raft thread). On stepping down, fail every pending
-  /// SETW with ERR_NOT_LEADER — the entry may still commit under the new
-  /// leader, but this replica can no longer promise to report it, and the
-  /// weight update is idempotent for a retrying client.
+  /// Role transitions (raft thread). A new leader proposes this replica's
+  /// config while no config entry has applied; duplicates are ignored at
+  /// apply. On stepping down, fail every pending SETW with ERR_NOT_LEADER —
+  /// the entry may still commit under the new leader, but this replica can
+  /// no longer promise to report it, and the weight update is idempotent
+  /// for a retrying client.
   void on_raft_role(bool leader) {
-    if (leader) return;
-    std::unordered_map<uint64_t, PendingSetw> orphans;
-    {
-      std::lock_guard<std::mutex> lk(pending_mu_);
-      orphans.swap(pending_setw_);
+    if (leader) {
+      if (!config_applied_)
+        raft_->propose(
+            "cfg|" + std::to_string(cfg_.shards) + "|" + cfg_.backing, {});
+      return;
     }
-    for (auto& [idx, p] : orphans) {
+    for (auto& [idx, p] : pending_setw_) {
       net::Frame resp;
       fill_not_leader(resp);
       reply_setw(p, std::move(resp));
     }
+    pending_setw_.clear();
   }
 
   /// Posts the deferred answer to a SETW this replica proposed (raft
@@ -601,8 +602,10 @@ class Broker {
   std::vector<std::unique_ptr<net::EventLoop>> loops_;  // loop i = slot i
   std::unique_ptr<net::EventLoop> acceptor_;  // owns the listeners
   std::unique_ptr<raft::RaftService> raft_;  // null outside cluster mode
-  std::mutex pending_mu_;
-  std::unordered_map<uint64_t, PendingSetw> pending_setw_;  // log idx -> conn
+  // Raft thread only: SETWs awaiting their entry's apply (log index ->
+  // requester), and whether any config entry has applied.
+  std::unordered_map<uint64_t, PendingSetw> pending_setw_;
+  bool config_applied_ = false;
   std::vector<std::thread> loop_threads_;
   std::thread accept_thread_;
   uint16_t tcp_port_ = 0;

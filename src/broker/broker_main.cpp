@@ -55,7 +55,6 @@ void usage(std::ostream& os) {
         "                    (default bounded)\n"
         "  --ops <n>         expected op volume, sizes fixed-segment\n"
         "                    backings (default 262144)\n"
-        "  --pin             pin event loop i to core i\n"
         "  --cluster <i>/<n> run as replica i of an n-replica raft group\n"
         "  --peers <csv>     the n replica TCP ports, in node-id order;\n"
         "                    this replica listens on its own entry\n"
@@ -159,8 +158,6 @@ int main(int argc, char** argv) {
         cfg.backing = need("--backing");
       } else if (a == "--ops") {
         cfg.expected_ops = parse_num<int64_t>(need("--ops"), "--ops", 1);
-      } else if (a == "--pin") {
-        cfg.pin_threads = true;
       } else if (a == "--cluster") {
         parse_cluster(need("--cluster"), cfg, expect_n);
       } else if (a == "--peers") {

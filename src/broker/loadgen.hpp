@@ -24,7 +24,6 @@
 
 #include "net/frame.hpp"
 #include "net/socket.hpp"
-#include "platform/affinity.hpp"
 
 namespace wfq::broker {
 
@@ -54,21 +53,16 @@ struct LoadgenConfig {
   /// Connection c routes with key_base + c.
   uint32_t key_base = 0;
 
-  /// Pin connection threads to cores starting at pin_offset (best-effort).
-  bool pin_threads = false;
-  int pin_offset = 0;
-
   // --- cluster mode (ISSUE 10) --------------------------------------------
   /// Non-empty: target an N-replica raft group instead of a single broker
   /// (uds_path/tcp_port are ignored). Entry i is replica i's TCP port. Each
   /// connection becomes a ClusterClient: strict one-in-flight, following
   /// ERR_NOT_LEADER hints and riding out failovers by redirect-and-retry.
   /// Closed-loop only (window forced to 1 — a redirected pipeline has no
-  /// well-defined response order).
+  /// well-defined response order). Connect and give-up budgets are
+  /// ClusterClient::Options' defaults.
   std::vector<uint16_t> cluster_ports;
-  uint64_t connect_timeout_ms = 200;  // per connect attempt
-  uint64_t read_timeout_ms = 500;     // per response wait
-  uint64_t give_up_ms = 15000;        // total budget for one request
+  uint64_t read_timeout_ms = 500;  // per response wait
 };
 
 struct LoadgenResult {
@@ -248,8 +242,6 @@ inline bool read_responses(int fd, net::Decoder& dec,
 /// batch the top-up into one write, block for responses.
 inline void closed_loop_conn(const LoadgenConfig& cfg, int index,
                              ConnStats& st) {
-  if (cfg.pin_threads)
-    platform::pin_thread_to_core(cfg.pin_offset + index);
   net::FdHandle fd = lg_connect(cfg);
   if (!fd.valid()) {
     st.failed = true;
@@ -285,13 +277,9 @@ inline void closed_loop_conn(const LoadgenConfig& cfg, int index,
 /// what E15b measures.
 inline void cluster_loop_conn(const LoadgenConfig& cfg, int index,
                               ConnStats& st) {
-  if (cfg.pin_threads)
-    platform::pin_thread_to_core(cfg.pin_offset + index);
   ClusterClient::Options o;
   o.ports = cfg.cluster_ports;
-  o.connect_timeout_ms = cfg.connect_timeout_ms;
   o.read_timeout_ms = cfg.read_timeout_ms;
-  o.give_up_ms = cfg.give_up_ms;
   ClusterClient cc(o);
   const uint32_t key = cfg.key_base + static_cast<uint32_t>(index);
   uint64_t seq = 0;
@@ -319,8 +307,6 @@ inline void cluster_loop_conn(const LoadgenConfig& cfg, int index,
 /// toward closed-loop rather than buffering without bound.
 inline void open_loop_conn(const LoadgenConfig& cfg, int index,
                            ConnStats& st) {
-  if (cfg.pin_threads)
-    platform::pin_thread_to_core(cfg.pin_offset + index);
   net::FdHandle fd = lg_connect(cfg);
   if (!fd.valid()) {
     st.failed = true;

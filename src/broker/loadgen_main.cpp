@@ -38,8 +38,6 @@ void usage(std::ostream& os) {
         "  --rate <r>        open loop: arrivals/second per connection\n"
         "  --enq-only        send only ENQ frames (default: ENQ/DEQ pairs)\n"
         "  --key-base <k>    routing key of connection c is k + c\n"
-        "  --pin             pin connection threads to cores\n"
-        "  --pin-offset <o>  first core index for --pin (default 0)\n"
         "  --help, -h        this text\n";
 }
 
@@ -98,11 +96,6 @@ int main(int argc, char** argv) {
         cfg.pairs = false;
       } else if (a == "--key-base") {
         cfg.key_base = parse_num<uint32_t>(need("--key-base"), "--key-base");
-      } else if (a == "--pin") {
-        cfg.pin_threads = true;
-      } else if (a == "--pin-offset") {
-        cfg.pin_offset =
-            parse_num<int>(need("--pin-offset"), "--pin-offset", 0, 4096);
       } else if (a == "--help" || a == "-h") {
         usage(std::cout);
         return 0;

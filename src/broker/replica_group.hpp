@@ -36,11 +36,13 @@ class ReplicaGroup {
 
   /// Starts replicas 0..n-1 of `bin --cluster i/n --peers <ports> --backing
   /// <backing> --shards 2 --election-ms <election_ms>` on an empty group,
-  /// then blocks until every port accepts a connection. False if a fork
-  /// failed or a port stayed closed for 10 s; the replicas that did start
-  /// are still this group's to kill.
+  /// then blocks until every port accepts a connection. `extra[i]`, when
+  /// present, is appended to replica i's argv (a later flag overrides an
+  /// earlier one). False if a fork failed or a port stayed closed for 10 s;
+  /// the replicas that did start are still this group's to kill.
   bool spawn(const std::string& bin, int n, const std::string& backing,
-             uint64_t election_ms) {
+             uint64_t election_ms,
+             const std::vector<std::vector<std::string>>& extra = {}) {
     {
       // Hold every listener until all n ports are picked, so the kernel
       // cannot hand out the same port twice.
@@ -61,17 +63,22 @@ class ReplicaGroup {
       // and exec only async-signal-safe calls are allowed.
       const std::string cluster =
           std::to_string(i) + "/" + std::to_string(n);
-      const char* argv[] = {bin.c_str(),     "--cluster",   cluster.c_str(),
-                            "--peers",       peers.c_str(), "--backing",
-                            backing.c_str(), "--shards",    "2",
-                            "--election-ms", election.c_str(), nullptr};
+      std::vector<const char*> argv = {
+          bin.c_str(),     "--cluster",   cluster.c_str(),
+          "--peers",       peers.c_str(), "--backing",
+          backing.c_str(), "--shards",    "2",
+          "--election-ms", election.c_str()};
+      if (static_cast<size_t>(i) < extra.size())
+        for (const std::string& a : extra[static_cast<size_t>(i)])
+          argv.push_back(a.c_str());
+      argv.push_back(nullptr);
       pid_t pid = ::fork();
       if (pid < 0) return false;
       if (pid == 0) {
         int devnull = ::open("/dev/null", O_WRONLY);
         if (devnull >= 0) ::dup2(devnull, STDOUT_FILENO);
         if (devnull > STDOUT_FILENO) ::close(devnull);
-        ::execv(bin.c_str(), const_cast<char**>(argv));
+        ::execv(bin.c_str(), const_cast<char**>(argv.data()));
         static const char msg[] = "replica_group: execv failed\n";
         [[maybe_unused]] ssize_t w =
             ::write(STDERR_FILENO, msg, sizeof(msg) - 1);
@@ -98,11 +105,34 @@ class ReplicaGroup {
     return reap(i);
   }
 
-  /// SIGTERMs every running replica, then reaps them all. Entry i is
-  /// replica i's wait status, -1 for one that was no longer running.
+  /// Sends `sig` to replica i without reaping it (SIGSTOP, SIGCONT). A
+  /// SIGSTOP returns once the replica has stopped: the stop takes hold only
+  /// when one of its threads gets to run, and the others keep serving until
+  /// then. False if replica i is not running (one that exited instead of
+  /// stopping is reaped).
+  bool signal(size_t i, int sig) {
+    if (i >= pids_.size() || pids_[i] <= 0 || ::kill(pids_[i], sig) != 0)
+      return false;
+    if (sig != SIGSTOP) return true;
+    int status = 0;
+    pid_t r = -1;
+    while ((r = ::waitpid(pids_[i], &status, WUNTRACED)) < 0 &&
+           errno == EINTR) {
+    }
+    if (r == pids_[i] && WIFSTOPPED(status)) return true;
+    pids_[i] = -1;
+    return false;
+  }
+
+  /// SIGTERMs every running replica (and SIGCONTs it, so a stopped one
+  /// gets the SIGTERM too), then reaps them all. Entry i is replica i's
+  /// wait status, -1 for one that was no longer running.
   std::vector<int> terminate() {
-    for (pid_t pid : pids_)
-      if (pid > 0) ::kill(pid, SIGTERM);
+    for (pid_t pid : pids_) {
+      if (pid <= 0) continue;
+      ::kill(pid, SIGTERM);
+      ::kill(pid, SIGCONT);
+    }
     std::vector<int> statuses(pids_.size(), -1);
     for (size_t i = 0; i < pids_.size(); ++i)
       if (pids_[i] > 0) statuses[i] = reap(i);

@@ -8,25 +8,21 @@
 // outbound link; B's replies come back over B's own outbound link to A. The
 // inbound half rides the broker's existing event loop — raft-band frames
 // arriving in on_batch are handed to deliver_frame(), which decodes and
-// queues them for the raft thread. No select/poll logic is added anywhere;
+// posts them to the raft thread. No select/poll logic is added anywhere;
 // the event loop stays the only reader.
 //
-// Threading: one raft thread owns the tick loop; a mutex (mu_) serializes
-// the Node against propose() and deliver_frame() from the broker's event
-// loop threads. Three things deliberately happen OUTSIDE mu_:
-//   - outbound sends: buffered while the node runs, flushed after the lock
-//     drops — the node never blocks on a socket;
-//   - apply/role callbacks: queued under mu_, delivered on the RAFT THREAD
-//     only, under a separate cb_mu_ (acquired before re-taking mu_ to swap
-//     the queue, so delivery order always matches apply order). propose()
-//     never delivers inline, which lets callers atomically register
-//     index-keyed completions after proposing. Callbacks must not call
-//     propose() (cb_mu_ is held); use the bootstrap hook for leader-driven
-//     proposals;
-//   - the bootstrap hook: polled on the raft thread while leader, at most
-//     once per election timeout; non-nullopt return values are proposed.
-//     The broker uses it to (re-)propose the cluster config until the
-//     replicated state machine has one — idempotent by apply contract.
+// Threading: one raft thread owns everything — it alone calls the Node,
+// writes the peer links and runs the apply and role callbacks, so none of
+// that state is locked. Other threads reach it through one mailbox (mu_):
+// deliver_frame() posts peer messages and propose() posts proposals. Each
+// raft-thread step takes the whole mailbox, feeds the messages to the node,
+// then the proposals, then ticks, and only after that delivers the role
+// change and the applies the step produced. A proposal's completion runs
+// right after Node::propose returns, so it sees its log index before that
+// entry's apply runs, even in a 1-replica group, which commits inside
+// propose. The callbacks may call propose(); what they propose is taken at
+// the next step. Readers that are not the raft thread (the broker's request
+// path, STAT) see the node through lock-free snapshots.
 //
 // Peer links use short connect/send timeouts and on any failure just drop
 // the message and reconnect later (rate limited): raft is built on lossy
@@ -37,10 +33,9 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
+#include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -61,29 +56,22 @@ struct RaftServiceConfig {
   std::vector<uint16_t> peer_ports;
   uint64_t election_timeout_ms = 150;
   uint64_t seed = 0;  // 0 -> node_id + 1
-  uint64_t connect_timeout_ms = 100;
-  uint64_t send_timeout_ms = 20;
-  uint64_t reconnect_backoff_ms = 50;
 };
 
 class RaftService {
  public:
   /// `apply` fires once per committed entry, in index order (empty cmd =
   /// election no-op, already filtered out). `on_role` fires on leadership
-  /// transitions. Both run WITHOUT the node lock, serialized under the
-  /// callback lock; they may call propose() and the lock-free accessors.
+  /// transitions, before the applies of the same step. Both run on the raft
+  /// thread; they may call propose() and the lock-free accessors.
   using ApplyFn = std::function<void(uint64_t index, const std::string& cmd)>;
   using RoleFn = std::function<void(bool is_leader)>;
-  /// Polled on the raft thread while this replica is leader (at most once
-  /// per election timeout); a returned command is proposed.
-  using BootstrapFn = std::function<std::optional<std::string>()>;
+  /// A proposal's completion (raft thread): the entry's log index, or 0
+  /// when this replica was not the leader.
+  using ProposeFn = std::function<void(uint64_t index)>;
 
-  RaftService(RaftServiceConfig cfg, ApplyFn apply, RoleFn on_role,
-              BootstrapFn bootstrap = nullptr)
-      : cfg_(cfg),
-        apply_(std::move(apply)),
-        on_role_(std::move(on_role)),
-        bootstrap_(std::move(bootstrap)) {
+  RaftService(RaftServiceConfig cfg, ApplyFn apply, RoleFn on_role)
+      : cfg_(cfg), apply_(std::move(apply)), on_role_(std::move(on_role)) {
     NodeConfig nc;
     nc.id = cfg.node_id;
     nc.peers = static_cast<int>(cfg.peer_ports.size());
@@ -91,10 +79,9 @@ class RaftService {
     nc.seed = cfg.seed != 0 ? cfg.seed
                             : static_cast<uint64_t>(cfg.node_id) + 1;
     node_ = std::make_unique<Node>(
-        nc,
-        [this](int to, const Message& m) { outbox_.emplace_back(to, m); },
+        nc, [this](int to, const Message& m) { send_to(to, m); },
         [this](uint64_t idx, const std::string& cmd) {
-          if (!cmd.empty()) applied_queue_.emplace_back(idx, cmd);
+          if (!cmd.empty()) committed_.emplace_back(idx, cmd);
         });
     links_.resize(cfg.peer_ports.size());
     start_ = std::chrono::steady_clock::now();
@@ -105,18 +92,14 @@ class RaftService {
   RaftService& operator=(const RaftService&) = delete;
 
   void start() {
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      node_->start(now_ms());
-      publish_locked();
-    }
-    after_node_work();
     thread_ = std::thread([this] {
       platform::name_thread("wfb-raft");
       run();
     });
   }
 
+  /// Joins the raft thread. Proposals still in the mailbox complete with 0
+  /// on the raft thread before it exits; later ones are refused.
   void stop() {
     {
       std::lock_guard<std::mutex> lk(mu_);
@@ -125,40 +108,25 @@ class RaftService {
     }
     cv_.notify_all();
     if (thread_.joinable()) thread_.join();
-    for (Link& l : links_) l.fd.reset();
   }
 
-  /// Event-loop thread: hand over a raft-band frame from a peer. Malformed
-  /// bodies are dropped (see wire.hpp). Processing happens on the raft
-  /// thread at its next wakeup.
+  /// Any thread: hand over a raft-band frame from a peer. Malformed bodies
+  /// are dropped (see wire.hpp). The raft thread takes it at its next step.
   void deliver_frame(const net::Frame& f) {
     Message m;
     if (!from_frame(f, m)) return;
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      if (stopped_) return;
-      inbox_.push_back(std::move(m));
-    }
-    cv_.notify_all();
+    post([&] { inbox_.push_back(std::move(m)); });
   }
 
-  /// Any thread: propose a command. Returns the log index, or 0 when this
-  /// replica is not the leader (caller redirects via leader_hint()). The
-  /// apply callback for the entry ALWAYS fires later on the raft thread —
-  /// never inline here — so a caller can atomically {propose + register a
-  /// completion keyed by the returned index} under its own lock without
-  /// racing the apply (the broker's pending-SETW table relies on this).
-  uint64_t propose(const std::string& cmd) {
-    uint64_t idx;
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      if (stopped_) return 0;
-      idx = node_->propose(cmd, now_ms());
-      publish_locked();
-    }
-    flush_outbox();
-    cv_.notify_all();  // raft thread delivers any queued applies/roles
-    return idx;
+  /// Any thread: propose `cmd`. `on_index` (may be empty) runs on the raft
+  /// thread once the node has taken the proposal, with the entry's log
+  /// index or 0 when this replica is not the leader (the caller redirects
+  /// via leader_hint()); it runs before the entry's apply. False after
+  /// stop(): the proposal is refused and `on_index` never runs.
+  bool propose(std::string cmd, ProposeFn on_index) {
+    return post([&] {
+      proposals_.push_back({std::move(cmd), std::move(on_index)});
+    });
   }
 
   // Lock-free snapshots for the request path (ENQ/DEQ gating, STAT).
@@ -177,9 +145,20 @@ class RaftService {
   int cluster_size() const { return static_cast<int>(cfg_.peer_ports.size()); }
 
  private:
+  // Peer link timings: a dial or a send that takes longer drops the message
+  // (raft retries it); a failed dial is not retried for kReconnectBackoffMs.
+  static constexpr uint64_t kConnectTimeoutMs = 100;
+  static constexpr uint64_t kSendTimeoutMs = 20;
+  static constexpr uint64_t kReconnectBackoffMs = 50;
+
   struct Link {
     net::FdHandle fd;
     uint64_t next_attempt_ms = 0;
+  };
+
+  struct Proposal {
+    std::string cmd;
+    ProposeFn on_index;
   };
 
   uint64_t now_ms() const {
@@ -189,133 +168,120 @@ class RaftService {
             .count());
   }
 
-  void run() {
-    for (;;) {
-      {
-        std::unique_lock<std::mutex> lk(mu_);
-        if (stopped_) break;
-        if (inbox_.empty())
-          cv_.wait_for(lk, std::chrono::milliseconds(2));
-        if (stopped_) break;
-        while (!inbox_.empty()) {
-          Message m = std::move(inbox_.front());
-          inbox_.pop_front();
-          node_->on_message(m, now_ms());
-        }
-        node_->tick(now_ms());
-        publish_locked();
-      }
-      after_node_work();
-      maybe_bootstrap();
+  /// Runs `add` on the mailbox under mu_ and wakes the raft thread; false
+  /// (nothing added) once stopped.
+  template <class Add>
+  bool post(Add add) {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      if (stopped_) return false;
+      add();
     }
-    after_node_work();  // deliver anything queued before stop
+    cv_.notify_one();
+    return true;
   }
 
-  /// Caller holds mu_: refresh the lock-free snapshots and record role
-  /// transitions for out-of-lock delivery.
-  void publish_locked() {
+  /// The raft thread: one step per mailbox wakeup or 2 ms tick.
+  void run() {
+    node_->start(now_ms());
+    finish_step();
+    std::vector<Message> msgs;
+    std::vector<Proposal> props;
+    for (;;) {
+      bool stopping = false;
+      {
+        std::unique_lock<std::mutex> lk(mu_);
+        cv_.wait_for(lk, std::chrono::milliseconds(2), [this] {
+          return stopped_ || !inbox_.empty() || !proposals_.empty();
+        });
+        stopping = stopped_;
+        msgs.swap(inbox_);
+        props.swap(proposals_);
+      }
+      if (stopping) {
+        for (Proposal& p : props)
+          if (p.on_index) p.on_index(0);
+        break;
+      }
+      const uint64_t now = now_ms();
+      for (const Message& m : msgs) node_->on_message(m, now);
+      for (Proposal& p : props) {
+        uint64_t idx = node_->propose(p.cmd, now);
+        if (p.on_index) p.on_index(idx);
+      }
+      node_->tick(now);
+      finish_step();
+      msgs.clear();
+      props.clear();
+    }
+    for (Link& l : links_) l.fd.reset();
+  }
+
+  /// After a node step: refresh the lock-free snapshots, then run the role
+  /// callback (if leadership changed) and the applies the step produced.
+  /// The role change goes first: a leader deposed in this step answers its
+  /// pending proposals as not-leader before an entry another leader wrote
+  /// at their index applies.
+  void finish_step() {
     term_.store(node_->term(), std::memory_order_release);
     leader_hint_.store(node_->leader_hint(), std::memory_order_release);
     commit_.store(node_->commit_index(), std::memory_order_release);
     applied_.store(node_->last_applied(), std::memory_order_release);
-    bool leader = node_->role() == Role::leader;
-    if (leader != last_published_leader_) {
-      last_published_leader_ = leader;
-      role_queue_.push_back(leader);
-    }
-    is_leader_.store(leader, std::memory_order_release);
-  }
-
-  /// Flush sends and deliver callbacks, with no node lock held. cb_mu_ is
-  /// taken BEFORE mu_ for the queue swap so two racing drainers cannot
-  /// reorder apply delivery.
-  void after_node_work() {
-    flush_outbox();
-    std::lock_guard<std::mutex> cb(cb_mu_);
-    std::vector<std::pair<uint64_t, std::string>> applies;
-    std::vector<bool> roles;
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      applies.swap(applied_queue_);
-      roles.swap(role_queue_);
-    }
-    for (auto& [idx, cmd] : applies)
-      if (apply_) apply_(idx, cmd);
-    for (bool leader : roles)
+    const bool leader = node_->role() == Role::leader;
+    if (leader != is_leader_.load(std::memory_order_relaxed)) {
+      is_leader_.store(leader, std::memory_order_release);
       if (on_role_) on_role_(leader);
-  }
-
-  /// Raft thread only: while leader, poll the bootstrap hook (throttled to
-  /// one call per election timeout) and propose what it returns.
-  void maybe_bootstrap() {
-    if (!bootstrap_ || !is_leader()) return;
-    uint64_t now = now_ms();
-    if (now < next_bootstrap_ms_) return;
-    next_bootstrap_ms_ = now + cfg_.election_timeout_ms;
-    if (std::optional<std::string> cmd = bootstrap_()) propose(*cmd);
-  }
-
-  /// Sends everything the node queued. Called without mu_; outbox_ is
-  /// filled under mu_ and swapped out here, so socket writes happen
-  /// lock-free. flush_mu_ serializes concurrent flushers so per-link fds
-  /// are not raced.
-  void flush_outbox() {
-    std::vector<std::pair<int, Message>> batch;
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      batch.swap(outbox_);
     }
-    if (batch.empty()) return;
-    std::lock_guard<std::mutex> lk(flush_mu_);
-    for (auto& [to, msg] : batch) send_to(to, msg);
+    for (auto& [idx, cmd] : committed_)
+      if (apply_) apply_(idx, cmd);
+    committed_.clear();
   }
 
+  /// Node send callback (raft thread): write one message to peer `to`,
+  /// dialing first if the link is down.
   void send_to(int to, const Message& m) {
     Link& l = links_[static_cast<size_t>(to)];
     uint64_t now = now_ms();
     if (!l.fd.valid()) {
       if (now < l.next_attempt_ms) return;  // rate-limit reconnects
-      l.next_attempt_ms = now + cfg_.reconnect_backoff_ms;
+      l.next_attempt_ms = now + kReconnectBackoffMs;
       l.fd = net::connect_tcp_timeout(cfg_.peer_ports[static_cast<size_t>(to)],
-                                      cfg_.connect_timeout_ms);
+                                      kConnectTimeoutMs);
       if (!l.fd.valid()) return;  // peer down: message dropped, raft retries
-      net::set_send_timeout(l.fd.get(), cfg_.send_timeout_ms);
+      net::set_send_timeout(l.fd.get(), kSendTimeoutMs);
     }
     std::string out;
     net::encode_frame(to_frame(m, cfg_.node_id), out);
     if (!net::write_all(l.fd.get(), out)) {
       l.fd.reset();  // stalled or dead peer: drop and redial later
-      l.next_attempt_ms = now + cfg_.reconnect_backoff_ms;
+      l.next_attempt_ms = now + kReconnectBackoffMs;
     }
   }
 
   RaftServiceConfig cfg_;
   ApplyFn apply_;
   RoleFn on_role_;
-  BootstrapFn bootstrap_;
-  std::unique_ptr<Node> node_;
   std::chrono::steady_clock::time_point start_;
 
+  // The mailbox: the one state shared with other threads.
   std::mutex mu_;
   std::condition_variable cv_;
   bool stopped_ = false;
-  std::deque<Message> inbox_;
-  std::vector<std::pair<int, Message>> outbox_;
-  std::vector<std::pair<uint64_t, std::string>> applied_queue_;
-  std::vector<bool> role_queue_;
-  bool last_published_leader_ = false;
-  std::thread thread_;
+  std::vector<Message> inbox_;
+  std::vector<Proposal> proposals_;
 
-  std::mutex cb_mu_;    // callback delivery order
-  std::mutex flush_mu_;  // peer link fds
+  // Raft thread only.
+  std::unique_ptr<Node> node_;
   std::vector<Link> links_;
-  uint64_t next_bootstrap_ms_ = 0;  // raft thread only
+  std::vector<std::pair<uint64_t, std::string>> committed_;  // this step's
 
   std::atomic<bool> is_leader_{false};
   std::atomic<int> leader_hint_{-1};
   std::atomic<uint64_t> term_{0};
   std::atomic<uint64_t> commit_{0};
   std::atomic<uint64_t> applied_{0};
+
+  std::thread thread_;  // the raft thread; last, after all it uses
 };
 
 }  // namespace wfq::raft

@@ -118,7 +118,8 @@ struct NodeConfig {
 
 /// The consensus engine for one replica. Single-threaded by contract: the
 /// caller serializes tick/on_message/propose (the sim harness is naturally
-/// single-threaded; the wire service wraps the node in one mutex).
+/// single-threaded; the wire service calls the node from its raft thread
+/// only).
 class Node {
  public:
   using SendFn = std::function<void(int to, const Message& m)>;
