@@ -131,7 +131,6 @@ api::Report run_clients(const api::RunOptions& opts) {
       bcfg.groups = groups_for(shards);
       bcfg.backing = "ubq";
       bcfg.uds_path = temp_uds_path();
-      bcfg.expected_ops = total_msgs + 4096;
       broker::LoadgenConfig lcfg;
       lcfg.uds_path = bcfg.uds_path;
       lcfg.connections = c;
@@ -184,7 +183,6 @@ api::Report run_transport(const api::RunOptions& opts) {
     bcfg.backing = "ubq";
     bcfg.uds_path = temp_uds_path();
     bcfg.tcp_port = 0;  // kernel-picked; read back below
-    bcfg.expected_ops = total_msgs + 4096;
     const std::string uds = bcfg.uds_path;
     broker::Broker b(std::move(bcfg));
     b.start();
@@ -467,9 +465,6 @@ api::Report run_shards(const api::RunOptions& opts) {
     bcfg.groups = groups_for(s);
     bcfg.backing = backing;
     bcfg.uds_path = temp_uds_path();
-    // At S=1 every frame (incl. ~clients-fold requeue churn) lands on one
-    // shard; size generously for fixed-segment backings.
-    bcfg.expected_ops = 4 * clients * clients * per_topic + 4096;
     broker::Broker b(bcfg);
     b.start();
 

@@ -69,14 +69,13 @@ struct BrokerConfig {
   /// that cap is a configuration error (check_procs). Connections are
   /// dealt to the loops round-robin.
   int groups = 0;
-  /// Backing key per shard: any make_queue or make_service spelling.
+  /// Backing key per shard: ubq, bounded[:g=<G>] or dwrr:<n>: over one of
+  /// them (check_backing; the constructor throws on any other key).
   std::string backing = "bounded";
   /// Listeners: either or both. An empty uds_path and tcp_port < 0 is a
   /// configuration error (a broker nobody can reach).
   std::string uds_path;
   int tcp_port = -1;  // -1 = none, 0 = kernel-picked (read back via tcp_port())
-  /// Sizes fixed-segment backings (api::sized_config contract).
-  int64_t expected_ops = int64_t{1} << 18;
 
   // --- cluster mode (ISSUE 10): N-replica group over raft -----------------
   /// When true, this broker is replica `node_id` of a group whose client
@@ -124,11 +123,12 @@ class Broker {
       cfg_.groups =
           std::min(platform::hardware_cores(), max_procs(cfg_.shards));
     check_procs(cfg_.shards, cfg_.groups);
+    check_backing(cfg_.backing);
     if (!cfg_.cluster) {
       // Single-node: the map exists from birth. Cluster replicas build it
       // when the replicated config entry applies (see on_raft_apply).
-      map_ = std::make_unique<ShardMap>(cfg_.shards, cfg_.backing,
-                                        cfg_.expected_ops, cfg_.groups);
+      map_ = std::make_unique<ShardMap>(cfg_.shards, cfg_.backing, 0,
+                                        cfg_.groups);
       map_ready_.store(true, std::memory_order_release);
     }
     for (int s = 0; s < cfg_.shards; ++s) shard_state_.emplace_back();
@@ -546,8 +546,8 @@ class Broker {
                    cfg_.backing.c_str());
       return false;
     }
-    map_ = std::make_unique<ShardMap>(cfg_.shards, cfg_.backing,
-                                      cfg_.expected_ops, cfg_.groups);
+    map_ = std::make_unique<ShardMap>(cfg_.shards, cfg_.backing, 0,
+                                      cfg_.groups);
     map_ready_.store(true, std::memory_order_release);
     return true;
   }

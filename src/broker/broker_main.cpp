@@ -49,12 +49,8 @@ void usage(std::ostream& os) {
         "                    backing (default: one per hardware core).\n"
         "                    At most the largest power of two p with\n"
         "                    shards * (2p - 1) <= 32768: 4 at 4096 shards\n"
-        "  --backing <key>   per-shard backing: any queue registry key\n"
-        "                    (bounded, bounded:g=64, ubq, faaq, ...) or\n"
-        "                    service key (dwrr:<n>:<backing>)\n"
-        "                    (default bounded)\n"
-        "  --ops <n>         expected op volume, sizes fixed-segment\n"
-        "                    backings (default 262144)\n"
+        "  --backing <key>   per-shard backing: ubq, bounded, bounded:g=<G>,\n"
+        "                    or dwrr:<n>:<one of those> (default bounded)\n"
         "  --cluster <i>/<n> run as replica i of an n-replica raft group\n"
         "  --peers <csv>     the n replica TCP ports, in node-id order;\n"
         "                    this replica listens on its own entry\n"
@@ -156,8 +152,6 @@ int main(int argc, char** argv) {
         cfg.groups = parse_num<int>(need("--groups"), "--groups", 0, 4096);
       } else if (a == "--backing") {
         cfg.backing = need("--backing");
-      } else if (a == "--ops") {
-        cfg.expected_ops = parse_num<int64_t>(need("--ops"), "--ops", 1);
       } else if (a == "--cluster") {
         parse_cluster(need("--cluster"), cfg, expect_n);
       } else if (a == "--peers") {
@@ -192,6 +186,7 @@ int main(int argc, char** argv) {
     if (cfg.uds_path.empty() && cfg.tcp_port < 0)
       throw std::invalid_argument("need --uds and/or --tcp (or --cluster)");
     if (cfg.groups > 0) wfq::broker::check_procs(cfg.shards, cfg.groups);
+    wfq::broker::check_backing(cfg.backing);
   } catch (const std::exception& ex) {
     std::cerr << "broker: " << ex.what() << "\n\n";
     usage(std::cerr);

@@ -134,5 +134,8 @@ int main(int argc, char** argv) {
             << " p99_us=" << wfq::stats::percentile(r.latencies_us, 99)
             << " p999_us=" << wfq::stats::percentile(r.latencies_us, 99.9)
             << "\n";
-  return r.connect_failed ? 1 : 0;
+  if (r.acked < r.sent)
+    std::cerr << "loadgen: " << r.sent - r.acked
+              << " request(s) went unanswered (did the broker die?)\n";
+  return r.connect_failed || r.acked < r.sent ? 1 : 0;
 }

@@ -57,44 +57,27 @@ class ReplicaGroup {
       if (!peers.empty()) peers += ',';
       peers += std::to_string(port);
     }
-    const std::string election = std::to_string(election_ms);
+    bin_ = bin;
+    pids_.assign(static_cast<size_t>(n), -1);
     for (int i = 0; i < n; ++i) {
-      // Everything the child needs is built before fork(): between fork
-      // and exec only async-signal-safe calls are allowed.
-      const std::string cluster =
-          std::to_string(i) + "/" + std::to_string(n);
-      std::vector<const char*> argv = {
-          bin.c_str(),     "--cluster",   cluster.c_str(),
-          "--peers",       peers.c_str(), "--backing",
-          backing.c_str(), "--shards",    "2",
-          "--election-ms", election.c_str()};
+      args_.push_back({"--cluster", std::to_string(i) + "/" + std::to_string(n),
+                       "--peers", peers, "--backing", backing, "--shards", "2",
+                       "--election-ms", std::to_string(election_ms)});
       if (static_cast<size_t>(i) < extra.size())
         for (const std::string& a : extra[static_cast<size_t>(i)])
-          argv.push_back(a.c_str());
-      argv.push_back(nullptr);
-      pid_t pid = ::fork();
-      if (pid < 0) return false;
-      if (pid == 0) {
-        int devnull = ::open("/dev/null", O_WRONLY);
-        if (devnull >= 0) ::dup2(devnull, STDOUT_FILENO);
-        if (devnull > STDOUT_FILENO) ::close(devnull);
-        ::execv(bin.c_str(), const_cast<char**>(argv.data()));
-        static const char msg[] = "replica_group: execv failed\n";
-        [[maybe_unused]] ssize_t w =
-            ::write(STDERR_FILENO, msg, sizeof(msg) - 1);
-        _exit(127);
-      }
-      pids_.push_back(pid);
+          args_.back().push_back(a);
+      if (!start(static_cast<size_t>(i))) return false;
     }
-    auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(10);
-    for (uint16_t port : ports_) {
-      while (!net::connect_tcp_timeout(port, 100).valid()) {
-        if (std::chrono::steady_clock::now() >= deadline) return false;
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
-      }
-    }
+    for (size_t i = 0; i < ports_.size(); ++i)
+      if (!accepting(i)) return false;
     return true;
+  }
+
+  /// Starts replica i again, once it is no longer running, with its spawn
+  /// argv, and blocks until its port accepts a connection. False if the
+  /// fork failed or the port stayed closed for 10 s.
+  bool restart(size_t i) {
+    return i < pids_.size() && pids_[i] <= 0 && start(i) && accepting(i);
   }
 
   /// Sends `sig` to replica i and reaps it, returning its wait status; -1
@@ -143,6 +126,40 @@ class ReplicaGroup {
   const std::vector<uint16_t>& ports() const { return ports_; }
 
  private:
+  /// Forks replica i as `bin_` with its spawn argv.
+  bool start(size_t i) {
+    // Everything the child needs is built before fork(): between fork and
+    // exec only async-signal-safe calls are allowed.
+    std::vector<const char*> argv = {bin_.c_str()};
+    for (const std::string& a : args_[i]) argv.push_back(a.c_str());
+    argv.push_back(nullptr);
+    pid_t pid = ::fork();
+    if (pid < 0) return false;
+    if (pid == 0) {
+      int devnull = ::open("/dev/null", O_WRONLY);
+      if (devnull >= 0) ::dup2(devnull, STDOUT_FILENO);
+      if (devnull > STDOUT_FILENO) ::close(devnull);
+      ::execv(bin_.c_str(), const_cast<char**>(argv.data()));
+      static const char msg[] = "replica_group: execv failed\n";
+      [[maybe_unused]] ssize_t w =
+          ::write(STDERR_FILENO, msg, sizeof(msg) - 1);
+      _exit(127);
+    }
+    pids_[i] = pid;
+    return true;
+  }
+
+  /// Waits up to 10 s until replica i's port accepts a connection.
+  bool accepting(size_t i) {
+    auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!net::connect_tcp_timeout(ports_[i], 100).valid()) {
+      if (std::chrono::steady_clock::now() >= deadline) return false;
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+    return true;
+  }
+
   int reap(size_t i) {
     int status = 0;
     while (::waitpid(pids_[i], &status, 0) < 0 && errno == EINTR) {
@@ -151,6 +168,8 @@ class ReplicaGroup {
     return status;
   }
 
+  std::string bin_;
+  std::vector<std::vector<std::string>> args_;  // per replica, after bin_
   std::vector<pid_t> pids_;
   std::vector<uint16_t> ports_;
 };

@@ -1,9 +1,9 @@
 // Shard map for the broker daemon: N backing objects built through the api
-// seam. The backing key is ANY registry spelling — a queue key ("ubq",
-// "bounded:g=64", "faaq") or a service key ("dwrr:4:ubq"), resolved with
-// the same strict parsers the seam uses everywhere (parse_service_key
-// first, queue_info otherwise, so malformed keys fail at construction with
-// the registry's own messages, not at first traffic).
+// seam. The backing key is one a daemon can run forever on (check_backing):
+// a tree queue ("ubq", "bounded:g=64") or a dwrr service over one
+// ("dwrr:4:bounded"), resolved with the same strict parsers the seam uses
+// everywhere, so malformed keys fail at construction with the registry's
+// own messages, not at first traffic.
 //
 // Routing: shard_of(key) = splitmix64(key) % nshards. Inside a dwrr-backed
 // shard, key % ntenants picks the tenant — so one client key always lands
@@ -77,6 +77,23 @@ inline void check_procs(int nshards, int procs) {
       std::to_string(kMaxTreeNodes) + ")");
 }
 
+/// Throws std::invalid_argument unless `key` is a backing a daemon can run
+/// forever on: ubq, bounded[:g=<G>], or dwrr:<n>: over one of them. The
+/// rest of the roster stays for the experiments: msq, kp and simq never
+/// free memory during operation, faaq exhausts its fixed cell array, and
+/// twolock and mutex take locks.
+inline void check_backing(const std::string& key) {
+  const std::optional<api::ServiceKey> sk = api::parse_service_key(key);
+  const std::string& queue = sk ? sk->backing : key;
+  const std::string base = queue.substr(0, queue.find(':'));
+  if (base != "ubq" && base != "bounded")
+    throw std::invalid_argument(
+        "broker: backing \"" + key +
+        "\" cannot serve forever; want ubq, bounded[:g=<G>] or "
+        "dwrr:<n>:<one of those>");
+  (void)api::queue_info(queue);  // the registry's message for bad params
+}
+
 /// One tenant row of a STAT report (dwrr-backed shards only).
 struct TenantRow {
   int tenant = 0;
@@ -87,12 +104,11 @@ struct TenantRow {
 
 class ShardMap {
  public:
-  /// Builds `nshards` backings of `backing_key` for `procs` processes
-  /// (check_procs bounds procs by the shard count).
-  /// `expected_ops` sizes fixed-segment backings (faaq cell arrays) via
-  /// api::sized_config, the same contract the experiments follow; a shard's
-  /// cells are claimed shard-wide, so the budget does not scale with procs.
-  ShardMap(int nshards, const std::string& backing_key, int64_t expected_ops,
+  /// Builds `nshards` backings of `backing_key` (check_backing) for `procs`
+  /// processes (check_procs bounds procs by the shard count). The int64_t
+  /// sizes nothing, since no accepted backing has a fixed capacity; it
+  /// stays because the frozen benchmark's shard replay passes an op count.
+  ShardMap(int nshards, const std::string& backing_key, int64_t,
            int procs = 1) {
     if (nshards < 1 || nshards > kMaxShards)
       throw std::invalid_argument(
@@ -100,10 +116,9 @@ class ShardMap {
           std::to_string(kMaxShards) + "] (got " + std::to_string(nshards) +
           ")");
     check_procs(nshards, procs);
+    check_backing(backing_key);
     backing_ = backing_key;
-    api::QueueConfig cfg =
-        api::sized_config(1, api::Backend::real, expected_ops);
-    cfg.procs = procs;
+    const api::QueueConfig cfg{.procs = procs};
     if (auto sk = api::parse_service_key(backing_key)) {
       ntenants_ = sk->ntenants;
       for (int s = 0; s < nshards; ++s) {
@@ -111,7 +126,6 @@ class ShardMap {
         service_mu_.emplace_back();
       }
     } else {
-      (void)api::queue_info(backing_key);  // loud registry-side validation
       for (int s = 0; s < nshards; ++s)
         queues_.push_back(api::make_queue<uint64_t>(backing_key, cfg));
     }

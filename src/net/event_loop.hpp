@@ -4,9 +4,19 @@
 // each accepted socket to a serving loop (Callbacks::on_accept + adopt()).
 //
 // Ownership: a loop's connections are its thread's alone. Nothing locks a
-// connection; other threads reach a loop only through its mailbox, which
-// holds sockets handed over by adopt() and bytes handed over by post(). The
-// loop drains the mailbox when its self-pipe wakes it.
+// connection; other threads reach a loop only through its mailbox of
+// closures (call(); adopt() and post() are thin calls of it), which the
+// loop runs on its own thread when its self-pipe wakes it and once more as
+// run() returns. After stop() the mailbox refuses.
+//
+// Time: an optional deadline hook runs before every wait and returns the
+// wait's timeout; without it the loop sleeps until an event or a post.
+//
+// Outbound: on its own thread a loop can dial() a TCP port (the raft
+// thread's peer links). The dial returns at once; bytes written before the
+// connect completes wait for EPOLLOUT, and a failed connect's error closes
+// the connection on the read path. The dialer can ask whether a connect is
+// still pending (connecting()) and give it up (close()).
 //
 // Read path: on a readable event the loop reads one buffer (64 KiB) from
 // the socket, feeds the connection's wfb-v1 Decoder, and hands ALL frames
@@ -37,6 +47,7 @@
 #include <mutex>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -100,17 +111,18 @@ class Poller {
   FdHandle ep_;
 };
 
-/// The multiplexer. One thread calls run(); adopt()/post()/stop() are safe
-/// from any thread. Connection ids are never reused, so bytes posted to a
-/// connection that has since closed are dropped instead of reaching a
-/// later one.
+/// The multiplexer. One thread calls run(); call()/adopt()/post()/stop()
+/// are safe from any thread, dial()/write()/connecting()/close() only on
+/// the loop's thread.
+/// Connection ids are never reused, so bytes posted to a connection that
+/// has since closed are dropped instead of reaching a later one.
 class EventLoop {
  public:
   struct Callbacks {
     /// One call per readable wakeup per connection, with every frame that
     /// burst decoded. The batch is the caller's to move from; responses are
     /// appended to `out`, which the loop flushes when the call returns.
-    /// Required by a loop that adopts connections.
+    /// Required by a loop that adopts or dials connections.
     std::function<void(uint64_t conn, std::vector<Frame>& batch,
                        std::string& out)>
         on_batch;
@@ -118,7 +130,15 @@ class EventLoop {
     /// listeners deals its connections to serving loops, which adopt() them.
     /// Required by add_listener().
     std::function<void(FdHandle fd)> on_accept;
+    /// Runs before every wait; returns the wait's timeout in ms (-1 =
+    /// none). Without it the loop waits with no timeout.
+    std::function<int()> on_deadline;
   };
+
+  /// Unsent bytes per connection (16 MiB) past which its loop stops
+  /// reading it, until the outbox drains below half (see update_interest),
+  /// and which write() never exceeds.
+  static constexpr size_t kMaxOutbox = size_t{16} << 20;
 
   explicit EventLoop(Callbacks cbs) : cbs_(std::move(cbs)) {
     int pipefd[2];
@@ -140,22 +160,74 @@ class EventLoop {
     listeners_.push_back(std::move(fd));
   }
 
+  /// Posts `fn` to run on the loop thread at its next wakeup, from any
+  /// thread. False (and `fn` dropped) after stop().
+  bool call(std::function<void()> fn) {
+    {
+      std::lock_guard<std::mutex> lk(mailbox_mutex_);
+      if (stop_.load(std::memory_order_relaxed)) return false;
+      mailbox_.push_back(std::move(fn));
+    }
+    wake();
+    return true;
+  }
+
   /// Hands a connected, nonblocking socket to this loop from any thread;
   /// the loop registers it as a connection at its next wakeup.
-  void adopt(FdHandle fd) { mail(Mail{std::move(fd), 0, {}}); }
+  void adopt(FdHandle fd) {
+    auto held = std::make_shared<FdHandle>(std::move(fd));
+    call([this, held] { join(std::move(*held)); });
+  }
 
   /// Hands `bytes` for connection `conn` to this loop from any thread; the
   /// loop appends them to the connection's outbox and flushes at its next
   /// wakeup, or drops them if the connection has closed.
   void post(uint64_t conn, std::string bytes) {
-    mail(Mail{FdHandle(), conn, std::move(bytes)});
+    call([this, conn, bytes = std::move(bytes)] {
+      if (Conn* c = find(conn)) {
+        c->outbox.append(bytes);
+        flush(*c);
+      }
+    });
   }
 
-  /// Runs until stop(). Dispatches on_batch/on_accept from this thread.
+  /// Loop thread only: dial_tcp(port) as a new connection; its id, or 0 if
+  /// the connect failed on the spot.
+  uint64_t dial(uint16_t port) {
+    FdHandle fd = dial_tcp(port);
+    if (!fd.valid()) return 0;
+    const uint64_t id = join(std::move(fd));
+    conns_[id]->connecting = true;
+    return id;
+  }
+
+  /// Loop thread only: true while `conn` is a dial that has sent nothing.
+  bool connecting(uint64_t conn) {
+    Conn* c = find(conn);
+    return c != nullptr && c->connecting;
+  }
+
+  /// Loop thread only: closes `conn` if it exists, dropping unsent bytes.
+  void close(uint64_t conn) {
+    if (Conn* c = find(conn)) close_conn(*c);
+  }
+
+  /// Loop thread only: queues `bytes` on connection `conn`, dropped if they
+  /// would push its unsent outbox past kMaxOutbox, and writes what the
+  /// socket takes. False if `conn` is gone (also by this write's EPIPE).
+  bool write(uint64_t conn, std::string_view bytes) {
+    Conn* c = find(conn);
+    if (c == nullptr) return false;
+    if (pending(*c) + bytes.size() <= kMaxOutbox) c->outbox.append(bytes);
+    return flush(*c);
+  }
+
+  /// Runs until stop(), then runs what the mailbox still holds. Dispatches
+  /// the callbacks and the mailbox from this thread.
   void run() {
     std::vector<Poller::Event> events;
     while (!stop_.load(std::memory_order_acquire)) {
-      poller_.wait(events, 200);
+      poller_.wait(events, cbs_.on_deadline ? cbs_.on_deadline() : -1);
       for (const Poller::Event& ev : events) {
         if (ev.tag == kWakeTag) {
           drain_mailbox();
@@ -167,23 +239,29 @@ class EventLoop {
         }
       }
     }
+    drain_mailbox();
   }
 
-  /// Stops run() from any thread (idempotent). The loop finishes the
-  /// current dispatch; it does not drain — that is broker policy.
+  /// Stops run() from any thread (idempotent) and closes the mailbox. The
+  /// loop finishes the current dispatch; it does not drain — that is
+  /// broker policy.
   void stop() {
-    stop_.store(true, std::memory_order_release);
+    {
+      std::lock_guard<std::mutex> lk(mailbox_mutex_);
+      stop_.store(true, std::memory_order_release);
+    }
     wake();
   }
 
-  /// Drain-path epilogue, called ONLY after run() has returned and every
-  /// thread that posts to this loop has stopped: deliver what the mailbox
-  /// still holds, flush each connection's pending outbox — blocking
-  /// briefly on writability, bounded so a peer that never reads cannot
-  /// wedge shutdown — then close every connection and listener, so clients
-  /// see EOF instead of a socket that never answers.
+  /// True once stop() was called (lets a closure tell a shutdown).
+  bool stopped() const { return stop_.load(std::memory_order_acquire); }
+
+  /// Drain-path epilogue, called ONLY after run() has returned: flush each
+  /// connection's pending outbox — blocking briefly on writability, bounded
+  /// so a peer that never reads cannot wedge shutdown — then close every
+  /// connection and listener, so clients see EOF instead of a socket that
+  /// never answers.
   void shutdown_flush_and_close() {
-    drain_mailbox();
     for (auto& [id, c] : conns_) {
       for (int tries = 0; tries < 50; ++tries) {
         if (!write_out(*c) || pending(*c) == 0) break;
@@ -198,9 +276,6 @@ class EventLoop {
   }
 
  private:
-  /// Unsent bytes per connection (16 MiB) past which its loop stops
-  /// reading it, until the outbox drains below half (see update_interest).
-  static constexpr size_t kMaxOutbox = size_t{16} << 20;
   /// Epoll tags: connection ids count up from 1, the self-pipe is 0, and a
   /// listener is its fd with the top bit set.
   static constexpr uint64_t kWakeTag = 0;
@@ -214,47 +289,25 @@ class EventLoop {
     size_t out_pos = 0;
     bool armed_write = false;  // EPOLLOUT currently armed
     bool paused = false;       // EPOLLIN dropped (backpressure)
+    bool connecting = false;   // dialed, nothing sent yet
   };
-
-  /// One mailbox entry: a socket from adopt(), or bytes for `conn` from
-  /// post().
-  struct Mail {
-    FdHandle fd;
-    uint64_t conn = 0;
-    std::string bytes;
-  };
-
-  void mail(Mail m) {
-    {
-      std::lock_guard<std::mutex> lk(mailbox_mutex_);
-      mailbox_.push_back(std::move(m));
-    }
-    wake();
-  }
 
   void wake() {
     char b = 1;
     [[maybe_unused]] ssize_t w = ::write(wake_wr_.get(), &b, 1);
   }
 
-  /// Empties the self-pipe, then delivers every mailbox entry.
+  /// Empties the self-pipe, then runs every mailbox entry.
   void drain_mailbox() {
     char buf[256];
     while (::read(wake_rd_.get(), buf, sizeof(buf)) > 0) {
     }
-    std::vector<Mail> mail;
+    std::vector<std::function<void()>> mail;
     {
       std::lock_guard<std::mutex> lk(mailbox_mutex_);
       mail.swap(mailbox_);
     }
-    for (Mail& m : mail) {
-      if (m.fd.valid()) {
-        join(std::move(m.fd));
-      } else if (Conn* c = find(m.conn)) {
-        c->outbox.append(m.bytes);
-        flush(*c);
-      }
-    }
+    for (std::function<void()>& fn : mail) fn();
   }
 
   Conn* find(uint64_t id) {
@@ -271,13 +324,15 @@ class EventLoop {
     }
   }
 
-  /// Registers an adopted socket as one of this loop's connections.
-  void join(FdHandle fd) {
+  /// Registers an adopted or dialed socket as one of this loop's
+  /// connections; returns its id.
+  uint64_t join(FdHandle fd) {
     auto c = std::make_unique<Conn>();
-    c->id = next_id_++;
+    const uint64_t id = c->id = next_id_++;
     c->fd = std::move(fd);
-    poller_.add(c->fd.get(), c->id);
-    conns_[c->id] = std::move(c);
+    poller_.add(c->fd.get(), id);
+    conns_[id] = std::move(c);
+    return id;
   }
 
   /// Reads one buffer, dispatches the decoded burst and flushes its
@@ -326,7 +381,8 @@ class EventLoop {
   static bool write_out(Conn& c) {
     while (pending(c) > 0) {
       // MSG_NOSIGNAL: a connection torn down under us (dead raft peer,
-      // vanished client) must be EPIPE, not SIGPIPE.
+      // vanished client) must be EPIPE, not SIGPIPE. A connect still in
+      // progress answers EAGAIN, so its bytes wait for EPOLLOUT.
       ssize_t w = ::send(c.fd.get(), c.outbox.data() + c.out_pos, pending(c),
                          MSG_NOSIGNAL);
       if (w < 0) {
@@ -334,6 +390,7 @@ class EventLoop {
         return errno == EAGAIN || errno == EWOULDBLOCK;
       }
       c.out_pos += static_cast<size_t>(w);
+      c.connecting = false;
     }
     c.outbox.clear();
     c.out_pos = 0;
@@ -377,7 +434,7 @@ class EventLoop {
   std::vector<FdHandle> listeners_;
   std::unordered_map<uint64_t, std::unique_ptr<Conn>> conns_;
   std::mutex mailbox_mutex_;
-  std::vector<Mail> mailbox_;
+  std::vector<std::function<void()>> mailbox_;
   std::vector<Frame> batch_;
   uint64_t next_id_ = 1;
   std::atomic<bool> stop_{false};

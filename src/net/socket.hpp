@@ -1,12 +1,12 @@
 // Socket plumbing for the broker subsystem (ISSUE 8): RAII fd handle,
 // nonblocking Unix-domain + TCP listeners, the matching client connect
-// helpers, and the blocking client's frame I/O (write_all / read_frame,
-// the one reader every out-of-process client uses). Everything returns
-// -1/false with errno preserved instead of throwing — the event loop
-// treats socket failure as a per-connection event, not a process error —
-// except listener setup, which throws std::runtime_error with the failing
-// address in the message (a daemon that cannot bind its socket has nothing
-// to fall back to).
+// helpers (the event loop's nonblocking dial_tcp among them), and the
+// blocking client's frame I/O (write_all / read_frame, the one reader every
+// out-of-process client uses). Everything returns -1/false with errno
+// preserved instead of throwing — the event loop treats socket failure as a
+// per-connection event, not a process error — except listener setup, which
+// throws std::runtime_error with the failing address in the message (a
+// daemon that cannot bind its socket has nothing to fall back to).
 #pragma once
 
 #include <atomic>
@@ -63,6 +63,16 @@ class FdHandle {
 inline bool set_nonblocking(int fd) {
   int flags = ::fcntl(fd, F_GETFL, 0);
   return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
+}
+
+/// 127.0.0.1:<port>, the only address the broker listens on or dials.
+inline sockaddr_in loopback_addr(uint16_t port) {
+  sockaddr_in addr;
+  std::memset(&addr, 0, sizeof(addr));
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  return addr;
 }
 
 /// Fills a sockaddr_un, rejecting paths that would silently truncate.
@@ -126,11 +136,7 @@ inline FdHandle listen_tcp(uint16_t port, int backlog = 128) {
                              std::string(std::strerror(errno)));
   int one = 1;
   ::setsockopt(fd.get(), SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
+  sockaddr_in addr = loopback_addr(port);
   if (::bind(fd.get(), reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0)
     throw std::runtime_error("net: bind(127.0.0.1:" + std::to_string(port) +
                              "): " + std::string(std::strerror(errno)));
@@ -163,22 +169,21 @@ inline FdHandle connect_uds(const std::string& path) {
   return fd;
 }
 
-/// Blocking client connect to 127.0.0.1:<port>. TCP_NODELAY is set: the
-/// protocol is request/response with small frames, where Nagle + delayed
-/// ACK turns every closed-loop RTT into 40ms.
-inline FdHandle connect_tcp(uint16_t port) {
-  FdHandle fd(::socket(AF_INET, SOCK_STREAM, 0));
+/// Nonblocking connect to 127.0.0.1:<port> that returns at once: the
+/// connect finishes later, when the socket turns writable, or fails later,
+/// when it reports an error. Invalid handle + errno if it failed on the
+/// spot. TCP_NODELAY is set: the protocol is request/response with small
+/// frames, where Nagle + delayed ACK turns every closed-loop RTT into 40ms.
+inline FdHandle dial_tcp(uint16_t port) {
+  FdHandle fd(::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0));
   if (!fd.valid()) return FdHandle();
-  sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (::connect(fd.get(), reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-      0)
-    return FdHandle();
   int one = 1;
   ::setsockopt(fd.get(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  sockaddr_in addr = loopback_addr(port);
+  if (::connect(fd.get(), reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
+          0 &&
+      errno != EINPROGRESS)
+    return FdHandle();
   return fd;
 }
 
@@ -203,30 +208,27 @@ inline bool set_send_timeout(int fd, uint64_t ms) {
 
 namespace detail {
 
-/// Finishes a nonblocking connect within `timeout_ms`: polls for
-/// writability, then checks SO_ERROR (a writable socket may still hold a
-/// deferred ECONNREFUSED). Restores blocking mode on success.
-inline FdHandle finish_timed_connect(FdHandle fd, const sockaddr* addr,
-                                     socklen_t addrlen, uint64_t timeout_ms) {
-  if (!set_nonblocking(fd.get())) return FdHandle();
-  if (::connect(fd.get(), addr, addrlen) != 0) {
-    if (errno != EINPROGRESS && errno != EAGAIN) return FdHandle();
-    pollfd pfd{fd.get(), POLLOUT, 0};
-    int rc;
-    do {
-      rc = ::poll(&pfd, 1, static_cast<int>(timeout_ms));
-    } while (rc < 0 && errno == EINTR);
-    if (rc <= 0) {
-      errno = (rc == 0) ? ETIMEDOUT : errno;
-      return FdHandle();
-    }
-    int err = 0;
-    socklen_t elen = sizeof(err);
-    if (::getsockopt(fd.get(), SOL_SOCKET, SO_ERROR, &err, &elen) != 0 ||
-        err != 0) {
-      errno = err != 0 ? err : errno;
-      return FdHandle();
-    }
+/// Waits up to `timeout_ms` (-1 = no limit) for the nonblocking connect on
+/// `fd` to finish: polls for writability, then checks SO_ERROR (a writable
+/// socket may still hold a deferred ECONNREFUSED). Restores blocking mode on
+/// success.
+inline FdHandle finish_connect(FdHandle fd, int timeout_ms) {
+  if (!fd.valid()) return fd;
+  pollfd pfd{fd.get(), POLLOUT, 0};
+  int rc;
+  do {
+    rc = ::poll(&pfd, 1, timeout_ms);
+  } while (rc < 0 && errno == EINTR);
+  if (rc <= 0) {
+    errno = (rc == 0) ? ETIMEDOUT : errno;
+    return FdHandle();
+  }
+  int err = 0;
+  socklen_t elen = sizeof(err);
+  if (::getsockopt(fd.get(), SOL_SOCKET, SO_ERROR, &err, &elen) != 0 ||
+      err != 0) {
+    errno = err != 0 ? err : errno;
+    return FdHandle();
   }
   int flags = ::fcntl(fd.get(), F_GETFL, 0);
   if (flags < 0 || ::fcntl(fd.get(), F_SETFL, flags & ~O_NONBLOCK) != 0)
@@ -240,20 +242,12 @@ inline FdHandle finish_timed_connect(FdHandle fd, const sockaddr* addr,
 /// of the kernel's multi-minute SYN retry schedule. Returns a BLOCKING fd
 /// with TCP_NODELAY set, like connect_tcp.
 inline FdHandle connect_tcp_timeout(uint16_t port, uint64_t timeout_ms) {
-  FdHandle fd(::socket(AF_INET, SOCK_STREAM, 0));
-  if (!fd.valid()) return FdHandle();
-  sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  fd = detail::finish_timed_connect(std::move(fd),
-                                    reinterpret_cast<sockaddr*>(&addr),
-                                    sizeof(addr), timeout_ms);
-  if (!fd.valid()) return FdHandle();
-  int one = 1;
-  ::setsockopt(fd.get(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  return fd;
+  return detail::finish_connect(dial_tcp(port), static_cast<int>(timeout_ms));
+}
+
+/// Blocking client connect to 127.0.0.1:<port>, TCP_NODELAY set.
+inline FdHandle connect_tcp(uint16_t port) {
+  return detail::finish_connect(dial_tcp(port), -1);
 }
 
 /// connect_uds with a connect deadline; UDS connects only block when the
@@ -262,11 +256,13 @@ inline FdHandle connect_uds_timeout(const std::string& path,
                                     uint64_t timeout_ms) {
   sockaddr_un addr;
   fill_uds_addr(path, addr);
-  FdHandle fd(::socket(AF_UNIX, SOCK_STREAM, 0));
-  if (!fd.valid()) return FdHandle();
-  return detail::finish_timed_connect(std::move(fd),
-                                      reinterpret_cast<sockaddr*>(&addr),
-                                      sizeof(addr), timeout_ms);
+  FdHandle fd(::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK, 0));
+  if (!fd.valid() ||
+      (::connect(fd.get(), reinterpret_cast<sockaddr*>(&addr),
+                 sizeof(addr)) != 0 &&
+       errno != EINPROGRESS && errno != EAGAIN))
+    return FdHandle();
+  return detail::finish_connect(std::move(fd), static_cast<int>(timeout_ms));
 }
 
 /// send() the whole buffer on a BLOCKING socket, riding out EINTR and the

@@ -1,48 +1,55 @@
-// Socket transport + service thread wrapping raft::Node (ISSUE 10): the
-// piece that runs the SAME consensus core the sim harness drives, but over
-// real wfb-v1 frames between broker replicas.
+// Socket transport + service thread wrapping raft::Node: the piece that
+// runs the SAME consensus core the sim harness drives, but over real wfb-v1
+// frames between broker replicas.
 //
 // Topology: every replica listens on its own client TCP port (the one
 // listener serves clients AND peers), and DIALS one outbound connection to
 // each peer's port. Messages travel simplex: node A sends to B over A's
 // outbound link; B's replies come back over B's own outbound link to A. The
-// inbound half rides the broker's existing event loop — raft-band frames
-// arriving in on_batch are handed to deliver_frame(), which decodes and
-// posts them to the raft thread. No select/poll logic is added anywhere;
-// the event loop stays the only reader.
+// inbound half rides the broker's event loops — raft-band frames arriving
+// in on_batch are handed to deliver_frame().
 //
-// Threading: one raft thread owns everything — it alone calls the Node,
-// writes the peer links and runs the apply and role callbacks, so none of
-// that state is locked. Other threads reach it through one mailbox (mu_):
-// deliver_frame() posts peer messages and propose() posts proposals. Each
-// raft-thread step takes the whole mailbox, feeds the messages to the node,
-// then the proposals, then ticks, and only after that delivers the role
-// change and the applies the step produced. A proposal's completion runs
-// right after Node::propose returns, so it sees its log index before that
-// entry's apply runs, even in a 1-replica group, which commits inside
-// propose. The callbacks may call propose(); what they propose is taken at
-// the next step. Readers that are not the raft thread (the broker's request
-// path, STAT) see the node through lock-free snapshots.
+// Threading: the raft thread runs a net::EventLoop of its own, and only it
+// calls the Node, writes the peer links and runs the apply and role
+// callbacks, so none of that state is locked. Other threads reach it
+// through the loop's mailbox: deliver_frame() posts a peer message and
+// propose() a proposal, each a closure the raft thread runs in arrival
+// order. Before every wait the loop's deadline hook ticks the node, then
+// delivers the role change and the applies that the closures and the tick
+// produced, and returns the time to the node's next deadline (heartbeat or
+// election) as the wait's timeout, so an idle replica wakes once per
+// deadline. A proposal's completion runs right after Node::propose
+// returns, so it sees its log index before that entry's apply runs, even
+// in a 1-replica group, which commits inside propose. The callbacks may
+// call propose(); what they propose runs at the next wakeup. Readers that
+// are not the raft thread (the broker's request path, STAT) see the node
+// through lock-free snapshots.
 //
-// Peer links use short connect/send timeouts and on any failure just drop
-// the message and reconnect later (rate limited): raft is built on lossy
-// links, so "drop and let the protocol retry" needs no bookkeeping.
+// Peer links are connections of that loop, dialed without blocking. A
+// message to a peer whose link is gone redials it, at most once per
+// heartbeat interval (T/5), and is dropped in between. One sent while the
+// connect is in progress waits in the link's outbox; a connect still
+// unfinished one election timeout T after its dial (its SYN dropped by a
+// full accept queue, it would wait seconds for the retry) is given up for a
+// fresh dial; a message that would push the outbox past the loop's
+// kMaxOutbox is dropped. Raft is built on lossy links, so "drop and let the
+// protocol retry" needs no bookkeeping, and a peer that is down or stalled
+// never blocks the raft thread.
 #pragma once
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "net/event_loop.hpp"
 #include "net/frame.hpp"
-#include "net/socket.hpp"
 #include "platform/affinity.hpp"
 #include "raft/raft.hpp"
 #include "raft/wire.hpp"
@@ -71,7 +78,10 @@ class RaftService {
   using ProposeFn = std::function<void(uint64_t index)>;
 
   RaftService(RaftServiceConfig cfg, ApplyFn apply, RoleFn on_role)
-      : cfg_(cfg), apply_(std::move(apply)), on_role_(std::move(on_role)) {
+      : cfg_(cfg),
+        apply_(std::move(apply)),
+        on_role_(std::move(on_role)),
+        loop_(loop_callbacks()) {
     NodeConfig nc;
     nc.id = cfg.node_id;
     nc.peers = static_cast<int>(cfg.peer_ports.size());
@@ -94,28 +104,26 @@ class RaftService {
   void start() {
     thread_ = std::thread([this] {
       platform::name_thread("wfb-raft");
-      run();
+      node_->start(now_ms());
+      loop_.run();
     });
   }
 
   /// Joins the raft thread. Proposals still in the mailbox complete with 0
   /// on the raft thread before it exits; later ones are refused.
   void stop() {
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      if (stopped_) return;
-      stopped_ = true;
-    }
-    cv_.notify_all();
+    loop_.stop();
     if (thread_.joinable()) thread_.join();
   }
 
   /// Any thread: hand over a raft-band frame from a peer. Malformed bodies
-  /// are dropped (see wire.hpp). The raft thread takes it at its next step.
+  /// are dropped (see wire.hpp). The raft thread takes it at its next wakeup.
   void deliver_frame(const net::Frame& f) {
     Message m;
     if (!from_frame(f, m)) return;
-    post([&] { inbox_.push_back(std::move(m)); });
+    loop_.call([this, m = std::move(m)] {
+      if (!loop_.stopped()) node_->on_message(m, now_ms());
+    });
   }
 
   /// Any thread: propose `cmd`. `on_index` (may be empty) runs on the raft
@@ -124,9 +132,12 @@ class RaftService {
   /// via leader_hint()); it runs before the entry's apply. False after
   /// stop(): the proposal is refused and `on_index` never runs.
   bool propose(std::string cmd, ProposeFn on_index) {
-    return post([&] {
-      proposals_.push_back({std::move(cmd), std::move(on_index)});
-    });
+    return loop_.call(
+        [this, cmd = std::move(cmd), on_index = std::move(on_index)] {
+          const uint64_t idx =
+              loop_.stopped() ? 0 : node_->propose(cmd, now_ms());
+          if (on_index) on_index(idx);
+        });
   }
 
   // Lock-free snapshots for the request path (ENQ/DEQ gating, STAT).
@@ -145,22 +156,6 @@ class RaftService {
   int cluster_size() const { return static_cast<int>(cfg_.peer_ports.size()); }
 
  private:
-  // Peer link timings: a dial or a send that takes longer drops the message
-  // (raft retries it); a failed dial is not retried for kReconnectBackoffMs.
-  static constexpr uint64_t kConnectTimeoutMs = 100;
-  static constexpr uint64_t kSendTimeoutMs = 20;
-  static constexpr uint64_t kReconnectBackoffMs = 50;
-
-  struct Link {
-    net::FdHandle fd;
-    uint64_t next_attempt_ms = 0;
-  };
-
-  struct Proposal {
-    std::string cmd;
-    ProposeFn on_index;
-  };
-
   uint64_t now_ms() const {
     return static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -168,53 +163,22 @@ class RaftService {
             .count());
   }
 
-  /// Runs `add` on the mailbox under mu_ and wakes the raft thread; false
-  /// (nothing added) once stopped.
-  template <class Add>
-  bool post(Add add) {
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      if (stopped_) return false;
-      add();
-    }
-    cv_.notify_one();
-    return true;
+  net::EventLoop::Callbacks loop_callbacks() {
+    net::EventLoop::Callbacks cbs;
+    // Peers answer over their own links, so what arrives on ours is noise.
+    cbs.on_batch = [](uint64_t, std::vector<net::Frame>&, std::string&) {};
+    cbs.on_deadline = [this] { return step(); };
+    return cbs;
   }
 
-  /// The raft thread: one step per mailbox wakeup or 2 ms tick.
-  void run() {
-    node_->start(now_ms());
+  /// The loop's deadline hook (raft thread, before every wait): tick, then
+  /// finish the step; returns the ms left until the node's next deadline.
+  int step() {
+    const uint64_t now = now_ms();
+    node_->tick(now);
     finish_step();
-    std::vector<Message> msgs;
-    std::vector<Proposal> props;
-    for (;;) {
-      bool stopping = false;
-      {
-        std::unique_lock<std::mutex> lk(mu_);
-        cv_.wait_for(lk, std::chrono::milliseconds(2), [this] {
-          return stopped_ || !inbox_.empty() || !proposals_.empty();
-        });
-        stopping = stopped_;
-        msgs.swap(inbox_);
-        props.swap(proposals_);
-      }
-      if (stopping) {
-        for (Proposal& p : props)
-          if (p.on_index) p.on_index(0);
-        break;
-      }
-      const uint64_t now = now_ms();
-      for (const Message& m : msgs) node_->on_message(m, now);
-      for (Proposal& p : props) {
-        uint64_t idx = node_->propose(p.cmd, now);
-        if (p.on_index) p.on_index(idx);
-      }
-      node_->tick(now);
-      finish_step();
-      msgs.clear();
-      props.clear();
-    }
-    for (Link& l : links_) l.fd.reset();
+    const uint64_t next = node_->next_deadline_ms();
+    return next > now ? static_cast<int>(next - now) : 0;
   }
 
   /// After a node step: refresh the lock-free snapshots, then run the role
@@ -238,41 +202,39 @@ class RaftService {
   }
 
   /// Node send callback (raft thread): write one message to peer `to`,
-  /// dialing first if the link is down.
+  /// under the peer-link rules of the header comment.
   void send_to(int to, const Message& m) {
     Link& l = links_[static_cast<size_t>(to)];
-    uint64_t now = now_ms();
-    if (!l.fd.valid()) {
-      if (now < l.next_attempt_ms) return;  // rate-limit reconnects
-      l.next_attempt_ms = now + kReconnectBackoffMs;
-      l.fd = net::connect_tcp_timeout(cfg_.peer_ports[static_cast<size_t>(to)],
-                                      kConnectTimeoutMs);
-      if (!l.fd.valid()) return;  // peer down: message dropped, raft retries
-      net::set_send_timeout(l.fd.get(), kSendTimeoutMs);
-    }
+    const uint64_t now = now_ms();
+    if (loop_.connecting(l.conn) &&
+        now - *l.dialed_ms >= cfg_.election_timeout_ms)
+      loop_.close(l.conn);
     std::string out;
     net::encode_frame(to_frame(m, cfg_.node_id), out);
-    if (!net::write_all(l.fd.get(), out)) {
-      l.fd.reset();  // stalled or dead peer: drop and redial later
-      l.next_attempt_ms = now + kReconnectBackoffMs;
-    }
+    if (loop_.write(l.conn, out)) return;
+    if (l.dialed_ms && now - *l.dialed_ms < cfg_.election_timeout_ms / 5)
+      return;
+    l.conn = loop_.dial(cfg_.peer_ports[static_cast<size_t>(to)]);
+    l.dialed_ms = now;
+    loop_.write(l.conn, out);
   }
+
+  struct Link {
+    uint64_t conn = 0;  // a loop connection id; 0 = none
+    std::optional<uint64_t> dialed_ms;
+  };
 
   RaftServiceConfig cfg_;
   ApplyFn apply_;
   RoleFn on_role_;
   std::chrono::steady_clock::time_point start_;
 
-  // The mailbox: the one state shared with other threads.
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool stopped_ = false;
-  std::vector<Message> inbox_;
-  std::vector<Proposal> proposals_;
+  // Its mailbox is the one state shared with other threads.
+  net::EventLoop loop_;
 
   // Raft thread only.
   std::unique_ptr<Node> node_;
-  std::vector<Link> links_;
+  std::vector<Link> links_;  // per peer
   std::vector<std::pair<uint64_t, std::string>> committed_;  // this step's
 
   std::atomic<bool> is_leader_{false};

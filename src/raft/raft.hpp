@@ -178,6 +178,11 @@ class Node {
   uint64_t commit_index() const { return commit_; }
   uint64_t last_applied() const { return applied_; }
   uint64_t last_index() const { return log_.size(); }
+  /// When tick() next has work: the next heartbeat when leader, else the
+  /// election deadline.
+  uint64_t next_deadline_ms() const {
+    return role_ == Role::leader ? next_heartbeat_ms_ : election_deadline_ms_;
+  }
   const std::vector<LogEntry>& log() const { return log_; }
 
   /// Best guess at the current leader's id: self when leader, the sender of

@@ -7,7 +7,8 @@
 // without stalling its loop-mates, enq == deq in the drained broker's
 // counters, the SIGTERM drain path (stop()) answers everything already
 // read, the STAT surface (JSON payload + live space + dwrr tenant rows)
-// is coherent, and a start() that fails leaves no socket file behind.
+// is coherent, a start() that fails leaves no socket file behind, and a
+// backing that cannot serve forever (faaq, simq, ...) is refused.
 #include <unistd.h>
 
 #include <algorithm>
@@ -66,7 +67,6 @@ void test_throughput_and_counters(const std::string& backing) {
   bcfg.shards = kShards;
   bcfg.backing = backing;
   bcfg.uds_path = temp_uds_path("tput");
-  bcfg.expected_ops = kConns * kMsgs + 4096;
   broker::Broker b(bcfg);
   b.start();
 
@@ -428,6 +428,33 @@ void test_failed_start_leaves_no_socket() {
   ::unlink(path.c_str());
 }
 
+/// Only backings a daemon can run forever on are accepted: the tree queues
+/// and dwrr over them. The rest of the roster throws at construction, in a
+/// cluster replica too (before any config entry could apply).
+void test_backing_must_run_forever() {
+  for (const char* key : {"ubq", "bounded", "bounded:g=8", "dwrr:4:ubq",
+                          "dwrr:2:bounded:g=8"})
+    CHECK(broker::ShardMap(1, key, 0).backing() == key);
+  for (const char* key : {"faaq", "simq", "kp", "msq", "mutex", "dwrr:4:faaq",
+                          "bounded:g=0", "nosuch"}) {
+    for (bool cluster : {false, true}) {
+      broker::BrokerConfig bcfg;
+      bcfg.backing = key;
+      bcfg.uds_path = temp_uds_path("backing");
+      bcfg.cluster = cluster;
+      bcfg.tcp_port = 7;
+      bcfg.peer_ports = {7};
+      bool threw = false;
+      try {
+        broker::Broker b(bcfg);
+      } catch (const std::invalid_argument&) {
+        threw = true;
+      }
+      CHECK(threw);
+    }
+  }
+}
+
 /// Keys 0, 1, ... picked so that key i routes to shard i.
 std::vector<uint32_t> one_key_per_shard(int shards) {
   std::vector<uint32_t> keys(static_cast<size_t>(shards));
@@ -658,5 +685,6 @@ int main() {
   test_open_loop_smoke();
   test_tcp_transport();
   test_failed_start_leaves_no_socket();
+  test_backing_must_run_forever();
   return wfq::test::exit_code();
 }

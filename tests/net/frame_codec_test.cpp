@@ -7,15 +7,24 @@
 // this is the no-crash/no-overread gate. Last, the blocking client reader
 // net::read_frame over a socketpair: leftovers, EOF, poison and timeout;
 // and net::listen_uds's bind-then-rename under paths near sun_path's limit
-// and under two listeners racing for one path. Last of all, one
-// net::EventLoop over adopted socketpairs: bytes another thread post()s
-// land after the responses already written, die with their connection,
-// and still go out when posted just before stop().
+// and under two listeners racing for one path. Last of all, net::EventLoop:
+// over adopted socketpairs, bytes another thread post()s land after the
+// responses already written, die with their connection, and still go out
+// when posted just before stop(); posted closures run on the loop thread in
+// order with adopt() and post(); the deadline hook runs at the deadline it
+// returned, and a loop without one sleeps while idle; a dial to a refused
+// port closes its connection by itself, and a dial to a listener whose
+// accept queue is full returns at once, reads as connecting until the
+// connect completes and never buffers past kMaxOutbox.
+#include <pthread.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstdint>
+#include <ctime>
+#include <fstream>
 #include <future>
 #include <random>
 #include <string>
@@ -661,6 +670,216 @@ void test_event_loop_mailbox() {
   expect_eof(a, da);
 }
 
+/// Builds the frame `posted` bytes carry in the mailbox tests.
+std::string stat_ok_wire(uint32_t key) {
+  net::Frame f;
+  f.op = net::Opcode::stat_ok;
+  f.key = key;
+  f.payload = "posted";
+  std::string wire;
+  net::encode_frame(f, wire);
+  return wire;
+}
+
+/// call() closures run on the loop thread, in mailbox order with adopt()
+/// and post(): a closure posted after an adopt() finds the connection, and
+/// its write lands between the bytes posted before and after it.
+void test_event_loop_closures() {
+  net::EventLoop::Callbacks cbs;
+  cbs.on_batch = [](uint64_t, std::vector<net::Frame>&, std::string&) {};
+  net::EventLoop loop(std::move(cbs));
+  std::thread runner([&] { loop.run(); });
+  auto adopt = [&loop] {
+    int sv[2] = {-1, -1};
+    CHECK(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) == 0);
+    net::set_nonblocking(sv[0]);
+    net::set_recv_timeout(sv[1], 5000);
+    loop.adopt(net::FdHandle(sv[0]));
+    return net::FdHandle(sv[1]);
+  };
+  // Connection ids count up from 1, so this loop's first is id 1.
+  net::FdHandle a = adopt();
+  std::thread::id ran_on;
+  bool wrote = false;
+  std::thread([&] {
+    loop.post(1, stat_ok_wire(1));
+    loop.call([&] {
+      ran_on = std::this_thread::get_id();
+      wrote = loop.write(1, stat_ok_wire(2));
+    });
+    loop.post(1, stat_ok_wire(3));
+  }).join();
+  net::Decoder dec;
+  for (uint32_t key : {1u, 2u, 3u}) {
+    net::Frame f;
+    CHECK(net::read_frame(a.get(), dec, f) == net::DecodeStatus::ok);
+    CHECK_EQ(f.key, key);
+  }
+  const std::thread::id loop_id = runner.get_id();
+  loop.stop();
+  runner.join();
+  CHECK(wrote);
+  CHECK(ran_on == loop_id);
+  CHECK(!loop.call([] {}));  // the mailbox refuses after stop()
+}
+
+/// The deadline hook's return is the wait's timeout: a hook that asks to
+/// run again at start + 60 ms runs then, not at a fixed poll tick.
+void test_event_loop_deadline() {
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point start = Clock::now();
+  const Clock::time_point due = start + std::chrono::milliseconds(60);
+  double fired_ms = -1;
+  net::EventLoop::Callbacks cbs;
+  cbs.on_deadline = [&] {
+    const Clock::time_point now = Clock::now();
+    if (now < due)
+      return static_cast<int>(
+          std::chrono::ceil<std::chrono::milliseconds>(due - now).count());
+    if (fired_ms < 0)
+      fired_ms =
+          std::chrono::duration<double, std::milli>(now - start).count();
+    return -1;
+  };
+  net::EventLoop loop(std::move(cbs));
+  std::thread runner([&] { loop.run(); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  loop.stop();
+  runner.join();
+  CHECK(fired_ms >= 60 && fired_ms < 160);
+}
+
+/// Voluntary + involuntary context switches of thread `tid` so far.
+uint64_t context_switches(pid_t tid) {
+  std::ifstream in("/proc/self/task/" + std::to_string(tid) + "/status");
+  uint64_t total = 0;
+  std::string key;
+  while (in >> key) {
+    if (key == "voluntary_ctxt_switches:" ||
+        key == "nonvoluntary_ctxt_switches:") {
+      uint64_t n = 0;
+      in >> n;
+      total += n;
+    }
+  }
+  return total;
+}
+
+/// A loop without a deadline hook sleeps until an event or a post: over
+/// 500 idle ms its thread neither wakes nor burns CPU.
+void test_event_loop_idle() {
+  net::EventLoop::Callbacks cbs;
+  net::EventLoop loop(std::move(cbs));
+  std::thread runner([&] { loop.run(); });
+  std::promise<pid_t> tid;
+  loop.call([&] { tid.set_value(static_cast<pid_t>(::gettid())); });
+  const pid_t loop_tid = tid.get_future().get();
+  clockid_t cpu_clock;
+  CHECK(::pthread_getcpuclockid(runner.native_handle(), &cpu_clock) == 0);
+  auto cpu_ms = [&] {
+    timespec ts{};
+    ::clock_gettime(cpu_clock, &ts);
+    return static_cast<double>(ts.tv_sec) * 1e3 +
+           static_cast<double>(ts.tv_nsec) / 1e6;
+  };
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const uint64_t sw0 = context_switches(loop_tid);
+  const double cpu0 = cpu_ms();
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  const uint64_t woke = context_switches(loop_tid) - sw0;
+  const double cpu = cpu_ms() - cpu0;
+  loop.stop();
+  runner.join();
+  CHECK(woke <= 1);
+  CHECK(cpu < 20);
+}
+
+/// Outbound connections. A dial to a refused port is closed by the loop
+/// itself once the connect fails (an empty write sends nothing, so it
+/// reports only whether the connection exists). A dial to a listener
+/// whose accept queue is full returns at once and reads as connecting();
+/// writes past kMaxOutbox are dropped, and once the listener accepts,
+/// exactly kMaxOutbox bytes arrive, the dial no longer reads as connecting
+/// and close() takes it away.
+void test_event_loop_dial() {
+  net::EventLoop::Callbacks cbs;
+  cbs.on_batch = [](uint64_t, std::vector<net::Frame>&, std::string&) {};
+  net::EventLoop loop(std::move(cbs));
+  std::thread runner([&] { loop.run(); });
+  // Runs `fn` on the loop thread and waits for its result.
+  auto on_loop = [&loop](auto fn) {
+    std::promise<decltype(fn())> done;
+    loop.call([&] { done.set_value(fn()); });
+    return done.get_future().get();
+  };
+
+  uint16_t refused = 0;
+  {
+    net::FdHandle l = net::listen_tcp(0);
+    refused = net::bound_tcp_port(l.get());
+  }
+  const uint64_t r = on_loop([&] { return loop.dial(refused); });
+  bool gone = false;
+  for (int i = 0; i < 100 && !gone; ++i) {
+    gone = !on_loop([&] { return loop.write(r, ""); });
+    if (!gone) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  CHECK(gone);
+
+  net::FdHandle sink = net::listen_tcp(0, 0);
+  const uint16_t port = net::bound_tcp_port(sink.get());
+  std::vector<net::FdHandle> queued;
+  for (int i = 0; i < 8; ++i) {
+    net::FdHandle fd = net::connect_tcp_timeout(port, 100);
+    if (!fd.valid()) break;
+    queued.push_back(std::move(fd));
+  }
+  using Clock = std::chrono::steady_clock;
+  const std::string chunk(size_t{1} << 20, 'x');
+  const size_t chunks = net::EventLoop::kMaxOutbox / chunk.size() + 4;
+  double dial_ms = -1;
+  const uint64_t d = on_loop([&] {
+    const Clock::time_point t0 = Clock::now();
+    const uint64_t id = loop.dial(port);
+    dial_ms =
+        std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
+    for (size_t i = 0; i < chunks; ++i)
+      if (!loop.write(id, chunk)) return uint64_t{0};
+    return id;
+  });
+  CHECK(d != 0);
+  CHECK(dial_ms >= 0 && dial_ms < 20);
+  CHECK(on_loop([&] { return loop.connecting(d); }));
+  // Free the queue; the dial's SYN retry (about 1 s later) then connects.
+  while (!queued.empty()) {
+    net::FdHandle(::accept(sink.get(), nullptr, nullptr));
+    queued.pop_back();
+  }
+  net::FdHandle peer;
+  for (int i = 0; i < 500 && !peer.valid(); ++i) {
+    peer.reset(::accept(sink.get(), nullptr, nullptr));
+    if (!peer.valid())
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  CHECK(peer.valid());
+  size_t got = 0;
+  if (peer.valid()) {
+    net::set_recv_timeout(peer.get(), 500);
+    char buf[65536];
+    ssize_t n;
+    while ((n = ::read(peer.get(), buf, sizeof(buf))) > 0)
+      got += static_cast<size_t>(n);
+  }
+  CHECK_EQ(got, net::EventLoop::kMaxOutbox);
+  CHECK(!on_loop([&] { return loop.connecting(d); }));
+  CHECK(!on_loop([&] {
+    loop.close(d);
+    return loop.write(d, "");
+  }));
+  loop.stop();
+  runner.join();
+}
+
 }  // namespace
 
 int main() {
@@ -675,5 +894,9 @@ int main() {
   test_read_frame();
   test_listen_uds();
   test_event_loop_mailbox();
+  test_event_loop_closures();
+  test_event_loop_deadline();
+  test_event_loop_idle();
+  test_event_loop_dial();
   return wfq::test::exit_code();
 }

@@ -6,20 +6,23 @@
 // CLI), the ERR_NOT_LEADER + leader-hint redirect contract, commit-then-ack
 // SETW, and leader failover under SIGKILL — the client must ride it out and
 // the replicated weight must survive on the new leader. Survivors must then
-// drain cleanly on SIGTERM (exit 0). Two more groups cover what only a
-// stalled or misconfigured replica shows: a SETW pending on a leader that
-// is deposed or drains is still answered, and the first config entry to
-// apply decides on every replica, also after the leader that proposed it
-// dies.
+// drain cleanly on SIGTERM (exit 0). Three more groups cover what only a
+// stalled, misconfigured or unreachable replica shows: a SETW pending on a
+// leader that is deposed or drains is still answered, the first config
+// entry to apply decides on every replica, also after the leader that
+// proposed it dies, and a peer port whose accept queue is full does not
+// slow the leader's commits.
 //
 // argv[1] = path to the broker binary (wired up by tests/CMakeLists.txt as
 // $<TARGET_FILE:broker>).
 #include <signal.h>
 #include <sys/wait.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <thread>
@@ -174,15 +177,25 @@ void redirects_setw_and_failover(const std::string& broker_bin) {
   CHECK(leader >= 0 && leader < 3);
 
   // Redirect contract: a follower answers ENQ with ERR_NOT_LEADER and a
-  // hint naming the actual leader (heartbeats have long since spread it).
+  // hint naming the actual leader. The leader serves once ONE follower has
+  // acked its config entry, so the other may still hold the leader's first
+  // AppendEntries in its raft thread's mailbox (under CPU load its raft
+  // thread was seen unscheduled for ~4 ms while one of its event loops
+  // answered, also with the earlier condvar-driven raft thread). Raft
+  // bounds that lag by the election timeout (a follower that hears nothing
+  // for that long campaigns), so the hint must name the leader within one
+  // (150 ms).
   {
     int follower = (leader + 1) % 3;
     net::Frame resp;
-    CHECK(raw_request(ports[static_cast<size_t>(follower)],
-                      make_enq(5, 99), resp));
-    CHECK(resp.op == net::Opcode::err_not_leader);
     uint32_t hint = 0;
-    CHECK(net::decode_u32(resp.payload, hint));
+    CHECK(eventually(150, [&] {
+      return raw_request(ports[static_cast<size_t>(follower)],
+                         make_enq(5, 99), resp) &&
+             net::decode_u32(resp.payload, hint) &&
+             hint == static_cast<uint32_t>(leader);
+    }));
+    CHECK(resp.op == net::Opcode::err_not_leader);
     CHECK_EQ(hint, static_cast<uint32_t>(leader));
     // So is a SETW: a follower answers it inline, without proposing.
     CHECK(raw_request(ports[static_cast<size_t>(follower)], make_setw(1, 2),
@@ -375,6 +388,78 @@ void first_config_decides(const std::string& broker_bin) {
   check_clean_exits(group.terminate(), 2);
 }
 
+/// A peer that never completes a connect must not stall the leader. Replica
+/// 2 is SIGKILLed and its port taken over by a listener whose accept queue
+/// is full, so a dial to it hangs in SYN retries. The two live replicas
+/// still commit SETWs at loopback speed: a leader that dialed with a
+/// blocking 100 ms connect took a median of 301 ms per SETW (4-vCPU VM).
+/// Then the port frees up and replica 2 comes back; the leader must reach
+/// it within a few heartbeats. Replica 2 runs with a long election timeout,
+/// so it waits to hear from the leader instead of campaigning (there is no
+/// pre-vote).
+void full_accept_queue_peer(const std::string& broker_bin) {
+  broker::ReplicaGroup group;
+  CHECK(group.spawn(broker_bin, 3, "dwrr:4:ubq", 150,
+                    {{}, {}, {"--election-ms", "1000"}}));
+  const std::vector<uint16_t>& ports = group.ports();
+  group.kill(2, SIGKILL);
+  net::FdHandle sink = net::listen_tcp(ports[2], 0);
+  std::vector<net::FdHandle> queued;  // fill the queue: a connect times out
+  for (int i = 0; i < 8; ++i) {
+    net::FdHandle fd = net::connect_tcp_timeout(ports[2], 100);
+    if (!fd.valid()) break;
+    queued.push_back(std::move(fd));
+  }
+  CHECK(!net::connect_tcp_timeout(ports[2], 100).valid());
+
+  int leader = -1;
+  CHECK(eventually(15'000, [&] {
+    for (int i : {0, 1}) {
+      const std::string s = stat_of(ports[static_cast<size_t>(i)]);
+      if (leads(s) && contains(s, "\"ready\":true")) leader = i;
+    }
+    return leader >= 0;
+  }));
+  if (leader < 0) return;
+  net::FdHandle fd =
+      net::connect_tcp_timeout(ports[static_cast<size_t>(leader)], 2000);
+  CHECK(fd.valid());
+  if (!fd.valid()) return;
+  net::Decoder dec;
+  std::vector<double> ms;
+  for (uint32_t i = 0; i < 30; ++i) {
+    std::string wire;
+    net::encode_frame(make_setw(1, 1 + i % 3), wire);
+    auto t0 = std::chrono::steady_clock::now();
+    CHECK(net::write_all(fd.get(), wire));
+    CHECK_EQ(next_answer(fd.get(), dec, 2000), "SETW_OK");
+    ms.push_back(std::chrono::duration<double, std::milli>(
+                     std::chrono::steady_clock::now() - t0)
+                     .count());
+  }
+  std::sort(ms.begin(), ms.end());
+  std::printf("full_accept_queue_peer: SETW p50 %.2f ms, max %.2f ms\n",
+              ms[ms.size() / 2], ms.back());
+  CHECK(ms[ms.size() / 2] < 20.0);
+
+  // The leader's dial into the full queue waits a second or more for its
+  // SYN retry, so it must give that dial up for a fresh one.
+  queued.clear();
+  sink.reset();
+  CHECK(group.restart(2));
+  const std::string named = "\"leader\":" + std::to_string(leader) + ",";
+  auto t0 = std::chrono::steady_clock::now();
+  CHECK(eventually(2'000, [&] { return contains(stat_of(ports[2]), named); }));
+  const double rejoin_ms = std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() - t0)
+                               .count();
+  std::printf(
+      "full_accept_queue_peer: replica 2 named the leader after %.0f ms\n",
+      rejoin_ms);
+  CHECK(rejoin_ms < 500.0);
+  check_clean_exits(group.terminate(), -1);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -384,5 +469,6 @@ int main(int argc, char** argv) {
   redirects_setw_and_failover(broker_bin);
   pending_setw_is_answered(broker_bin);
   first_config_decides(broker_bin);
+  full_accept_queue_peer(broker_bin);
   return wfq::test::exit_code();
 }
