@@ -62,9 +62,14 @@ void add_node(wfq::api::Section& sec, const Queue::Node* v,
     sec.row(name, field, vals.str());
   };
   if (v->is_leaf) {
-    row("element", [](const Queue::Block* b) -> std::string {
-      if (!b->element.has_value()) return "null";
-      return std::string(1, static_cast<char>(*b->element));
+    // A leaf block holds an element exactly when it is an enqueue: its
+    // sumenq exceeds its predecessor's (block 0 is the zero sentinel).
+    const Queue::Block* prev = nullptr;
+    row("element", [&prev](const Queue::Block* b) -> std::string {
+      bool enq = prev != nullptr && b->sumenq > prev->sumenq;
+      prev = b;
+      if (!enq) return "null";
+      return std::string(1, static_cast<char>(b->element));
     });
   }
   row("sumenq", [](const Queue::Block* b) { return std::to_string(b->sumenq); });

@@ -54,9 +54,10 @@ inline constexpr int kMaxShards = 4096;
 
 /// Ceiling on the ordering-tree nodes a map builds per tenant queue, summed
 /// over its shards. A backing for p processes is a tree of
-/// 2 * bit_ceil(p) - 1 nodes, each holding about 1 KB even when idle (slot
-/// directory, first segment, sentinel), so memory grows with shards x procs;
-/// this caps it at about 32 MB per tenant queue.
+/// 2 * bit_ceil(p) - 1 nodes, each holding about 0.8 KB even when idle (the
+/// node, its first index segment and its share of the tree's pools), so
+/// memory grows with shards x procs; this caps it at about 26 MB per tenant
+/// queue.
 inline constexpr int64_t kMaxTreeNodes = int64_t{1} << 15;
 
 /// The most processes a map of `nshards` shards may be built for: the

@@ -150,7 +150,7 @@ class BoundedQueue {
     int pid = platform::current_pid();
     {
       OpGuard guard(this, pid);
-      tree_.append(pid, std::optional<T>(std::move(x)), /*is_enq=*/true);
+      tree_.append(pid, std::move(x));
     }
     after_op(pid);
   }
@@ -160,7 +160,7 @@ class BoundedQueue {
     std::optional<T> out;
     {
       OpGuard guard(this, pid);
-      int64_t b = tree_.append(pid, std::nullopt, /*is_enq=*/false);
+      int64_t b = tree_.append(pid, std::nullopt);
       auto [rb, r] = tree_.index_op(pid, b, /*is_enq=*/false);
       out = tree_.find_response(rb, r);
     }

@@ -18,12 +18,17 @@
 //   sumenq/sumdeq — cumulative enqueue/dequeue counts in this node's subtree
 //                   up to and including this block;
 //   endleft/endright — index of the last child block merged (internal nodes);
+//   element — the enqueued value (leaf enqueue blocks; a leaf block is an
+//             enqueue exactly when its sumenq exceeds its predecessor's);
 //   size — queue size after this block's operations (root only), clamped at 0
 //          so null dequeues do not drive it negative;
 //   super — hint: parent's head index read just before this block was
 //           published; the true superblock index is >= super and within the
 //           append contention of it, so a gallop from the hint costs
 //           O(log contention) (the paper's log-c factor).
+// No node kind reads all of them, so size (root) shares a word with super
+// (other nodes), and endleft/endright (internal nodes) two with the element
+// (leaves): a TreeBlock<uint64_t> is five words, 40 bytes.
 //
 // The Storage customization point. Clients differ ONLY in how historical
 // blocks are read back: the unbounded queue and the vector load the array
@@ -39,7 +44,7 @@
 // queue supplies its floor/tombstone/archive-aware one.
 //
 // Operation surface the clients compose:
-//   append(pid, elem, is_enq)  leaf Append + double-Refresh propagation;
+//   append(pid, elem)          leaf Append + double-Refresh propagation;
 //   index_op(pid, b, is_enq)   locate the leaf block in the root ordering
 //                              (IndexDequeue generalized to either op kind —
 //                              the vector indexes its appends with the same
@@ -64,9 +69,9 @@
 // (The cache holds VALUES, not the block pointer: under the bounded client
 // a truncated block is eventually recycled through EBR, and a pointer
 // cached across operations — outside any epoch pin — could dangle.)
-// Blocks come from a per-process BlockPool: one cache line each, carved
-// from slabs, so an operation calls no allocator; a refresh that loses its
-// CAS keeps its candidate as the process's spare instead of freeing it.
+// Blocks come from a per-process BlockPool, carved back to back from slabs,
+// so an operation calls no allocator; a refresh that loses its CAS keeps
+// its candidate as the process's spare instead of freeing it.
 // Every node's block 0 is one shared zero sentinel, and a node's head
 // index, which every refresher CASes, sits on a cache line of its own.
 #pragma once
@@ -167,15 +172,57 @@ int64_t gallop_up(int64_t lo, int64_t last, Pred&& pred) {
 /// Immutable operation/merge block; see the field glossary above.
 template <typename T>
 struct TreeBlock {
-  std::optional<T> element;  // leaf enqueue blocks only
+  /// Only an element whose copy or destruction is more than its bytes
+  /// needs a flag saying the block holds one; for the rest `held` is empty.
+  static constexpr bool kFlagged = !std::is_trivially_copyable_v<T>;
+  struct NoFlag {};
+
   int64_t sumenq = 0;
   int64_t sumdeq = 0;
-  int64_t endleft = 0;   // internal nodes only
-  int64_t endright = 0;  // internal nodes only
-  int64_t size = 0;      // root blocks only
-  int64_t super = 0;     // superblock-index hint (non-root blocks)
+  union {
+    int64_t size = 0;  // root blocks only
+    int64_t super;     // superblock-index hint (every other node's blocks)
+  };
+  union {
+    struct {
+      int64_t endleft;   // internal nodes only
+      int64_t endright;  // internal nodes only
+    };
+    T element;  // leaf enqueue blocks only
+  };
+  [[no_unique_address]] std::conditional_t<kFlagged, bool, NoFlag> held{};
+
+  TreeBlock() : endleft(0), endright(0) {}
+  TreeBlock(const TreeBlock&) requires(!kFlagged) = default;
+  TreeBlock(const TreeBlock& o) requires kFlagged
+      : sumenq(o.sumenq), sumdeq(o.sumdeq), size(o.size), held(o.held) {
+    if (held) {
+      std::construct_at(&element, o.element);
+    } else {
+      endleft = o.endleft;
+      endright = o.endright;
+    }
+  }
+  TreeBlock& operator=(const TreeBlock&) requires(!kFlagged) = default;
+  TreeBlock& operator=(const TreeBlock& o) requires kFlagged {
+    if (this != &o) {
+      std::destroy_at(this);
+      std::construct_at(this, o);
+    }
+    return *this;
+  }
+  ~TreeBlock() requires(!kFlagged) = default;
+  ~TreeBlock() requires kFlagged {
+    if (held) std::destroy_at(&element);
+  }
+
+  /// Makes this (fresh, leaf) block an enqueue of `x`.
+  void set_element(T&& x) {
+    std::construct_at(&element, std::move(x));
+    if constexpr (kFlagged) held = true;
+  }
 };
-static_assert(sizeof(TreeBlock<uint64_t>) == 64, "one cache line per block");
+static_assert(sizeof(TreeBlock<uint64_t>) == 40, "five words per block");
 
 /// What a tree's debug_pool() reports, summed over its block pools. Read
 /// it at quiescence: the per-process lists are owner-only state.
@@ -191,8 +238,8 @@ struct PoolStats {
 /// pools"). Owner-only, under the leaf's single-writer contract: only
 /// process pid's thread calls pid's pool, and the bounded client's
 /// collector recycles into its own. The one shared piece is the tree-wide
-/// Spill. Blocks are whole cache lines carved from slabs whose sizes
-/// double from one page to 64 KiB; slabs are released with the pool.
+/// Spill. Blocks are carved back to back from slabs whose sizes double
+/// from one page to 64 KiB; slabs are released with the pool.
 ///
 /// get() prefers, in order: the spare (a refresh candidate that lost its
 /// CAS), the recycled free list, a spill taken earlier, the whole spill
@@ -213,9 +260,9 @@ class alignas(64) BlockPool {
   /// bounded client's GC lock), and a taker swaps the whole list for null.
   using Spill = std::atomic<FreeNode*>;
 
-  /// Recycled blocks a process keeps (one full slab's worth); the
-  /// collector spills the rest. A cap of 256 measured ~2% less peak RSS
-  /// on a 16-tree broker but ~7% more CPU per op on a busy bounded queue.
+  /// Recycled blocks a process keeps; the collector spills the rest. A cap
+  /// of 256 measured ~2% less peak RSS on a 16-tree broker but ~7% more CPU
+  /// per op on a busy bounded queue.
   static constexpr int64_t kFreeCap = 1024;
 
   BlockPool() = default;
@@ -309,7 +356,7 @@ class alignas(64) BlockPool {
     size_t bytes;
   };
 
-  static constexpr size_t kStride = (sizeof(Block) + 63) / 64 * 64;
+  static constexpr size_t kStride = sizeof(Block);  // a multiple of alignof
   static constexpr size_t kMaxSlab = size_t{64} << 10;
 
   /// Reads the link of a poisoned list block.
@@ -497,7 +544,7 @@ class TreeBlockArray {
   static_assert(sizeof(Slot) == sizeof(Block*) &&
                 std::is_trivially_destructible_v<Slot> &&
                 std::atomic<Block*>::is_always_lock_free);
-  static constexpr int kBaseBits = 6;  // first segment: 64 slots
+  static constexpr int kBaseBits = 3;  // first segment: 8 slots
   static constexpr int kSegments = 42;
 
   static size_t page_bytes() {
@@ -637,11 +684,12 @@ class OrderingTree {
 
   // --- the operation surface ----------------------------------------------
 
-  /// Appends one operation block at pid's (single-writer) leaf and runs the
-  /// double-Refresh propagation to the root; returns the leaf block index.
-  int64_t append(int pid, std::optional<T> elem, bool is_enq) {
+  /// Appends one operation block at pid's (single-writer) leaf, an enqueue
+  /// of *elem or, without one, a dequeue, and runs the double-Refresh
+  /// propagation to the root; returns the leaf block index.
+  int64_t append(int pid, std::optional<T> elem) {
     Node* leaf = leaves_[static_cast<size_t>(pid)];
-    int64_t b = append_leaf(leaf, pool(pid), std::move(elem), is_enq);
+    int64_t b = append_leaf(leaf, pool(pid), std::move(elem));
     // The leaf block is published with plain release stores, and the first
     // refresh below reads the sibling leaf with acquire loads; TSO hardware
     // may satisfy those loads before the stores drain. Two busy siblings
@@ -831,15 +879,15 @@ class OrderingTree {
   /// block index. The previous block's cumulative fields come from the
   /// owner-local cache — the leaf is single-writer, so the cache is always
   /// exact — saving the head load and prev-block load on the hot path.
-  int64_t append_leaf(Node* leaf, Pool& pool, std::optional<T> elem,
-                      bool is_enq) {
+  int64_t append_leaf(Node* leaf, Pool& pool, std::optional<T> elem) {
+    const bool is_enq = elem.has_value();
     int64_t h = leaf->cache_idx + 1;
     Block* b = pool.get(spill_);
-    b->element = std::move(elem);
+    if (is_enq) b->set_element(std::move(*elem));
     b->sumenq = leaf->cache_sumenq + (is_enq ? 1 : 0);
     b->sumdeq = leaf->cache_sumdeq + (is_enq ? 0 : 1);
     if (leaf->is_root) {
-      b->size =
+      b->size = leaf->cache_size =
           std::max<int64_t>(0, leaf->cache_size + (is_enq ? 1 : -1));
     } else {
       b->super = leaf->parent->head.load();  // hint, read before publishing
@@ -849,7 +897,6 @@ class OrderingTree {
     leaf->cache_idx = h;
     leaf->cache_sumenq = b->sumenq;
     leaf->cache_sumdeq = b->sumdeq;
-    leaf->cache_size = b->size;
     return h;
   }
 
@@ -918,7 +965,9 @@ class OrderingTree {
   /// Element of the i-th enqueue of block `b` at node `v`: descend to the
   /// leaf holding it. Within a block, left-child enqueues precede right-child
   /// ones; the per-level binary search spans only the merged subblocks, so it
-  /// costs O(log contention) per level.
+  /// costs O(log contention) per level. At the leaf it lands on the first
+  /// block whose sumenq reaches the target, an enqueue block, so the element
+  /// it reads is one.
   std::optional<T> get_enqueue(Node* v, int64_t b, int64_t i) {
     while (!v->is_leaf) {
       const Block* cur = load(v, b);

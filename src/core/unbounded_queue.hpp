@@ -46,13 +46,12 @@ class UnboundedQueue {
   }
 
   void enqueue(T x) {
-    tree_.append(platform::current_pid(), std::optional<T>(std::move(x)),
-                 /*is_enq=*/true);
+    tree_.append(platform::current_pid(), std::move(x));
   }
 
   std::optional<T> dequeue() {
     int pid = platform::current_pid();
-    int64_t b = tree_.append(pid, std::nullopt, /*is_enq=*/false);
+    int64_t b = tree_.append(pid, std::nullopt);
     auto [rb, r] = tree_.index_op(pid, b, /*is_enq=*/false);
     return tree_.find_response(rb, r);
   }

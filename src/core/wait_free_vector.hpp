@@ -53,8 +53,7 @@ class WaitFreeVector {
   /// Appends and returns the (0-based) index the value landed at.
   int64_t append(T x) {
     int pid = platform::current_pid();
-    int64_t b = tree_.append(pid, std::optional<T>(std::move(x)),
-                             /*is_enq=*/true);
+    int64_t b = tree_.append(pid, std::move(x));
     auto [rb, r] = tree_.index_op(pid, b, /*is_enq=*/true);
     return tree_.enqueue_rank(rb, r) - 1;
   }

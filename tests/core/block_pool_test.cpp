@@ -16,8 +16,12 @@
 //  (e) a block whose element owns memory is destroyed exactly once,
 //      whether it is recycled, kept as a spare or still installed when
 //      the queue goes (in ASan builds a missed destroy reports as a leak,
-//      a second one as a double free).
+//      a second one as a double free);
+//  (f) blocks are carved sizeof(Block) apart, not a cache line apart: a
+//      full slab's bytes over the blocks carved from it (its header takes
+//      one block's place) are the 40-byte block, not 64.
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -122,13 +126,14 @@ void recycled_blocks_are_poisoned() {
   Pool::Spill spill{nullptr};
   Block* b = pool.get(spill);
   b->sumenq = 7;
-  b->element = 9;
+  b->sumdeq = 8;
+  b->set_element(9);
   pool.recycle(b);
   CHECK(poisoned(b));
   Block* again = pool.get(spill);  // the free list is LIFO
   CHECK_EQ(again, b);
-  CHECK(!again->element.has_value());
   CHECK_EQ(again->sumenq, int64_t{0});
+  CHECK_EQ(again->sumdeq, int64_t{0});
 
   // Through the queue: p = 1 (the leaf is the root), so the first blocks a
   // GC phase recycles include the leaf's first block. It is recycled first
@@ -190,6 +195,29 @@ void spill_across_threads() {
   CHECK_EQ(s.free, uint64_t{0});
 }
 
+void blocks_carved_at_the_stride() {
+  using Block = TreeBlock<uint64_t>;
+  using Pool = wfq::core::BlockPool<Block>;
+  Pool pool;
+  Pool::Spill spill{nullptr};
+  auto stats = [&pool] {
+    PoolStats s;
+    pool.add_stats(s);
+    return s;
+  };
+  const auto* first = reinterpret_cast<const std::byte*>(pool.get(spill));
+  const auto* second = reinterpret_cast<const std::byte*>(pool.get(spill));
+  CHECK_EQ(second - first, static_cast<std::ptrdiff_t>(sizeof(Block)));
+  // Carve until a second slab appears: `full` is the first one, full.
+  PoolStats full = stats();
+  for (PoolStats s = full; s.slab_bytes == full.slab_bytes; s = stats()) {
+    full = s;
+    (void)pool.get(spill);
+  }
+  CHECK(full.carved > 2);
+  CHECK_EQ(full.slab_bytes / (full.carved + 1), uint64_t{sizeof(Block)});
+}
+
 void owning_elements_destroyed_once() {
   // Long enough to live on the heap, not in the string's inline buffer.
   auto value = [](uint64_t i) {
@@ -224,5 +252,6 @@ int main() {
   recycled_blocks_are_poisoned();
   spill_across_threads();
   owning_elements_destroyed_once();
+  blocks_carved_at_the_stride();
   return wfq::test::exit_code();
 }
