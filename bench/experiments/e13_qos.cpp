@@ -36,6 +36,7 @@
 #include "sim/adversary.hpp"
 #include "sim/scheduler.hpp"
 #include "stats/qos.hpp"
+#include "svc/zipf_traffic.hpp"
 
 namespace {
 

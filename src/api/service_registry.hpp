@@ -9,7 +9,6 @@
 // spellings throw with the expected shape spelled out.
 #pragma once
 
-#include <cstdint>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -73,8 +72,7 @@ inline std::optional<ServiceKey> parse_service_key(const std::string& name) {
 /// backend, capacity, gc_period all pass through make_queue unchanged).
 template <typename T>
 svc::ServiceFacade<T> make_service(const std::string& name,
-                                   const QueueConfig& cfg,
-                                   int64_t quantum_base = 1) {
+                                   const QueueConfig& cfg) {
   std::optional<ServiceKey> key = parse_service_key(name);
   if (!key) {
     std::string names;
@@ -82,8 +80,7 @@ svc::ServiceFacade<T> make_service(const std::string& name,
     throw std::invalid_argument("api::make_service: unknown service \"" +
                                 name + "\"; known:" + names);
   }
-  return svc::ServiceFacade<T>(key->ntenants, key->backing, cfg,
-                               quantum_base);
+  return svc::ServiceFacade<T>(key->ntenants, key->backing, cfg);
 }
 
 }  // namespace wfq::api

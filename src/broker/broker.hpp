@@ -29,14 +29,15 @@
 // Cluster mode: with cfg.cluster set, the broker is one replica of an
 // N-node raft group (src/raft/). The replicated state machine is the
 // broker METADATA — shard count, backing key, DWRR tenant weights — not the
-// queue data: the shard map is built when the replicated config entry
-// applies, SETW commits through the log before acking, and only the leader
-// serves ENQ/DEQ (followers answer ERR_NOT_LEADER + hint; clients follow
-// it, see loadgen's ClusterClient). Queue contents are per-replica, so a
-// failover can lose items enqueued on the dead leader, and a client that
-// retries a timed-out ENQ can duplicate one — there is deliberately NO
-// exactly-once data contract across failover; the replicated guarantee
-// covers metadata only. Documented in docs/PROTOCOL.md.
+// queue data: the shard map serves once the replicated config entry applies
+// and matches the CLI flags, SETW commits through the log before acking,
+// and only the leader serves ENQ/DEQ (followers answer ERR_NOT_LEADER +
+// hint; clients follow it, see loadgen's ClusterClient). Queue contents are
+// per-replica, so a failover can lose items enqueued on the dead leader,
+// and a client that retries a timed-out ENQ can duplicate one — there is
+// deliberately NO exactly-once data contract across failover; the
+// replicated guarantee covers metadata only. Documented in
+// docs/PROTOCOL.md.
 #pragma once
 
 #include <algorithm>
@@ -102,35 +103,14 @@ class Broker {
     uint64_t bad = 0;
   };
 
-  explicit Broker(BrokerConfig cfg) : cfg_(std::move(cfg)) {
-    if (cfg_.uds_path.empty() && cfg_.tcp_port < 0)
-      throw std::invalid_argument(
-          "broker::Broker: need a UDS path and/or a TCP port to listen on");
-    if (cfg_.cluster) {
-      size_t n = cfg_.peer_ports.size();
-      if (n < 1 || cfg_.node_id < 0 || static_cast<size_t>(cfg_.node_id) >= n)
-        throw std::invalid_argument(
-            "broker::Broker: cluster mode needs peer_ports with node_id in "
-            "range");
-      if (cfg_.tcp_port <= 0 ||
-          cfg_.peer_ports[static_cast<size_t>(cfg_.node_id)] !=
-              static_cast<uint16_t>(cfg_.tcp_port))
-        throw std::invalid_argument(
-            "broker::Broker: cluster mode requires tcp_port == "
-            "peer_ports[node_id] (peers dial fixed ports)");
-    }
-    if (cfg_.groups <= 0)
-      cfg_.groups =
-          std::min(platform::hardware_cores(), max_procs(cfg_.shards));
-    check_procs(cfg_.shards, cfg_.groups);
-    check_backing(cfg_.backing);
-    if (!cfg_.cluster) {
-      // Single-node: the map exists from birth. Cluster replicas build it
-      // when the replicated config entry applies (see on_raft_apply).
-      map_ = std::make_unique<ShardMap>(cfg_.shards, cfg_.backing, 0,
-                                        cfg_.groups);
-      map_ready_.store(true, std::memory_order_release);
-    }
+  /// Builds the shard map from the flags in both modes (ShardMap checks
+  /// the shard count, backing and loop count). A single-node broker serves
+  /// it from birth; a cluster replica once the replicated config entry
+  /// applies and matches (see on_raft_apply).
+  explicit Broker(BrokerConfig cfg)
+      : cfg_(checked(std::move(cfg))),
+        map_(cfg_.shards, cfg_.backing, 0, cfg_.groups),
+        map_ready_(!cfg_.cluster) {
     for (int s = 0; s < cfg_.shards; ++s) shard_state_.emplace_back();
   }
 
@@ -143,10 +123,9 @@ class Broker {
   void start() {
     for (int i = 0; i < cfg_.groups; ++i) {
       net::EventLoop::Callbacks cbs;
-      cbs.on_batch = [this, i, bound = false](
-                         uint64_t conn, std::vector<net::Frame>& batch,
-                         std::string& out) mutable {
-        serve(i, conn, batch, out, bound);
+      cbs.on_batch = [this, i](uint64_t conn, std::vector<net::Frame>& batch,
+                               std::string& out) {
+        serve(i, conn, batch, out);
       };
       loops_.push_back(std::make_unique<net::EventLoop>(std::move(cbs)));
     }
@@ -188,6 +167,7 @@ class Broker {
     for (int i = 0; i < cfg_.groups; ++i)
       loop_threads_.emplace_back([this, i] {
         platform::name_thread("wfb-loop-" + std::to_string(i));
+        for (int s = 0; s < cfg_.shards; ++s) map_.bind_servicer(s, i);
         loops_[static_cast<size_t>(i)]->run();
       });
     accept_thread_ = std::thread([this] {
@@ -290,13 +270,13 @@ class Broker {
          << ",\"deq_hit\":" << c.deq_hit << ",\"deq_empty\":" << c.deq_empty
          << ",\"ping\":" << c.ping << ",\"stat\":" << c.stat
          << ",\"bad\":" << c.bad;
-      api::SpaceStats sp = ready ? map_->space_stats(s) : api::SpaceStats{};
+      api::SpaceStats sp = ready ? map_.space_stats(s) : api::SpaceStats{};
       if (sp.known) {
         os << ",\"live_blocks\":" << sp.live_blocks
            << ",\"ebr_retired\":" << sp.ebr_retired;
       }
       std::vector<TenantRow> tenants =
-          ready ? map_->tenant_rows(s) : std::vector<TenantRow>{};
+          ready ? map_.tenant_rows(s) : std::vector<TenantRow>{};
       if (!tenants.empty()) {
         os << ",\"tenants\":[";
         for (size_t t = 0; t < tenants.size(); ++t) {
@@ -315,6 +295,30 @@ class Broker {
   }
 
  private:
+  /// `cfg` with its listener and cluster fields checked and `groups`
+  /// resolved (0 = one loop per hardware core, capped at max_procs).
+  static BrokerConfig checked(BrokerConfig cfg) {
+    if (cfg.uds_path.empty() && cfg.tcp_port < 0)
+      throw std::invalid_argument(
+          "broker::Broker: need a UDS path and/or a TCP port to listen on");
+    if (cfg.cluster) {
+      size_t n = cfg.peer_ports.size();
+      if (n < 1 || cfg.node_id < 0 || static_cast<size_t>(cfg.node_id) >= n)
+        throw std::invalid_argument(
+            "broker::Broker: cluster mode needs peer_ports with node_id in "
+            "range");
+      if (cfg.tcp_port <= 0 ||
+          cfg.peer_ports[static_cast<size_t>(cfg.node_id)] !=
+              static_cast<uint16_t>(cfg.tcp_port))
+        throw std::invalid_argument(
+            "broker::Broker: cluster mode requires tcp_port == "
+            "peer_ports[node_id] (peers dial fixed ports)");
+    }
+    if (cfg.groups <= 0)
+      cfg.groups = std::min(platform::hardware_cores(), max_procs(cfg.shards));
+    return cfg;
+  }
+
   /// ERR payload for a SETW the shard map refused (both SETW paths).
   static constexpr const char* kSetwRejected =
       "SETW rejected: dwrr backing required, tenant in range, weight >= 1";
@@ -337,23 +341,16 @@ class Broker {
 
   /// Loop `loop`'s on_batch: raft-band frames go to the raft service, every
   /// other frame runs inline in arrival order and appends its response to
-  /// `out`, which the loop writes in one go when serve returns. `bound` is
-  /// the loop's own flag: it has bound its process slot on every shard.
-  /// Single-node brokers bind on the first batch; cluster replicas on the
-  /// first batch after the replicated config applied.
+  /// `out`, which the loop writes in one go when serve returns.
   void serve(int loop, uint64_t conn, std::vector<net::Frame>& batch,
-             std::string& out, bool& bound) {
-    if (!bound && map_ready_.load(std::memory_order_acquire)) {
-      for (int s = 0; s < cfg_.shards; ++s) map_->bind_servicer(s, loop);
-      bound = true;
-    }
+             std::string& out) {
     for (net::Frame& f : batch) {
       if (raft_ && f.op >= net::Opcode::raft_vote_req &&
           f.op <= net::Opcode::raft_append_resp) {
         raft_->deliver_frame(f);
         continue;
       }
-      handle(loop, conn, f, out, bound);
+      handle(loop, conn, f, out);
     }
   }
 
@@ -361,8 +358,9 @@ class Broker {
   /// followers (and replicas still waiting for the replicated config)
   /// answer ERR_NOT_LEADER carrying the best leader hint, and the client
   /// redirects (docs/PROTOCOL.md). Single-node brokers never take it.
-  bool not_leader(bool ready) const {
-    return raft_ && (!ready || !raft_->is_leader());
+  bool not_leader() const {
+    return raft_ && (!map_ready_.load(std::memory_order_acquire) ||
+                     !raft_->is_leader());
   }
 
   void fill_not_leader(net::Frame& resp) const {
@@ -373,21 +371,15 @@ class Broker {
   }
 
   /// Executes one request on its shard, appends the encoded response.
-  /// `ready` = this loop has bound the shard map (always true outside
-  /// cluster mode).
-  void handle(int loop, uint64_t conn, net::Frame& req, std::string& out,
-              bool ready) {
-    // The free shard_of, not ShardMap's: computable before the replicated
-    // map exists (cluster replicas must route — and reject — requests
-    // while still waiting for the config entry).
-    const int shard = shard_of(req.key, cfg_.shards);
+  void handle(int loop, uint64_t conn, net::Frame& req, std::string& out) {
+    const int shard = map_.shard_of(req.key);
     ShardState& st = shard_state_[static_cast<size_t>(shard)];
     net::Frame resp;
     resp.key = req.key;
     resp.flags = req.flags;
     switch (req.op) {
       case net::Opcode::enq: {
-        if (not_leader(ready)) {
+        if (not_leader()) {
           fill_not_leader(resp);
           break;
         }
@@ -398,18 +390,18 @@ class Broker {
           resp.payload = "ENQ payload must be exactly 8 bytes";
           break;
         }
-        map_->enqueue(shard, req.key, v);
+        map_.enqueue(shard, req.key, v);
         st.enq.fetch_add(1, std::memory_order_relaxed);
         resp.op = net::Opcode::enq_ok;
         break;
       }
       case net::Opcode::deq: {
-        if (not_leader(ready)) {
+        if (not_leader()) {
           fill_not_leader(resp);
           break;
         }
         int tenant = -1;
-        std::optional<uint64_t> got = map_->dequeue(shard, tenant);
+        std::optional<uint64_t> got = map_.dequeue(shard, tenant);
         if (got) {
           st.deq_hit.fetch_add(1, std::memory_order_relaxed);
           resp.op = net::Opcode::deq_ok;
@@ -441,7 +433,7 @@ class Broker {
           resp.payload = "SETW payload must be 8 bytes: u32 tenant, u32 weight";
           break;
         }
-        if (not_leader(ready)) {
+        if (not_leader()) {
           fill_not_leader(resp);
           break;
         }
@@ -452,7 +444,7 @@ class Broker {
           fill_not_leader(resp);  // raft stopped
           break;
         }
-        if (map_->set_weight_all(static_cast<int>(tenant), weight)) {
+        if (map_.set_weight_all(static_cast<int>(tenant), weight)) {
           resp.op = net::Opcode::setw_ok;
         } else {
           st.bad.fetch_add(1, std::memory_order_relaxed);
@@ -497,7 +489,7 @@ class Broker {
   ///   "cfg|<shards>|<backing>" — the cluster topology. The FIRST one to
   ///     apply decides on every replica, and later ones (re-proposals by
   ///     later leaders) are ignored everywhere. A replica whose own CLI
-  ///     flags match it builds the shard map; one whose flags disagree
+  ///     flags match it starts serving its shard map; one whose flags disagree
   ///     refuses to serve (loud stderr, stays not-ready for good) rather
   ///     than silently diverging. Every replica therefore serves the same
   ///     topology no matter whose CLI won the race.
@@ -546,8 +538,6 @@ class Broker {
                    cfg_.backing.c_str());
       return false;
     }
-    map_ = std::make_unique<ShardMap>(cfg_.shards, cfg_.backing, 0,
-                                      cfg_.groups);
     map_ready_.store(true, std::memory_order_release);
     return true;
   }
@@ -555,7 +545,7 @@ class Broker {
   bool apply_weight(const std::string& tenant, const std::string& weight) {
     if (!map_ready_.load(std::memory_order_acquire)) return false;
     try {
-      return map_->set_weight_all(
+      return map_.set_weight_all(
           api::parse_num<int>(tenant, "SETW tenant", 0, 4095),
           api::parse_num<uint32_t>(weight, "SETW weight", 1));
     } catch (const std::invalid_argument&) {
@@ -596,8 +586,10 @@ class Broker {
   }
 
   BrokerConfig cfg_;
-  std::unique_ptr<ShardMap> map_;  // cluster mode: built at config apply
-  std::atomic<bool> map_ready_{false};
+  ShardMap map_;
+  // Serving: from birth single-node, from the matching config's apply in
+  // cluster mode.
+  std::atomic<bool> map_ready_;
   std::deque<ShardState> shard_state_;
   std::vector<std::unique_ptr<net::EventLoop>> loops_;  // loop i = slot i
   std::unique_ptr<net::EventLoop> acceptor_;  // owns the listeners

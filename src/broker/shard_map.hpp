@@ -14,18 +14,15 @@
 // thread that calls enqueue/dequeue binds its own process slot first
 // (bind_servicer(s, pid), pid < procs; the broker's event loop i is slot i
 // on every shard). Queue backings are then used concurrently as the
-// paper's p-process queue. A dwrr backing's enqueue is multi-producer, but
-// its service_next has a single-servicer contract, so dequeue serializes
-// it per shard with a mutex. space_stats() and tenant_rows() read
-// uncounted, race-free surfaces and may be called from any thread at any
-// time.
+// paper's p-process queue. A dwrr backing's enqueue is multi-producer, and
+// its service_next serializes on the facade's own lock, so dequeue is one
+// call either way. space_stats() and tenant_rows() read uncounted,
+// race-free surfaces and may be called from any thread at any time.
 #pragma once
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <deque>
-#include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -122,10 +119,8 @@ class ShardMap {
     const api::QueueConfig cfg{.procs = procs};
     if (auto sk = api::parse_service_key(backing_key)) {
       ntenants_ = sk->ntenants;
-      for (int s = 0; s < nshards; ++s) {
+      for (int s = 0; s < nshards; ++s)
         services_.push_back(api::make_service<uint64_t>(backing_key, cfg));
-        service_mu_.emplace_back();
-      }
     } else {
       for (int s = 0; s < nshards; ++s)
         queues_.push_back(api::make_queue<uint64_t>(backing_key, cfg));
@@ -163,7 +158,6 @@ class ShardMap {
   /// tenant). `tenant_out` reports which tenant was served (-1 for queues).
   std::optional<uint64_t> dequeue(int s, int& tenant_out) {
     if (service_backed()) {
-      std::lock_guard<std::mutex> lk(service_mu_[static_cast<size_t>(s)]);
       auto got = services_[static_cast<size_t>(s)].service_next();
       if (!got) return std::nullopt;
       tenant_out = got->tenant;
@@ -209,11 +203,8 @@ class ShardMap {
   std::string backing_;
   int nshards_ = 0;
   int ntenants_ = 0;
-  // Deques: backings hold atomics/mutexes and must never relocate while
-  // threads hold into them.
-  std::deque<api::AnyQueue<uint64_t>> queues_;
-  std::deque<svc::ServiceFacade<uint64_t>> services_;
-  std::deque<std::mutex> service_mu_;  // per dwrr shard: one servicer at a time
+  std::vector<api::AnyQueue<uint64_t>> queues_;
+  std::vector<svc::ServiceFacade<uint64_t>> services_;
 };
 
 }  // namespace wfq::broker

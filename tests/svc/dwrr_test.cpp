@@ -1,8 +1,8 @@
 // Tier-1 tests for the multi-tenant QoS subsystem (ISSUE 7): DWRR
 // quantum/deficit accounting, activation/deactivation, a sequential
 // differential against a reference round-robin model, deterministic service
-// order under the sim scheduler, service-key parsing, and the ZipfTraffic
-// generator.
+// order under the sim scheduler, concurrent servicers, service-key parsing,
+// and the ZipfTraffic generator.
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -20,7 +20,7 @@
 #include "api/service_registry.hpp"
 #include "sim/adversary.hpp"
 #include "sim/scheduler.hpp"
-#include "svc/tenant_map.hpp"
+#include "svc/zipf_traffic.hpp"
 #include "test_util.hpp"
 
 namespace {
@@ -88,10 +88,11 @@ void test_deactivation_reactivation() {
 }
 
 // --- sequential differential vs a reference round-robin model ---------------
-// Equal weights + quantum_base 1 make DWRR equivalent to plain round-robin
-// over the active tenants (activation order = first-enqueue order, a served
-// tenant that stays backlogged rotates to the tail). The model: per-tenant
-// FIFO queues plus an active list with exactly those rules.
+// Equal weights (a quantum of one item each) make DWRR equivalent to plain
+// round-robin over the active tenants (activation order = first-enqueue
+// order, a served tenant that stays backlogged rotates to the tail). The
+// model: per-tenant FIFO queues plus an active list with exactly those
+// rules.
 struct RrModel {
   std::vector<std::queue<uint64_t>> qs;
   std::deque<int> active;
@@ -287,6 +288,85 @@ void test_concurrent_activation_stress() {
   CHECK(!s.service_next().has_value());
 }
 
+// --- concurrent servicers (real threads) -------------------------------------
+// Any thread may call service_next: two servicers drain one facade while
+// two producers fill it, and their calls serialize on the facade's lock.
+// Every value must come out exactly once under the tenant it went in for
+// (conservation, no phantoms), and since the backing queues are FIFO and
+// the lock orders the dequeues, each servicer's own output keeps every
+// (tenant, producer) stream increasing. Values are producer << 32 | k, for
+// tenant k % 3. The TSan leg watches the lock and the activation handshake.
+void test_concurrent_servicers() {
+  const int producers = 2;
+  const int servicers = 2;
+  const int tenants = 3;
+  const uint64_t per_producer = 20'000;
+  const uint64_t total = producers * per_producer;
+  api::QueueConfig cfg;
+  cfg.procs = producers + servicers;
+  auto s = api::make_service<uint64_t>("dwrr:3:bounded", cfg);
+  std::atomic<uint64_t> served{0};
+  std::atomic<bool> stuck{false};
+  std::vector<std::vector<svc::Serviced<uint64_t>>> out(servicers);
+  std::vector<std::thread> threads;
+  for (int p = 0; p < producers; ++p) {
+    threads.emplace_back([&, p] {
+      s.bind_thread(p);
+      for (uint64_t k = 0; k < per_producer; ++k)
+        s.enqueue(static_cast<int>(k % tenants),
+                  (static_cast<uint64_t>(p) << 32) | k);
+    });
+  }
+  for (int c = 0; c < servicers; ++c) {
+    threads.emplace_back([&, c] {
+      s.bind_thread(producers + c);
+      auto last_progress = std::chrono::steady_clock::now();
+      while (served.load() < total && !stuck.load()) {
+        if (auto item = s.service_next()) {
+          out[static_cast<size_t>(c)].push_back(*item);
+          served.fetch_add(1);
+          last_progress = std::chrono::steady_clock::now();
+        } else if (std::chrono::steady_clock::now() - last_progress >
+                   std::chrono::seconds(30)) {
+          stuck.store(true);  // an item stranded
+        } else {
+          std::this_thread::yield();
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  CHECK(!stuck.load());
+  std::vector<std::vector<int>> times_served(
+      producers, std::vector<int>(per_producer, 0));
+  uint64_t phantoms = 0, out_of_order = 0;
+  for (const auto& mine : out) {
+    std::vector<int64_t> last(tenants * producers, -1);
+    for (const svc::Serviced<uint64_t>& item : mine) {
+      const uint64_t p = item.value >> 32;
+      const uint64_t k = item.value & 0xffffffffu;
+      if (p >= producers || k >= per_producer ||
+          item.tenant != static_cast<int>(k % tenants)) {
+        ++phantoms;
+        continue;
+      }
+      ++times_served[p][k];
+      int64_t& prev = last[static_cast<size_t>(item.tenant) * producers + p];
+      if (static_cast<int64_t>(k) <= prev) ++out_of_order;
+      prev = static_cast<int64_t>(k);
+    }
+  }
+  uint64_t not_once = 0;
+  for (const auto& row : times_served)
+    for (int n : row) not_once += (n != 1) ? 1 : 0;
+  CHECK_EQ(phantoms, 0u);
+  CHECK_EQ(not_once, 0u);
+  CHECK_EQ(out_of_order, 0u);
+  CHECK_EQ(out[0].size() + out[1].size(), total);
+  CHECK_EQ(s.total_serviced(), total);
+  CHECK(!s.service_next().has_value());
+}
+
 // --- per-facade thread binding -----------------------------------------------
 // Regression: bound_pid used to be one static thread_local shared by every
 // ServiceFacade<T>, so binding pid 1 on a wider facade clobbered the pid-0
@@ -431,6 +511,7 @@ int main() {
   test_differential_vs_rr_model();
   test_sim_deterministic_order();
   test_concurrent_activation_stress();
+  test_concurrent_servicers();
   test_per_facade_binding();
   test_service_keys();
   test_zipf_traffic();
