@@ -3,11 +3,11 @@
 //
 // Step accounting: shared atomic accesses (block arrays, heads, floors,
 // EBR epochs, archive version pointers) are counted by the platform layer;
-// every persistent-RBT node visited or created — in GC-phase copies AND in
+// every persistent-RBT node visited or created — in GC-phase updates AND in
 // dequeues' archive lookups — is charged one step (pbt::tls_rbt_touches),
 // mirroring the paper's model where each RBT operation costs O(log(p+q)).
 // The archive holds 64-block chunks, so a GC phase also charges one step
-// per block it copies into a chunk: the paper's per-block archive work,
+// per block it archives into a chunk: the paper's per-block archive work,
 // which the ~64x fewer tree operations would otherwise hide.
 //
 // Sweeps amortized steps/op vs p (fixed small q) and vs q (fixed p), with
@@ -15,7 +15,7 @@
 // actually occur within the run at every p — the paper default
 // p^2 ceil(log2 p) outgrows a short run past p=8, which would mix
 // GC-bearing and GC-free regimes into one fit. The "rbt/op" column shows
-// the tree's share of the amortized cost (GC-phase copies + archive
+// the tree's share of the amortized cost (GC-phase archiving + archive
 // lookups).
 #include <cmath>
 

@@ -12,17 +12,20 @@
 //    below it is dead: unreachable by the live queue contents and by every
 //    in-flight operation) and an array floor `k` (the suffix that stays in
 //    the mutable block array, sized by the GC window ~ G and moved in whole
-//    chunks of kChunk = 64 blocks). Blocks in [af, k) are copied into
-//    immutable chunks held by a path-copying persistent red-black tree
-//    (pbt/persistent_rbt.hpp) keyed by (node id, chunk index); blocks below
-//    af are discarded, and a chunk is erased only once it lies entirely
-//    below af (one straddling af stays whole; its dead slots hold the
-//    discarded sentinel). Truncated array slots are tombstoned — never reset
-//    to null, so a stalled refresher's install CAS cannot resurrect a stale
-//    block into a collected index — and the Block objects are retired into
-//    an epoch-based-reclamation layer (core/ebr.hpp) so a concurrent reader
-//    holding a raw pointer never sees a recycled block. After the grace
-//    period a block goes back to the collector's BlockPool, not to delete.
+//    chunks of kChunk = 64 blocks). Blocks in [af, k) move, by reference,
+//    into immutable chunks held by a path-copying persistent red-black tree
+//    (pbt/persistent_rbt.hpp) keyed by (node id, chunk index): blocks are
+//    immutable, so a chunk points at them rather than copying them, and
+//    owns them from then on. Blocks below af are discarded, and a chunk is
+//    erased only once it lies entirely below af (one straddling af stays
+//    whole; its dead slots point at the discarded sentinel). Truncated
+//    array slots are tombstoned — never reset to null, so a stalled
+//    refresher's install CAS cannot resurrect a stale block into a
+//    collected index. Discarded blocks are retired into an epoch-based-
+//    reclamation layer (core/ebr.hpp), and a chunk dies with the last
+//    archive version holding it, which that layer frees, so a concurrent
+//    reader holding a raw pointer never sees a recycled block. Either way a
+//    block ends up back in the collector's BlockPool, not deleted.
 //  - Readers route every historical block access through the tree's Storage
 //    hook, which lands in load_block() below: an index under the node's
 //    floor falls back to a lookup in the current archive version. Archive
@@ -54,12 +57,13 @@
 // slot index follows the blocks: whole slot pages below a node's floor go
 // back to the kernel through the same EBR, so each node keeps < one page
 // of dead slots plus its live suffix's pages. Every RBT node visited or
-// created and every block copied into a chunk is charged through
+// created and every block archived into a chunk is charged through
 // note_rbt_touch (the paper's model), so E7 measures Theorem 32's
 // amortized O(log p log(p+q)) including GC.
 //
 // Deviations from the paper (documented in DESIGN.md): the archive's unit
-// is a chunk, not a block, so a path copy copies one pointer per 64 blocks.
+// is a chunk of block pointers, not a block, so a path copy copies one
+// pointer per 64 blocks.
 // GC phases are serialized by a try-lock and run by the boundary-crossing
 // process alone (no helping), so the collector's worst-case — not
 // amortized — bound is weaker than Theorem 32 under a targeted adversary.
@@ -89,12 +93,26 @@ class BoundedQueue {
   using Ebr = core::Ebr<Platform>;
   using Block = TreeBlock<T>;
 
-  /// The archive's unit: an immutable copy of kChunk consecutive blocks of
-  /// one node, shared across RBT versions by pointer (a path copy copies
-  /// the pointer, never the blocks).
+  /// The archive's unit: kChunk consecutive blocks of one node, by
+  /// reference, shared across RBT versions by pointer (a path copy copies
+  /// the chunk pointer, never the blocks). The chunk owns its blocks: it
+  /// dies with the last archive version holding it, which EBR frees only
+  /// after that version's readers are done, and then hands them back to
+  /// the collector's pool (at teardown it just destroys them).
   static constexpr int64_t kChunk = 64;
   struct Chunk {
-    Block b[kChunk];
+    const Block* b[kChunk] = {};  // filled by collect() before publication
+    BoundedQueue* q;
+    explicit Chunk(BoundedQueue* owner) : q(owner) {}
+    Chunk(const Chunk&) = delete;
+    Chunk& operator=(const Chunk&) = delete;
+    ~Chunk() {
+      for (const Block* x : b) {
+        if (x != &discarded_block()) {
+          recycle_block(const_cast<Block*>(x), q->chunk_pool_);
+        }
+      }
+    }
   };
   using Rbt = pbt::PersistentRbt<std::shared_ptr<const Chunk>>;
 
@@ -259,20 +277,21 @@ class BoundedQueue {
 
   /// Sentinel for probes into discarded history: its monotone fields read
   /// -1 ("before everything"); see the monotone-search templates.
+  struct Discarded : Block {
+    Discarded() {
+      this->sumenq = this->sumdeq = this->endleft = this->endright = -1;
+    }
+  };
   static const Block& discarded_block() {
-    static const Block b = [] {
-      Block d;
-      d.sumenq = d.sumdeq = d.endleft = d.endright = -1;
-      return d;
-    }();
-    return b;
+    static const Discarded d;
+    return d;
   }
 
   const Block* archived(const Node* v, int64_t i) const {
     const ArchiveVersion* av = archive_.load();
     if (i >= 0 && av != nullptr) {
       const auto* c = Rbt::find(av->root, key_of(v, i / kChunk));
-      if (c != nullptr) return &(*c)->b[i % kChunk];
+      if (c != nullptr) return (*c)->b[i % kChunk];
     }
     return &discarded_block();
   }
@@ -314,7 +333,8 @@ class BoundedQueue {
   }
 
   /// A truncated block's end of life: back into the collector's pool, or,
-  /// from ~Ebr (ctx null, the tree still holds its slabs), just destroyed.
+  /// at teardown (pool null, the tree still holds its slabs), just
+  /// destroyed.
   static void recycle_block(void* p, void* pool) {
     auto* b = static_cast<Block*>(p);
     if (pool != nullptr) {
@@ -367,10 +387,11 @@ class BoundedQueue {
     plans.clear();
     plan_node(root, af_root, last - window_ + 1, plans);
 
-    // 4. New archive version: copy the live part of [kfloor, k_new) in as
+    // 4. New archive version: move the live part of [kfloor, k_new) in as
     // whole chunks, drop the chunks now entirely below af_new (a chunk
-    // straddling af_new stays whole). Slots under max(kfloor, af_new) hold
-    // the discarded sentinel, so probes there still steer with -1 fields.
+    // straddling af_new stays whole). Slots under max(kfloor, af_new) point
+    // at the discarded sentinel, so probes there still steer with -1
+    // fields.
     const ArchiveVersion* old_av = archive_.load();
     typename Rbt::Ptr aroot = old_av ? old_av->root : Rbt::empty();
     size_t count = archived_.load(std::memory_order_relaxed);
@@ -386,14 +407,14 @@ class BoundedQueue {
       if (lo >= pl.k_new) continue;
       assert(pl.k_new % kChunk == 0);  // plan_node moved it a whole chunk
       for (int64_t c = lo / kChunk; c * kChunk < pl.k_new; ++c) {
-        auto chunk = std::make_shared<Chunk>();
+        auto chunk = std::make_shared<Chunk>(this);
         for (int64_t j = 0; j < kChunk; ++j) {
           int64_t i = c * kChunk + j;
           if (i < lo) {
-            chunk->b[j] = discarded_block();
+            chunk->b[j] = &discarded_block();
           } else {
-            chunk->b[j] = *pl.v->blocks.load(i);
-            pbt::note_rbt_touch();  // the paper's per-block archive copy
+            chunk->b[j] = pl.v->blocks.load(i);
+            pbt::note_rbt_touch();  // the paper's per-block archive charge
           }
         }
         aroot = Rbt::insert(aroot, key_of(pl.v, c), std::move(chunk));
@@ -415,14 +436,17 @@ class BoundedQueue {
     }
 
     // 5. Truncate the arrays (floor first — release — then tombstone slots)
-    // and retire the detached blocks, then the whole slot pages now below
-    // the floor (DESIGN.md "TreeBlockArray": after the grace period no op
-    // holds an index below the floor); then give the epoch a push. What it
-    // frees lands in this process's pool, which spills its excess.
+    // and retire the detached blocks below af_new (the rest now belong to
+    // their chunks), then the whole slot pages now below the floor
+    // (DESIGN.md "TreeBlockArray": after the grace period no op holds an
+    // index below the floor); then give the epoch a push. What it frees —
+    // retired blocks and the blocks of chunks whose last version went —
+    // lands in this process's pool, which spills its excess.
     for (const Plan& pl : plans) {
       pl.v->floor.store(pl.k_new);
       for (int64_t i = pl.v->kfloor; i < pl.k_new; ++i) {
-        ebr_.retire(pl.v->blocks.take(i), &recycle_block);
+        Block* b = pl.v->blocks.take(i);
+        if (i < pl.af_new) ebr_.retire(b, &recycle_block);
       }
       pl.v->blocks.release_below(pl.k_new, [this](void* page) {
         ebr_.retire(page, +[](void* pg, void*) {
@@ -432,7 +456,9 @@ class BoundedQueue {
       pl.v->kfloor = pl.k_new;
       pl.v->af = pl.af_new;
     }
-    ebr_.try_advance(&tree_.pool(pid));
+    chunk_pool_ = &tree_.pool(pid);
+    ebr_.try_advance(chunk_pool_);
+    chunk_pool_ = nullptr;
     tree_.spill_excess(pid);
   }
 
@@ -501,6 +527,10 @@ class BoundedQueue {
   ArchiveStorage storage_;
   Tree tree_;
   std::unique_ptr<StartSlot[]> starts_;
+  // Where a dying chunk's blocks go: the collector's pool while its epoch
+  // push frees versions, else null (teardown destroys them). Declared
+  // before ebr_, whose destructor drops the last retired versions.
+  Pool* chunk_pool_ = nullptr;
   Ebr ebr_;
   typename Platform::template Atomic<int64_t> opcount_{0};
   typename Platform::template Atomic<int> gclock_{0};

@@ -85,6 +85,7 @@
 #include <memory>
 #include <new>
 #include <optional>
+#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -193,24 +194,10 @@ struct TreeBlock {
   [[no_unique_address]] std::conditional_t<kFlagged, bool, NoFlag> held{};
 
   TreeBlock() : endleft(0), endright(0) {}
-  TreeBlock(const TreeBlock&) requires(!kFlagged) = default;
-  TreeBlock(const TreeBlock& o) requires kFlagged
-      : sumenq(o.sumenq), sumdeq(o.sumdeq), size(o.size), held(o.held) {
-    if (held) {
-      std::construct_at(&element, o.element);
-    } else {
-      endleft = o.endleft;
-      endright = o.endright;
-    }
-  }
-  TreeBlock& operator=(const TreeBlock&) requires(!kFlagged) = default;
-  TreeBlock& operator=(const TreeBlock& o) requires kFlagged {
-    if (this != &o) {
-      std::destroy_at(this);
-      std::construct_at(this, o);
-    }
-    return *this;
-  }
+  // A block lives where its pool carved it: arrays and archive chunks hold
+  // pointers, so nothing copies one.
+  TreeBlock(const TreeBlock&) = delete;
+  TreeBlock& operator=(const TreeBlock&) = delete;
   ~TreeBlock() requires(!kFlagged) = default;
   ~TreeBlock() requires kFlagged {
     if (held) std::destroy_at(&element);
@@ -223,6 +210,7 @@ struct TreeBlock {
   }
 };
 static_assert(sizeof(TreeBlock<uint64_t>) == 40, "five words per block");
+static_assert(!std::is_copy_constructible_v<TreeBlock<std::string>>);
 
 /// What a tree's debug_pool() reports, summed over its block pools. Read
 /// it at quiescence: the per-process lists are owner-only state.
@@ -244,8 +232,9 @@ struct PoolStats {
 /// get() prefers, in order: the spare (a refresh candidate that lost its
 /// CAS), the recycled free list, a spill taken earlier, the whole spill
 /// (one exchange), and only then a fresh block from the slab. recycle()
-/// keeps up to kFreeCap blocks and queues the rest for spill_excess(),
-/// which pushes them onto the spill with one CAS. A block on a list is
+/// keeps up to kFreeCap blocks and queues the rest, tail tracked, for
+/// spill_excess(), which pushes them onto the spill with one CAS and no
+/// walk (a dying archive chunk recycles 64 at once). A block on a list is
 /// ASan-poisoned, so reading a recycled block reports like a use after
 /// free. None of this is a shared step of the paper's model: the spill is
 /// a plain std::atomic, like the segment directory.
@@ -299,7 +288,8 @@ class alignas(64) BlockPool {
   }
 
   /// Ends a truncated block's life once no operation can still read it
-  /// (the bounded client's EBR deleter, run by the collector).
+  /// (run by the bounded client's collector: a discarded block's EBR
+  /// deleter, or an archive chunk dying with its last version).
   void recycle(Block* b) {
     std::destroy_at(b);
     auto* n = ::new (static_cast<void*>(b)) FreeNode{nullptr};
@@ -308,6 +298,7 @@ class alignas(64) BlockPool {
       free_ = n;
       ++nfree_;
     } else {
+      if (excess_ == nullptr) excess_tail_ = n;
       n->next = excess_;
       excess_ = n;
     }
@@ -319,8 +310,7 @@ class alignas(64) BlockPool {
   /// and nobody else pushes).
   void spill_excess(Spill& spill) {
     if (excess_ == nullptr) return;
-    FreeNode* tail = excess_;
-    for (FreeNode* n; (n = next_of(tail)) != nullptr;) tail = n;
+    FreeNode* tail = excess_tail_;
     ASAN_UNPOISON_MEMORY_REGION(tail, sizeof(FreeNode));
     FreeNode* head = spill.load(std::memory_order_relaxed);
     do {
@@ -338,7 +328,7 @@ class alignas(64) BlockPool {
       s.slab_bytes += sl->bytes;
       s.carved += sl->bytes / kStride - 1;  // the header takes one block
     }
-    s.carved -= static_cast<uint64_t>(end_ - cur_) / kStride;
+    s.carved -= static_cast<uint64_t>(left_);
     s.spares += spare_ != nullptr ? 1 : 0;
     s.free += length(free_) + length(taken_) + length(excess_);
   }
@@ -388,7 +378,8 @@ class alignas(64) BlockPool {
   }
 
   void* carve() {
-    if (cur_ == end_) add_slab();
+    if (left_ == 0) add_slab();
+    --left_;
     std::byte* m = cur_;
     cur_ += kStride;
     ASAN_UNPOISON_MEMORY_REGION(m, kStride);
@@ -407,19 +398,22 @@ class alignas(64) BlockPool {
     slabs_ = s;
     auto* base = reinterpret_cast<std::byte*>(s);
     cur_ = base + kStride;  // the header takes the first block's place
-    end_ = base + bytes / kStride * kStride;
-    ASAN_POISON_MEMORY_REGION(cur_, static_cast<size_t>(end_ - cur_));
+    left_ = static_cast<int32_t>(bytes / kStride - 1);
+    ASAN_POISON_MEMORY_REGION(cur_, static_cast<size_t>(left_) * kStride);
   }
 
   Block* spare_ = nullptr;
-  FreeNode* free_ = nullptr;    // recycled here, counted by nfree_
-  FreeNode* taken_ = nullptr;   // the rest of a spill this process took
-  FreeNode* excess_ = nullptr;  // recycled past kFreeCap, for the spill
-  std::byte* cur_ = nullptr;    // bump cursor in the newest slab
-  std::byte* end_ = nullptr;
+  FreeNode* free_ = nullptr;         // recycled here, counted by nfree_
+  FreeNode* taken_ = nullptr;        // the rest of a spill this process took
+  FreeNode* excess_ = nullptr;       // recycled past kFreeCap, for the spill
+  FreeNode* excess_tail_ = nullptr;  // excess_'s last node, when nonempty
+  std::byte* cur_ = nullptr;         // bump cursor in the newest slab
   Slab* slabs_ = nullptr;
-  int64_t nfree_ = 0;
+  int32_t nfree_ = 0;  // blocks on free_ (<= kFreeCap); shares a word with
+  int32_t left_ = 0;   // the newest slab's blocks not carved yet
 };
+static_assert(sizeof(BlockPool<TreeBlock<uint64_t>>) == 64,
+              "one cache line per pool");
 
 /// Append-only unbounded block array: geometrically growing segments
 /// installed on demand with an (uncounted, bookkeeping-only) directory CAS,

@@ -1,5 +1,5 @@
 // Path-copying persistent red-black tree (paper Section 6): the bounded
-// queue's GC phases copy each node's live block suffix into this tree, and
+// queue's GC phases move each node's old blocks into this tree, and
 // concurrent dequeues read *old* versions while a GC phase installs a new
 // one. Persistence comes from path copying: insert/erase never mutate an
 // existing node — they rebuild the root-to-target path (O(log n) fresh

@@ -19,12 +19,17 @@
 //      a second one as a double free);
 //  (f) blocks are carved sizeof(Block) apart, not a cache line apart: a
 //      full slab's bytes over the blocks carved from it (its header takes
-//      one block's place) are the 40-byte block, not 64.
+//      one block's place) are the 40-byte block, not 64;
+//  (g) a spill links the excess list by its tracked tail: two spills of
+//      more than 2 * kFreeCap blocks in all, the second onto a nonempty
+//      spill, and every spilled block comes back exactly once through
+//      another pool's get().
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -218,6 +223,38 @@ void blocks_carved_at_the_stride() {
   CHECK_EQ(full.slab_bytes / (full.carved + 1), uint64_t{sizeof(Block)});
 }
 
+void every_spilled_block_comes_back() {
+  using Block = TreeBlock<uint64_t>;
+  using Pool = wfq::core::BlockPool<Block>;
+  constexpr int64_t kCap = Pool::kFreeCap;
+  Pool other, collector, taker;
+  Pool::Spill spill{nullptr}, unused{nullptr};
+  std::set<Block*> spilled;
+  // The collector keeps its first kCap blocks and spills 2 * kCap.
+  std::vector<Block*> batch;
+  for (int64_t i = 0; i < 3 * kCap; ++i) batch.push_back(collector.get(spill));
+  for (Block* b : batch) collector.recycle(b);
+  spilled.insert(batch.begin() + kCap, batch.end());
+  collector.spill_excess(spill);
+  // Its free list is full, so all kCap + 1 of these go out in the second
+  // spill, linked in front of the first.
+  batch.clear();
+  for (int64_t i = 0; i <= kCap; ++i) batch.push_back(other.get(unused));
+  for (Block* b : batch) collector.recycle(b);
+  spilled.insert(batch.begin(), batch.end());
+  collector.spill_excess(spill);
+  CHECK_EQ(spilled.size(), static_cast<size_t>(3 * kCap + 1));
+
+  std::set<Block*> back;
+  for (size_t i = 0; i < spilled.size(); ++i) back.insert(taker.get(spill));
+  CHECK(back == spilled);
+  CHECK(spill.load() == nullptr);
+  PoolStats s;
+  taker.add_stats(s);
+  CHECK_EQ(s.carved, uint64_t{0});
+  CHECK_EQ(s.free, uint64_t{0});
+}
+
 void owning_elements_destroyed_once() {
   // Long enough to live on the heap, not in the string's inline buffer.
   auto value = [](uint64_t i) {
@@ -253,5 +290,6 @@ int main() {
   spill_across_threads();
   owning_elements_destroyed_once();
   blocks_carved_at_the_stride();
+  every_spilled_block_comes_back();
   return wfq::test::exit_code();
 }

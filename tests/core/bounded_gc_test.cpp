@@ -16,11 +16,15 @@
 //      far below an unbounded queue's;
 //  (g) elements that own memory survive the archive: a deep queue of heap
 //      strings archives several chunks and drains in FIFO order with exact
-//      values (under ASan a missed destroy of a copied block is an LSan
+//      values (under ASan a missed destroy of an archived block is an LSan
 //      leak, a doubled one a double free);
 //  (h) an idle tree is small: the resident bytes of idle 4-process bounded
 //      queues stay below what an index whose first segment is 64 slots
-//      costs.
+//      costs;
+//  (i) the archive holds blocks by reference: archiving copies no element,
+//      and a queue destroyed with archived chunks still live (some held
+//      only by a retired archive version, so they die in the EBR layer's
+//      teardown) destroys every element exactly once.
 #include <unistd.h>
 
 #include <algorithm>
@@ -287,13 +291,96 @@ void archived_owning_elements() {
   for (uint64_t k = 0; k < kDepth; ++k) drain_one(k);
   CHECK(!q.dequeue().has_value());
   // Pairs on the empty queue move the retention front past the drain, so
-  // the archived chunks die and are erased with their copied strings.
+  // the archived chunks die and are erased, and their strings with them.
   for (uint64_t k = 0; k < 1024; ++k) {
     q.bind_thread(static_cast<int>(k % kProcs));
     q.enqueue(value(next++));
     drain_one(k + 1);
   }
   CHECK(q.debug_archived_blocks() * 4 < peak);
+}
+
+/// An element that counts its copies and live instances, and reports a
+/// second destruction.
+struct Counted {
+  static constexpr uint64_t kAlive = 0x600dc0ffee;
+  static inline uint64_t copies = 0;
+  static inline int64_t live = 0;
+  uint64_t v = 0;
+  uint64_t alive = kAlive;
+
+  explicit Counted(uint64_t x) : v(x) { ++live; }
+  Counted(const Counted& o) : v(o.v) {
+    ++copies;
+    ++live;
+  }
+  Counted(Counted&& o) noexcept : v(o.v) { ++live; }
+  Counted& operator=(const Counted& o) {
+    v = o.v;
+    ++copies;
+    return *this;
+  }
+  Counted& operator=(Counted&& o) noexcept {
+    v = o.v;
+    return *this;
+  }
+  ~Counted() {
+    CHECK_EQ(alive, kAlive);
+    alive = 0;
+    --live;
+  }
+};
+
+void archive_holds_references() {
+  constexpr int kProcs = 2;
+  constexpr uint64_t kDepth = 1024;
+  using Queue = BoundedQueue<Counted>;
+  auto fill = [](Queue& q) {
+    for (uint64_t i = 0; i < kDepth; ++i) {
+      q.bind_thread(static_cast<int>(i % kProcs));
+      q.enqueue(Counted(i));
+    }
+  };
+  Counted::copies = 0;
+  {
+    Queue q(kProcs, /*gc_period=*/4);
+    fill(q);
+    CHECK(q.debug_archived_blocks() >= size_t{2 * Queue::kChunk});
+    // Enqueues move; a copied archive would have copied 64 per chunk.
+    CHECK_EQ(Counted::copies, uint64_t{0});
+    for (uint64_t k = 0; k < kDepth; ++k) {
+      q.bind_thread(static_cast<int>(k % kProcs));
+      std::optional<Counted> got = q.dequeue();
+      CHECK(got.has_value());
+      if (got.has_value()) CHECK_EQ(got->v, k);
+    }
+    CHECK(!q.dequeue().has_value());
+    // The one copy per dequeue hands the value out of its immutable block;
+    // the chunks archived during the drain copied nothing either.
+    CHECK_EQ(Counted::copies, kDepth);
+  }
+  CHECK_EQ(Counted::live, int64_t{0});
+
+  {
+    Queue q(kProcs, /*gc_period=*/4);
+    fill(q);
+    // Drain until a GC phase erases a chunk. The version that still held
+    // it was retired into EBR in that phase and has not been freed yet, so
+    // that chunk dies in the EBR layer's destructor with the queue.
+    size_t prev = q.debug_archived_blocks();
+    bool erased = false;
+    for (uint64_t k = 0; k < kDepth && !erased; ++k) {
+      q.bind_thread(static_cast<int>(k % kProcs));
+      std::optional<Counted> got = q.dequeue();
+      CHECK(got.has_value());
+      if (got.has_value()) CHECK_EQ(got->v, k);
+      erased = q.debug_archived_blocks() < prev;
+      prev = q.debug_archived_blocks();
+    }
+    CHECK(erased);
+    CHECK(prev > 0);  // and the current version still holds chunks
+  }
+  CHECK_EQ(Counted::live, int64_t{0});
 }
 
 void idle_trees_are_small() {
@@ -323,5 +410,6 @@ int main() {
   archive_plateau();
   slot_pages_released();
   archived_owning_elements();
+  archive_holds_references();
   return wfq::test::exit_code();
 }

@@ -6,9 +6,15 @@
 // navigates it), double free (BlockArray dtor vs EBR) or leak (archive
 // versions, retired blocks) fails the suite under -DWFQ_SANITIZE=ON.
 //
+// A prefilled run starts the queue thousands deep, so the workers'
+// dequeues read blocks through archived chunks while the GC phases their
+// ops trigger erase those chunks and free them (with their blocks) through
+// EBR.
+//
 // Semantics are also checked: no duplicated or invented values, exact
 // multiset conservation after a drain, and per-producer FIFO order at
-// every consumer. A fifth, unbound thread calls space() throughout, the way
+// every consumer (the prefill counts as one more producer). A fifth,
+// unbound thread calls space() throughout, the way
 // a live broker's STAT does: the archive version it would otherwise read
 // is retired by the GC phases the workers run, so a space() that touched
 // it fails under ASan (use-after-free) and TSan (data race).
@@ -27,8 +33,14 @@ namespace {
 constexpr int kProcs = 4;
 constexpr uint64_t kOpsPerThread = 12'000;
 
-void stress(int64_t gc_period) {
+/// Value `seq` of `producer` (the prefill is producer kProcs).
+uint64_t tag(uint64_t producer, uint64_t seq) { return producer << 32 | seq; }
+
+void stress(int64_t gc_period, uint64_t prefill = 0) {
   wfq::core::BoundedQueue<uint64_t> q(kProcs, gc_period);
+  q.bind_thread(0);
+  for (uint64_t k = 0; k < prefill; ++k) q.enqueue(tag(kProcs, k));
+  CHECK(q.debug_archived_blocks() >= prefill / 2);  // most of it archived
   std::vector<std::vector<uint64_t>> got(kProcs);
   std::atomic<int> running{kProcs};
   std::thread reader([&q, &running] {
@@ -46,10 +58,11 @@ void stress(int64_t gc_period) {
       q.bind_thread(pid);
       got[static_cast<size_t>(pid)].reserve(kOpsPerThread);
       for (uint64_t k = 0; k < kOpsPerThread; ++k) {
-        // 2 enqueues then 2 dequeues keeps the queue shallow but busy, so
-        // GC retention repeatedly crosses the live front under contention.
+        // 2 enqueues then 2 dequeues keeps the queue near its starting depth
+        // (shallow unless prefilled) but busy, so GC retention repeatedly
+        // crosses the live front under contention.
         if (k % 4 < 2) {
-          q.enqueue((static_cast<uint64_t>(pid) << 32) | k);
+          q.enqueue(tag(static_cast<uint64_t>(pid), k));
         } else {
           auto r = q.dequeue();
           if (r.has_value()) got[static_cast<size_t>(pid)].push_back(*r);
@@ -62,9 +75,10 @@ void stress(int64_t gc_period) {
   reader.join();
 
   std::set<uint64_t> enqueued;
+  for (uint64_t k = 0; k < prefill; ++k) enqueued.insert(tag(kProcs, k));
   for (int pid = 0; pid < kProcs; ++pid)
     for (uint64_t k = 0; k < kOpsPerThread; ++k)
-      if (k % 4 < 2) enqueued.insert((static_cast<uint64_t>(pid) << 32) | k);
+      if (k % 4 < 2) enqueued.insert(tag(static_cast<uint64_t>(pid), k));
 
   std::set<uint64_t> dequeued;
   for (const auto& list : got) {
@@ -96,5 +110,6 @@ void stress(int64_t gc_period) {
 int main() {
   stress(/*gc_period=*/8);   // thousands of GC phases
   stress(/*gc_period=*/64);  // coarser windows, deeper archive churn
+  stress(/*gc_period=*/8, /*prefill=*/4096);  // dequeues through the archive
   return wfq::test::exit_code();
 }
