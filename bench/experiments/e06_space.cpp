@@ -6,9 +6,9 @@
 // queue size held ~q; sample live block counts as N grows. Expected shape:
 // unbounded proportional to N; bounded plateaus at a level that scales with
 // q and G, not N. Queues are built through the registry factory, so
-// --queues can swap in any key (e.g. bounded:g=4,bounded:g=-1); --gc G
-// rebuilds the default bounded key as bounded:g=<G>; --ops N sets the
-// largest pair count of the swept grid {N/16, N/4, N}.
+// --queues can swap in any key (e.g. bounded:g=4,bounded:g=-1; the GC
+// period is named only there); --ops N sets the largest pair count of the
+// swept grid {N/16, N/4, N}.
 #include <algorithm>
 #include <string>
 #include <vector>
@@ -23,11 +23,7 @@ using namespace wfq;
 
 api::Report run(const api::RunOptions& opts) {
   api::Report r = api::make_report("space");
-  const int64_t gc = opts.gc_or(64);
-  // --gc 0 means the paper default, which the registry spells "bounded"
-  // (the parameterized key deliberately rejects g=0).
-  const std::string bounded_key =
-      gc == 0 ? "bounded" : "bounded:g=" + std::to_string(gc);
+  const std::string bounded_key = "bounded:g=64";
   const uint64_t max_pairs = static_cast<uint64_t>(opts.ops_or(32'000));
   const std::vector<std::string> queues =
       api::queue_keys_or(opts.queues, {"ubq", bounded_key});
@@ -35,8 +31,8 @@ api::Report run(const api::RunOptions& opts) {
       "E6: live blocks vs operations performed (Theorem 31)",
       "    2 threads, queue size held ~q; pair grid {N/16, N/4, N} with",
       "    N=" + std::to_string(max_pairs) + " (--ops N); bounded queue is",
-      "    " + bounded_key + " (--gc; default G=64 — the paper's p^2 log p",
-      "    scaled down so the plateau is visible in a short run)"};
+      "    " + bounded_key + " (--queues; default G=64 — the paper's p^2",
+      "    log p scaled down so the plateau is visible in a short run)"};
   auto& sec = r.section("E6");
   sec.cols({"queue", "ops (pairs)", "q", "live blocks", "EBR backlog",
             "blocks/pair"});

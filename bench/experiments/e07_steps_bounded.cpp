@@ -11,7 +11,7 @@
 // which the ~64x fewer tree operations would otherwise hide.
 //
 // Sweeps amortized steps/op vs p (fixed small q) and vs q (fixed p), with
-// the GC period scaled down to G=32 (override with --gc) so collections
+// the GC period scaled down to G=32 so collections
 // actually occur within the run at every p — the paper default
 // p^2 ceil(log2 p) outgrows a short run past p=8, which would mix
 // GC-bearing and GC-free regimes into one fit. The "rbt/op" column shows
@@ -28,6 +28,8 @@ namespace {
 
 using namespace wfq;
 using Queue = core::BoundedQueue<uint64_t, platform::SimPlatform>;
+
+constexpr int64_t kGc = 32;  // the GC period G of every queue swept here
 
 struct Amortized {
   double steps_per_op;  // atomics + RBT touches, GC phases included
@@ -69,11 +71,10 @@ api::Report run(const api::RunOptions& opts) {
   api::Report r = api::make_report("steps_bounded");
   const std::string adversary = opts.adversary_or("round-robin");
   const int64_t mixed_ops = opts.ops_or(16);
-  const int64_t gc = opts.gc_or(32);
   r.preamble = {"E7: bounded queue amortized RBT-steps/op  (Theorem 32:",
                 "    O(log p log(p+q)) amortized, GC included)",
-                "    " + adversary + " adversary; G=" + std::to_string(gc) +
-                    " (--gc; paper default p^2 log p outgrows short runs)"};
+                "    " + adversary + " adversary; G=" + std::to_string(kGc) +
+                    " (paper default p^2 log p outgrows short runs)"};
   {
     auto& sec = r.section("E7a");
     sec.pre("E7a: vs p (prefill 8/process, " + std::to_string(mixed_ops) +
@@ -82,7 +83,7 @@ api::Report run(const api::RunOptions& opts) {
               "steps/op / (log2 p * log2(p+q))"});
     std::vector<double> ps, ys;
     for (int p : opts.procs_or({2, 4, 8, 16, 32})) {
-      Queue q(p, gc);
+      Queue q(p, kGc);
       Amortized a = amortized(q, p, 8, mixed_ops, adversary);
       double denom = std::log2(p) * std::log2(p + 8.0 * p);
       sec.row(p, api::cell(a.steps_per_op), api::cell(a.rbt_per_op),
@@ -100,7 +101,7 @@ api::Report run(const api::RunOptions& opts) {
     std::vector<double> qs, ys;
     double rbt_total = 0;
     for (int per : {8, 32, 128, 512}) {
-      Queue q(4, gc);
+      Queue q(4, kGc);
       Amortized a = amortized(q, 4, per, mixed_ops, adversary);
       double total_q = 4.0 * per;
       sec.row(static_cast<int>(total_q), api::cell(a.steps_per_op),

@@ -19,11 +19,6 @@ namespace {
 
 using namespace wfq;
 
-struct Result {
-  double ns_per_op;
-  api::SpaceStats space;
-};
-
 api::AnyQueue<uint64_t> build(int64_t gc_period, uint64_t pairs) {
   return api::make_queue<uint64_t>(
       "bounded:g=" + std::to_string(gc_period),
@@ -31,45 +26,41 @@ api::AnyQueue<uint64_t> build(int64_t gc_period, uint64_t pairs) {
                         static_cast<int64_t>(pairs)));
 }
 
-Result run_one(int64_t gc_period, uint64_t pairs) {
-  Result res;
-  {  // Wall clock: the contended two-thread producer/consumer run.
-    api::AnyQueue<uint64_t> q = build(gc_period, pairs);
-    auto start = std::chrono::steady_clock::now();
-    api::run_gated_pairs(q, pairs, /*target_q=*/32);
-    auto elapsed = std::chrono::steady_clock::now() - start;
-    res.ns_per_op =
-        static_cast<double>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
-                .count()) /
-        static_cast<double>(2 * pairs);
+/// Wall clock: ns/op of the contended two-thread producer/consumer run.
+double timed_ns_per_op(int64_t gc_period, uint64_t pairs) {
+  api::AnyQueue<uint64_t> q = build(gc_period, pairs);
+  auto start = std::chrono::steady_clock::now();
+  api::run_gated_pairs(q, pairs, /*target_q=*/32);
+  std::chrono::duration<double, std::nano> elapsed =
+      std::chrono::steady_clock::now() - start;
+  return elapsed.count() / static_cast<double>(2 * pairs);
+}
+
+/// Space: a deterministic single-thread replay of the same op count (the
+/// raced run ends wherever the gating lands, so its final block count
+/// wobbles by ~a GC window between invocations), sampled at the middle of
+/// a GC window — the steady state, where half a window of appends is
+/// awaiting the next collection. Sampling exactly on a boundary instead
+/// would show every G the same post-collection minimum and hide the
+/// G-proportional term of Theorem 31's bound.
+api::SpaceStats replay_space(int64_t gc_period, uint64_t pairs) {
+  api::AnyQueue<uint64_t> q = build(gc_period, pairs);
+  q.bind_thread(0);
+  uint64_t total = 32 + 2 * pairs;
+  if (gc_period > 0) {
+    uint64_t g = static_cast<uint64_t>(gc_period);
+    total = ((total + g - 1) / g) * g + g / 2;
   }
-  {  // Space: a deterministic single-thread replay of the same op count
-    // (the raced run ends wherever the gating lands, so its final block
-    // count wobbles by ~a GC window between invocations), sampled at the
-    // middle of a GC window — the steady state, where half a window of
-    // appends is awaiting the next collection. Sampling exactly on a
-    // boundary instead would show every G the same post-collection
-    // minimum and hide the G-proportional term of Theorem 31's bound.
-    api::AnyQueue<uint64_t> q = build(gc_period, pairs);
-    q.bind_thread(0);
-    uint64_t total = 32 + 2 * pairs;
-    if (gc_period > 0) {
-      uint64_t g = static_cast<uint64_t>(gc_period);
-      total = ((total + g - 1) / g) * g + g / 2;
+  uint64_t ops = 0, next = 0;
+  for (; ops < 32; ++ops) q.enqueue(next++);  // hold the queue at ~32
+  for (; ops < total; ++ops) {
+    if (ops % 2 == 0) {
+      q.enqueue(next++);
+    } else {
+      (void)q.dequeue();
     }
-    uint64_t ops = 0, next = 0;
-    for (; ops < 32; ++ops) q.enqueue(next++);  // hold the queue at ~32
-    for (; ops < total; ++ops) {
-      if (ops % 2 == 0) {
-        q.enqueue(next++);
-      } else {
-        (void)q.dequeue();
-      }
-    }
-    res.space = q.space_stats();
   }
-  return res;
+  return q.space_stats();
 }
 
 api::Report run(const api::RunOptions& opts) {
@@ -77,7 +68,9 @@ api::Report run(const api::RunOptions& opts) {
   const uint64_t pairs = static_cast<uint64_t>(opts.ops_or(20'000));
   r.preamble = {"E8: GC-period ablation (bounded queue, 2 threads, " +
                     std::to_string(pairs) + " enqueue+dequeue pairs,",
-                "    queues built as bounded:g=<G> through the registry)",
+                "    queues built as bounded:g=<G> through the registry;",
+                "    ns/op is the median of " + std::to_string(api::kReps) +
+                    " runs)",
                 "    paper default for p=2 is G = p^2 ceil(log2 p) = 4"};
   auto& sec = r.section("E8");
   sec.cols({"G", "ns/op", "live blocks at end", "EBR backlog"});
@@ -87,11 +80,13 @@ api::Report run(const api::RunOptions& opts) {
   };
   for (Cfg cfg : {Cfg{"4 (paper p^2 log p)", 4}, Cfg{"16", 16}, Cfg{"64", 64},
                   Cfg{"256", 256}, Cfg{"1024", 1024}, Cfg{"disabled", -1}}) {
-    Result res = run_one(cfg.g, pairs);
-    sec.row(cfg.label, api::cell(res.ns_per_op, 0),
-            res.space.live_blocks, res.space.ebr_retired);
+    const stats::Summary ns = api::repeat(
+        api::kReps, [&] { return timed_ns_per_op(cfg.g, pairs); });
+    const api::SpaceStats space = replay_space(cfg.g, pairs);
+    sec.row(cfg.label, api::cell(ns.p50, 0), space.live_blocks,
+            space.ebr_retired);
     sec.metric("live_g" + std::to_string(cfg.g),
-               static_cast<double>(res.space.live_blocks));
+               static_cast<double>(space.live_blocks));
   }
   sec.note("  expectation: live blocks grow monotonically with G and are");
   sec.note("  unbounded when GC is disabled (~2*ops*(log p+1) blocks);");

@@ -52,12 +52,9 @@ double pairs_ns_per_op(api::AnyQueue<uint64_t>& q, int threads,
   auto start = std::chrono::steady_clock::now();
   go.store(true, std::memory_order_release);
   for (auto& t : ts) t.join();
-  auto elapsed = std::chrono::steady_clock::now() - start;
-  double total_ops = 2.0 * static_cast<double>(iters) * threads;
-  return static_cast<double>(
-             std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
-                 .count()) /
-         total_ops;
+  std::chrono::duration<double, std::nano> elapsed =
+      std::chrono::steady_clock::now() - start;
+  return elapsed.count() / (2.0 * static_cast<double>(iters) * threads);
 }
 
 api::Report run(const api::RunOptions& opts) {
@@ -68,7 +65,8 @@ api::Report run(const api::RunOptions& opts) {
   r.preamble = {
       "E9: wall-clock throughput, enqueue+dequeue pairs (real threads,",
       "    " + std::to_string(iters) + " pairs/thread; all registered "
-      "queues via AnyQueue)"};
+      "queues via AnyQueue; ns/op is the median of " +
+          std::to_string(api::kReps) + " runs)"};
   auto& sec = r.section("E9");
   std::vector<std::string> cols = {"queue"};
   for (int t : thread_counts) cols.push_back("ns/op @" + std::to_string(t));
@@ -82,10 +80,12 @@ api::Report run(const api::RunOptions& opts) {
     for (int t : thread_counts) {
       // iters enqueue+dequeue pairs per thread = 2*iters claims per thread
       // on the FAA queue; sized_config keeps the cell array ahead of them.
-      api::AnyQueue<uint64_t> q = api::make_queue<uint64_t>(
-          qname, api::sized_config(max_threads, api::Backend::real,
-                                   static_cast<int64_t>(2 * iters)));
-      last_ns = pairs_ns_per_op(q, t, iters);
+      last_ns = api::repeat(api::kReps, [&] {
+        api::AnyQueue<uint64_t> q = api::make_queue<uint64_t>(
+            qname, api::sized_config(max_threads, api::Backend::real,
+                                     static_cast<int64_t>(2 * iters)));
+        return pairs_ns_per_op(q, t, iters);
+      }).p50;
       row.push_back(api::cell(last_ns, 0));
     }
     row.push_back(api::cell(last_ns > 0 ? 1000.0 / last_ns : 0.0));

@@ -23,6 +23,7 @@
 // service layer itself — prefill N tenant queues, drain through
 // service_next, report ns/op and Mops/s vs N per backing, plus the
 // scheduler's round count and per-round service estimate.
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -285,7 +286,9 @@ api::Report run_throughput(const api::RunOptions& opts) {
   r.preamble = {
       "E13c: service-loop throughput vs tenant count (real platform, one",
       "      servicing thread; " + std::to_string(total_ops) +
-          " items prefilled round-robin, drained via service_next)"};
+          " items prefilled round-robin, drained via service_next;",
+      "      ns/op is the median of " + std::to_string(api::kReps) +
+          " runs)"};
   // Pin the servicing thread for the whole sweep: wall-clock ns/op rows
   // are not comparable if the scheduler migrates the thread mid-sweep
   // (best-effort; no-op where unsupported — see platform/affinity.hpp).
@@ -296,25 +299,28 @@ api::Report run_throughput(const api::RunOptions& opts) {
     sec.pre("E13c [" + b + "]");
     sec.cols({"tenants", "ns/op", "Mops/s", "rounds", "est items/round"});
     for (int n : tenant_counts) {
-      api::QueueConfig cfg = api::sized_config(1, api::Backend::real,
-                                               total_ops);
-      svc::ServiceFacade<uint64_t> s = api::make_service<uint64_t>(
-          "dwrr:" + std::to_string(n) + ":" + b, cfg);
-      s.bind_thread(0);
-      for (int64_t i = 0; i < total_ops; ++i)
-        s.enqueue(static_cast<int>(i % n), static_cast<uint64_t>(i));
-      auto start = std::chrono::steady_clock::now();
-      int64_t got = 0;
-      while (got < total_ops && s.service_next()) ++got;
-      auto elapsed = std::chrono::steady_clock::now() - start;
-      double ns =
-          static_cast<double>(
-              std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
-                  .count()) /
-          static_cast<double>(got > 0 ? got : 1);
-      sec.row(n, api::cell(ns, 0), api::cell(ns > 0 ? 1000.0 / ns : 0.0),
-              api::cell(static_cast<int64_t>(s.rounds())),
-              api::cell(s.round_service_estimate()));
+      const auto [ns, rounds, estimate] = api::repeat(api::kReps, [&] {
+        api::QueueConfig cfg = api::sized_config(1, api::Backend::real,
+                                                 total_ops);
+        svc::ServiceFacade<uint64_t> s = api::make_service<uint64_t>(
+            "dwrr:" + std::to_string(n) + ":" + b, cfg);
+        s.bind_thread(0);
+        for (int64_t i = 0; i < total_ops; ++i)
+          s.enqueue(static_cast<int>(i % n), static_cast<uint64_t>(i));
+        auto start = std::chrono::steady_clock::now();
+        int64_t got = 0;
+        while (got < total_ops && s.service_next()) ++got;
+        std::chrono::duration<double, std::nano> elapsed =
+            std::chrono::steady_clock::now() - start;
+        const double ns_per_item =
+            elapsed.count() / static_cast<double>(got > 0 ? got : 1);
+        return std::array{ns_per_item, static_cast<double>(s.rounds()),
+                          s.round_service_estimate()};
+      });
+      sec.row(n, api::cell(ns.p50, 0),
+              api::cell(ns.p50 > 0 ? 1000.0 / ns.p50 : 0.0),
+              api::cell(static_cast<int64_t>(rounds.p50)),
+              api::cell(estimate.p50));
       if (n == tenant_counts.back())
         sec.metric("ns_per_op_" + b + "_n" + std::to_string(n), ns);
     }

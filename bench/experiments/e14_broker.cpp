@@ -3,7 +3,8 @@
 // constructs an in-process Broker on a private temp UDS path (and a
 // kernel-picked TCP port for E14b) and drives it with the same
 // broker::run_loadgen the `loadgen` binary wraps — full codec, event
-// loops, shard ops and backpressure path, nothing mocked.
+// loops, shard ops and backpressure path, nothing mocked. Every timed
+// number is the median of api::kReps runs, each on a fresh broker.
 //
 // E14a (throughput vs client count, UDS): closed-loop ENQ/DEQ pairs from C
 // connections against 4 ubq shards, fixed TOTAL message budget. Expected:
@@ -37,6 +38,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -65,6 +67,9 @@ std::string temp_uds_path() {
          std::to_string(++counter) + ".sock";
 }
 
+/// Shard count of the E14a/E14b broker.
+constexpr int kShards = 4;
+
 /// Event-loop count for S shards: one per shard up to the core count.
 /// On a 1-core box every sweep point gets ONE loop, so E14c isolates the
 /// data-structure effect (per-shard backlog) from thread-count effects.
@@ -89,64 +94,58 @@ uint32_t pick_key_base(int conns, int shards) {
   return 0;  // unreachable for sane (conns, shards); fall back to 0
 }
 
-struct WorkloadResult {
-  broker::LoadgenResult lg;
-  broker::Broker::ShardCounters totals;
-};
-
-/// One broker lifetime: start, drive the loadgen workload, stop.
-WorkloadResult run_workload(broker::BrokerConfig bcfg,
-                            broker::LoadgenConfig lcfg) {
-  broker::Broker b(std::move(bcfg));
+/// One broker lifetime: `conns` closed-loop window-1 connections send
+/// `total_msgs` ENQ/DEQ pairs to 4 ubq shards over UDS, or over loopback
+/// TCP when `tcp`. Returns {msgs/s, RTT p50, p99, p999 us}.
+std::array<double, 4> closed_loop(int conns, int64_t total_msgs, bool tcp) {
+  broker::BrokerConfig bcfg;
+  bcfg.shards = kShards;
+  bcfg.groups = groups_for(kShards);
+  bcfg.backing = "ubq";
+  bcfg.uds_path = temp_uds_path();
+  if (tcp) bcfg.tcp_port = 0;  // kernel-picked; read back below
+  broker::Broker b(bcfg);
   b.start();
-  WorkloadResult r;
-  r.lg = broker::run_loadgen(lcfg);
+  broker::LoadgenConfig lcfg;
+  if (tcp)
+    lcfg.tcp_port = b.tcp_port();
+  else
+    lcfg.uds_path = bcfg.uds_path;
+  lcfg.connections = conns;
+  // Fixed total budget: per-connection share, kept even so every
+  // connection's ENQ/DEQ pairs balance and the broker drains empty.
+  lcfg.msgs_per_conn =
+      std::max<int64_t>(2, (total_msgs / conns) & ~int64_t{1});
+  lcfg.window = 1;
+  const broker::LoadgenResult lg = broker::run_loadgen(lcfg);
   b.stop();
-  r.totals = b.totals();
-  return r;
+  return {lg.msgs_per_s, stats::percentile(lg.latencies_us, 50),
+          stats::percentile(lg.latencies_us, 99),
+          stats::percentile(lg.latencies_us, 99.9)};
 }
 
 api::Report run_clients(const api::RunOptions& opts) {
   api::Report r = api::make_report("broker_clients");
-  const int shards = 4;
   const int64_t total_msgs = opts.ops_or(40'000);
-  const int trials = 2;  // best-of: damps scheduler noise on shared boxes
   const std::vector<int> client_counts = opts.procs_or({1, 2, 4, 8, 16});
   r.preamble = {
       "E14a: broker throughput + latency vs client count over UDS",
-      "      " + std::to_string(shards) + " ubq shards, " +
-          std::to_string(groups_for(shards)) + " event loop(s), " +
+      "      " + std::to_string(kShards) + " ubq shards, " +
+          std::to_string(groups_for(kShards)) + " event loop(s), " +
           std::to_string(total_msgs) +
-          " total msgs (closed-loop ENQ/DEQ pairs, window 1), best of " +
-          std::to_string(trials)};
+          " total msgs (closed-loop ENQ/DEQ pairs, window 1), median of " +
+          std::to_string(api::kReps)};
 
   auto& sec = r.section("E14a");
   sec.cols({"clients", "msgs/s", "rtt p50 us", "rtt p99 us", "rtt p999 us"});
   std::vector<double> tput;
   for (int c : client_counts) {
-    broker::LoadgenResult best;
-    for (int t = 0; t < trials; ++t) {
-      broker::BrokerConfig bcfg;
-      bcfg.shards = shards;
-      bcfg.groups = groups_for(shards);
-      bcfg.backing = "ubq";
-      bcfg.uds_path = temp_uds_path();
-      broker::LoadgenConfig lcfg;
-      lcfg.uds_path = bcfg.uds_path;
-      lcfg.connections = c;
-      // Fixed total budget: per-connection share, kept even so every
-      // connection's ENQ/DEQ pairs balance and the broker drains empty.
-      lcfg.msgs_per_conn = std::max<int64_t>(2, (total_msgs / c) & ~int64_t{1});
-      lcfg.window = 1;
-      WorkloadResult w = run_workload(bcfg, lcfg);
-      if (w.lg.msgs_per_s > best.msgs_per_s) best = std::move(w.lg);
-    }
-    tput.push_back(best.msgs_per_s);
-    sec.row(c, api::cell(best.msgs_per_s, 0),
-            api::cell(stats::percentile(best.latencies_us, 50), 1),
-            api::cell(stats::percentile(best.latencies_us, 99), 1),
-            api::cell(stats::percentile(best.latencies_us, 99.9), 1));
-    sec.metric("msgs_per_s_c" + std::to_string(c), best.msgs_per_s);
+    const auto [rate, rtt50, rtt99, rtt999] = api::repeat(
+        api::kReps, [&] { return closed_loop(c, total_msgs, false); });
+    tput.push_back(rate.p50);
+    sec.row(c, api::cell(rate.p50, 0), api::cell(rtt50.p50, 1),
+            api::cell(rtt99.p50, 1), api::cell(rtt999.p50, 1));
+    sec.metric("msgs_per_s_c" + std::to_string(c), rate);
   }
   // Gate: monotone non-decreasing 1 -> 4 clients. Computed over the sweep
   // points <= 4 actually run (the default sweep has 1, 2, 4).
@@ -164,44 +163,25 @@ api::Report run_clients(const api::RunOptions& opts) {
 
 api::Report run_transport(const api::RunOptions& opts) {
   api::Report r = api::make_report("broker_transport");
-  const int shards = 4;
   const int clients = 4;
   const int64_t total_msgs = opts.ops_or(40'000);
   r.preamble = {
       "E14b: UDS vs loopback-TCP ablation, " + std::to_string(clients) +
-          " closed-loop clients, " + std::to_string(shards) + " ubq shards, " +
-          std::to_string(total_msgs) + " total msgs"};
+          " closed-loop clients, " + std::to_string(kShards) +
+          " ubq shards, " + std::to_string(total_msgs) +
+          " total msgs, median of " + std::to_string(api::kReps)};
 
   auto& sec = r.section("E14b");
   sec.cols({"transport", "msgs/s", "rtt p50 us", "rtt p99 us"});
   double uds_tput = 0, tcp_tput = 0;
-  for (const std::string& transport :
-       {std::string("uds"), std::string("tcp")}) {
-    broker::BrokerConfig bcfg;
-    bcfg.shards = shards;
-    bcfg.groups = groups_for(shards);
-    bcfg.backing = "ubq";
-    bcfg.uds_path = temp_uds_path();
-    bcfg.tcp_port = 0;  // kernel-picked; read back below
-    const std::string uds = bcfg.uds_path;
-    broker::Broker b(std::move(bcfg));
-    b.start();
-    broker::LoadgenConfig lcfg;
-    lcfg.connections = clients;
-    lcfg.msgs_per_conn =
-        std::max<int64_t>(2, (total_msgs / clients) & ~int64_t{1});
-    lcfg.window = 1;
-    if (transport == "uds")
-      lcfg.uds_path = uds;
-    else
-      lcfg.tcp_port = b.tcp_port();
-    broker::LoadgenResult lr = broker::run_loadgen(lcfg);
-    b.stop();
-    (transport == "uds" ? uds_tput : tcp_tput) = lr.msgs_per_s;
-    sec.row(transport, api::cell(lr.msgs_per_s, 0),
-            api::cell(stats::percentile(lr.latencies_us, 50), 1),
-            api::cell(stats::percentile(lr.latencies_us, 99), 1));
-    sec.metric("msgs_per_s_" + transport, lr.msgs_per_s);
+  for (const bool tcp : {false, true}) {
+    const std::string transport = tcp ? "tcp" : "uds";
+    const auto [rate, rtt50, rtt99, rtt999] = api::repeat(
+        api::kReps, [&] { return closed_loop(clients, total_msgs, tcp); });
+    (tcp ? tcp_tput : uds_tput) = rate.p50;
+    sec.row(transport, api::cell(rate.p50, 0), api::cell(rtt50.p50, 1),
+            api::cell(rtt99.p50, 1));
+    sec.metric("msgs_per_s_" + transport, rate);
   }
   if (tcp_tput > 0) sec.metric("uds_over_tcp", uds_tput / tcp_tput);
   sec.note("  expectation (no gate): UDS at or above TCP — the identical");
@@ -440,16 +420,62 @@ void topic_consumer(const std::string& uds, uint32_t key_base, uint32_t topic,
   out->t_end = std::chrono::steady_clock::now();
 }
 
+/// One E14c run: `clients` topic consumers against an S-shard broker.
+/// Returns {delivered/s, wire msgs/s, wire/delivered, DEQ RTT p50, p99 us};
+/// the rates read 0 if any consumer failed.
+std::array<double, 5> topic_run(int shards, uint32_t key_base, int clients,
+                                int window, int64_t per_topic) {
+  broker::BrokerConfig bcfg;
+  bcfg.shards = shards;
+  bcfg.groups = groups_for(shards);
+  bcfg.backing = "ubq";
+  bcfg.uds_path = temp_uds_path();
+  broker::Broker b(bcfg);
+  b.start();
+
+  std::vector<TopicStats> st(static_cast<size_t>(clients));
+  std::atomic<int> barrier{clients};
+  std::vector<std::thread> threads;
+  for (int c = 0; c < clients; ++c)
+    threads.emplace_back(topic_consumer, bcfg.uds_path, key_base,
+                         static_cast<uint32_t>(c), per_topic, window,
+                         &barrier, &st[static_cast<size_t>(c)]);
+  // The timed region starts when the last prefill finishes (barrier hits
+  // zero) and ends when the slowest consumer has its target.
+  while (barrier.load(std::memory_order_acquire) > 0)
+    std::this_thread::yield();
+  auto t_start = std::chrono::steady_clock::now();
+  for (std::thread& t : threads) t.join();
+  b.stop();
+
+  bool all_ok = true;
+  int64_t delivered = 0, wire = 0;
+  std::vector<double> rtt;
+  auto t_end = t_start;
+  for (const TopicStats& ts : st) {
+    all_ok = all_ok && ts.ok;
+    delivered += ts.delivered;
+    wire += ts.wire;
+    rtt.insert(rtt.end(), ts.deq_rtt_us.begin(), ts.deq_rtt_us.end());
+    if (ts.t_end > t_end) t_end = ts.t_end;
+  }
+  double secs = std::chrono::duration<double>(t_end - t_start).count();
+  bool timed = all_ok && secs > 0;
+  return {timed ? delivered / secs : 0, timed ? wire / secs : 0,
+          delivered > 0 ? double(wire) / delivered : 0,
+          stats::percentile(rtt, 50), stats::percentile(rtt, 99)};
+}
+
 api::Report run_shards(const api::RunOptions& opts) {
   api::Report r = api::make_report("broker_shards");
   const int clients = 8;
   const int window = 32;
   const int64_t per_topic = std::max<int64_t>(1, opts.ops_or(2'000));
-  const std::string backing = "ubq";
   const std::vector<int> shard_counts = {1, 2, 4, 8};
   r.preamble = {
       "E14c: shard-count scaling at fixed " + std::to_string(clients) +
-          " topic consumers, backing " + backing,
+          " topic consumers, backing ubq, median of " +
+          std::to_string(api::kReps),
       "      each client consumes " + std::to_string(per_topic) +
           " items of ITS topic; foreign items popped off a shared shard "
           "are requeued (no selective receive)"};
@@ -460,50 +486,15 @@ api::Report run_shards(const api::RunOptions& opts) {
   double t1 = 0, t8 = 0;
   for (int s : shard_counts) {
     uint32_t kb = pick_key_base(clients, s);
-    broker::BrokerConfig bcfg;
-    bcfg.shards = s;
-    bcfg.groups = groups_for(s);
-    bcfg.backing = backing;
-    bcfg.uds_path = temp_uds_path();
-    broker::Broker b(bcfg);
-    b.start();
-
-    std::vector<TopicStats> st(static_cast<size_t>(clients));
-    std::atomic<int> barrier{clients};
-    std::vector<std::thread> threads;
-    for (int c = 0; c < clients; ++c)
-      threads.emplace_back(topic_consumer, bcfg.uds_path, kb,
-                           static_cast<uint32_t>(c), per_topic, window,
-                           &barrier, &st[static_cast<size_t>(c)]);
-    // The timed region starts when the last prefill finishes (barrier hits
-    // zero) and ends when the slowest consumer has its target.
-    while (barrier.load(std::memory_order_acquire) > 0)
-      std::this_thread::yield();
-    auto t_start = std::chrono::steady_clock::now();
-    for (std::thread& t : threads) t.join();
-    b.stop();
-
-    bool all_ok = true;
-    int64_t delivered = 0, wire = 0;
-    std::vector<double> rtt;
-    auto t_end = t_start;
-    for (const TopicStats& ts : st) {
-      all_ok = all_ok && ts.ok;
-      delivered += ts.delivered;
-      wire += ts.wire;
-      rtt.insert(rtt.end(), ts.deq_rtt_us.begin(), ts.deq_rtt_us.end());
-      if (ts.t_end > t_end) t_end = ts.t_end;
-    }
-    double secs = std::chrono::duration<double>(t_end - t_start).count();
-    double dps = (all_ok && secs > 0) ? delivered / secs : 0;
-    double wps = (all_ok && secs > 0) ? wire / secs : 0;
-    if (s == 1) t1 = dps;
-    if (s == 8) t8 = dps;
-    sec.row(s, distinct_shards(kb, clients, s), api::cell(dps, 0),
-            api::cell(wps, 0),
-            api::cell(delivered > 0 ? double(wire) / delivered : 0, 2),
-            api::cell(stats::percentile(rtt, 50), 1),
-            api::cell(stats::percentile(rtt, 99), 1));
+    const auto [dps, wps, amplification, rtt50, rtt99] =
+        api::repeat(api::kReps, [&] {
+          return topic_run(s, kb, clients, window, per_topic);
+        });
+    if (s == 1) t1 = dps.p50;
+    if (s == 8) t8 = dps.p50;
+    sec.row(s, distinct_shards(kb, clients, s), api::cell(dps.p50, 0),
+            api::cell(wps.p50, 0), api::cell(amplification.p50, 2),
+            api::cell(rtt50.p50, 1), api::cell(rtt99.p50, 1));
     sec.metric("delivered_per_s_s" + std::to_string(s), dps);
   }
   if (t1 > 0) sec.metric("speedup_1_to_8", t8 / t1);

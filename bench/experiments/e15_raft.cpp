@@ -3,7 +3,9 @@
 // signals by broker::ReplicaGroup. Nothing in-process: each data point
 // covers the wfb-v1 raft band over sockets, the replicated-config
 // bootstrap, leader election, and the ClusterClient redirect/retry path —
-// the same binary and client path a deployment would run.
+// the same binary and client path a deployment would run. Every number is
+// a median over fresh groups (api::repeat); a group that never serves, or
+// a failover no new leader completes, aborts the run with the reason.
 //
 // E15a (replication-factor overhead): closed-loop ENQ/DEQ pairs through
 // ClusterClient against RF = 1, 3, 5 replica groups. Only broker METADATA
@@ -17,9 +19,9 @@
 // E15b (failover-time distribution): a 3-replica group serving a prober of
 // ENQ/DEQ pairs; SIGKILL the leader and time from the kill to the first
 // post-kill DEQ_OK served by the new leader (client-observed failover:
-// election + client rediscovery). Several trials, fresh cluster each (a
-// crashed replica never rejoins — no stable storage). Gate: median below
-// 10x the election timeout.
+// election + client rediscovery). Several trials (--ops, 3..25), fresh
+// cluster each (a crashed replica never rejoins — no stable storage).
+// Gate: median below 10x the election timeout.
 //
 // E15c (election-timeout sensitivity): the E15b measurement swept over
 // --election-ms. Expected and reported, not gated: failover time scales
@@ -31,9 +33,12 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -78,21 +83,43 @@ std::string broker_bin() {
   return "broker";  // last resort: PATH lookup via execvp semantics
 }
 
-/// Blocks until the group serves: one ENQ round trip through the redirect
-/// path. Returns false if no leader emerged within the budget.
-bool wait_serving(const std::vector<uint16_t>& ports, uint64_t budget_ms) {
-  broker::ClusterClient::Options o;
-  o.ports = ports;
-  o.give_up_ms = budget_ms;
-  broker::ClusterClient cc(o);
-  net::Frame enq;
-  enq.op = net::Opcode::enq;
-  enq.key = 0;
-  enq.payload = net::encode_value(1);
-  return cc.request(enq).has_value();
+/// Starts a fresh n-replica group and blocks until it serves one ENQ
+/// round trip through the redirect path. A group that does not serve
+/// within 20 s is a fault to report, not a sample, so that throws.
+void spawn_serving(broker::ReplicaGroup& g, int n, uint64_t election_ms) {
+  bool ok = g.spawn(broker_bin(), n, "ubq", election_ms);
+  if (ok) {
+    broker::ClusterClient::Options o;
+    o.ports = g.ports();
+    o.give_up_ms = 20'000;
+    net::Frame enq;
+    enq.op = net::Opcode::enq;
+    enq.payload = net::encode_value(1);
+    ok = broker::ClusterClient(o).request(enq).has_value();
+  }
+  if (!ok)
+    throw std::runtime_error("a " + std::to_string(n) +
+                             "-replica group did not serve");
 }
 
 // ---- E15a -----------------------------------------------------------------
+
+/// One E15a run on a fresh rf-replica group: closed-loop ENQ/DEQ pairs
+/// through ClusterClient. Returns {msgs/s, redirects, RTT p50, p99 us}.
+std::array<double, 4> rf_run(int rf, int conns, int64_t total_msgs) {
+  broker::ReplicaGroup g;
+  spawn_serving(g, rf, 150);
+  broker::LoadgenConfig lcfg;
+  lcfg.cluster_ports = g.ports();
+  lcfg.connections = conns;
+  lcfg.msgs_per_conn =
+      std::max<int64_t>(2, (total_msgs / conns) & ~int64_t{1});
+  lcfg.window = 1;
+  const broker::LoadgenResult lr = broker::run_loadgen(lcfg);
+  return {lr.msgs_per_s, static_cast<double>(lr.redirects),
+          stats::percentile(lr.latencies_us, 50),
+          stats::percentile(lr.latencies_us, 99)};
+}
 
 api::Report run_rf(const api::RunOptions& opts) {
   api::Report r = api::make_report("raft_rf");
@@ -110,34 +137,20 @@ api::Report run_rf(const api::RunOptions& opts) {
       "      loopback TCP, closed-loop ENQ/DEQ pairs via the redirecting "
       "ClusterClient,",
       "      " + std::to_string(total_msgs) + " total msgs, " +
-          std::to_string(conns) + " clients)"};
+          std::to_string(conns) + " clients, median of " +
+          std::to_string(api::kReps) + " groups)"};
 
   auto& sec = r.section("E15a");
   sec.cols({"rf", "msgs/s", "redirects", "rtt p50 us", "rtt p99 us"});
   double rf1 = 0, rf3 = 0;
   for (int rf : rfs) {
-    broker::ReplicaGroup g;
-    double tput = 0, p50 = 0, p99 = 0;
-    uint64_t redirects = 0;
-    if (g.spawn(broker_bin(), rf, "ubq", 150) &&
-        wait_serving(g.ports(), 20'000)) {
-      broker::LoadgenConfig lcfg;
-      lcfg.cluster_ports = g.ports();
-      lcfg.connections = conns;
-      lcfg.msgs_per_conn =
-          std::max<int64_t>(2, (total_msgs / conns) & ~int64_t{1});
-      lcfg.window = 1;
-      broker::LoadgenResult lr = broker::run_loadgen(lcfg);
-      tput = lr.msgs_per_s;
-      redirects = lr.redirects;
-      p50 = stats::percentile(lr.latencies_us, 50);
-      p99 = stats::percentile(lr.latencies_us, 99);
-    }
-    if (rf == 1) rf1 = tput;
-    if (rf == 3) rf3 = tput;
-    sec.row(rf, api::cell(tput, 0), api::cell(redirects), api::cell(p50, 1),
-            api::cell(p99, 1));
-    sec.metric("msgs_per_s_rf" + std::to_string(rf), tput);
+    const auto [rate, redirects, rtt50, rtt99] = api::repeat(
+        api::kReps, [&] { return rf_run(rf, conns, total_msgs); });
+    if (rf == 1) rf1 = rate.p50;
+    if (rf == 3) rf3 = rate.p50;
+    sec.row(rf, api::cell(rate.p50, 0), api::cell(redirects.p50, 0),
+            api::cell(rtt50.p50, 1), api::cell(rtt99.p50, 1));
+    sec.metric("msgs_per_s_rf" + std::to_string(rf), rate);
   }
   if (rf1 > 0 && rf3 > 0) sec.metric("rf3_over_rf1", rf3 / rf1);
   sec.note("  gate: rf3_over_rf1 >= 0.70 — only metadata rides the raft");
@@ -150,49 +163,43 @@ api::Report run_rf(const api::RunOptions& opts) {
 // ---- E15b / E15c ----------------------------------------------------------
 
 /// One failover measurement: fresh RF-3 group, prober traffic, SIGKILL the
-/// leader, time to the first post-kill DEQ_OK. Returns <0 on setup failure.
-double one_failover_ms(uint64_t election_ms) {
+/// leader, time to the first post-kill DEQ_OK. Throws if the group never
+/// serves, the prober cannot find the leader, or no new leader serves it
+/// within 30 s.
+double failover_ms(uint64_t election_ms) {
   broker::ReplicaGroup g;
-  double result = -1;
-  if (g.spawn(broker_bin(), 3, "ubq", election_ms) &&
-      wait_serving(g.ports(), 20'000)) {
-    broker::ClusterClient::Options o;
-    o.ports = g.ports();
-    o.read_timeout_ms = std::max<uint64_t>(50, election_ms / 2);
-    o.give_up_ms = 30'000;
-    broker::ClusterClient cc(o);
+  spawn_serving(g, 3, election_ms);
+  broker::ClusterClient::Options o;
+  o.ports = g.ports();
+  o.read_timeout_ms = std::max<uint64_t>(50, election_ms / 2);
+  o.give_up_ms = 30'000;
+  broker::ClusterClient cc(o);
 
-    net::Frame enq;
-    enq.op = net::Opcode::enq;
-    enq.key = 7;
-    enq.payload = net::encode_value(42);
-    net::Frame deq;
-    deq.op = net::Opcode::deq;
-    deq.key = 7;
+  net::Frame enq;
+  enq.op = net::Opcode::enq;
+  enq.key = 7;
+  enq.payload = net::encode_value(42);
+  net::Frame deq;
+  deq.op = net::Opcode::deq;
+  deq.key = 7;
 
-    // A couple of warm-up pairs pin the client to the leader.
-    bool ok = true;
-    for (int i = 0; i < 2 && ok; ++i)
-      ok = cc.request(enq).has_value() && cc.request(deq).has_value();
-    int leader = cc.current();
-    if (ok && leader >= 0 && leader < 3) {
-      auto t_kill = Clock::now();
-      g.kill(static_cast<size_t>(leader), SIGKILL);
-      // First post-kill DEQ_OK: each request internally rides redirects
-      // and reconnects until the new leader serves it.
-      while (true) {
-        auto e = cc.request(enq);
-        if (!e) break;
-        auto d = cc.request(deq);
-        if (!d) break;
-        if (d->op == net::Opcode::deq_ok) {
-          result = ms_since(t_kill);
-          break;
-        }
-      }
-    }
+  // A couple of warm-up pairs pin the client to the leader.
+  for (int i = 0; i < 2; ++i)
+    if (!cc.request(enq) || !cc.request(deq))
+      throw std::runtime_error("the prober's warm-up pairs went unanswered");
+  const int leader = cc.current();
+  auto t_kill = Clock::now();
+  g.kill(static_cast<size_t>(leader), SIGKILL);
+  // First post-kill DEQ_OK: each request internally rides redirects and
+  // reconnects until the new leader serves it.
+  while (true) {
+    auto d = cc.request(enq) ? cc.request(deq) : std::nullopt;
+    if (!d)
+      throw std::runtime_error("no new leader served within 30 s of "
+                               "SIGKILLing replica " +
+                               std::to_string(leader));
+    if (d->op == net::Opcode::deq_ok) return ms_since(t_kill);
   }
-  return result;
 }
 
 api::Report run_failover(const api::RunOptions& opts) {
@@ -202,30 +209,20 @@ api::Report run_failover(const api::RunOptions& opts) {
       std::max<int64_t>(3, std::min<int64_t>(opts.ops_or(7), 25)));
   r.preamble = {
       "E15b: leader-failover time, 3-replica group, election timeout " +
-          std::to_string(election_ms) + " ms, " + std::to_string(trials) +
-          " trials",
+          std::to_string(election_ms) + " ms, median of " +
+          std::to_string(trials) + " trials (--ops)",
       "      (SIGKILL the serving leader; time to the first DEQ_OK from "
       "the new one,",
       "      fresh cluster per trial — crashed replicas never rejoin)"};
 
   auto& sec = r.section("E15b");
-  sec.cols({"trial", "failover ms"});
-  std::vector<double> samples;
-  for (int t = 0; t < trials; ++t) {
-    double ms = one_failover_ms(election_ms);
-    if (ms >= 0) {
-      samples.push_back(ms);
-      sec.row(t, api::cell(ms, 1));
-    } else {
-      sec.row(t, "setup failed");
-    }
-  }
-  if (!samples.empty()) {
-    double median = stats::percentile(samples, 50);
-    sec.metric("failover_ms_median", median);
-    sec.metric("failover_ms_p90", stats::percentile(samples, 90));
-    sec.metric("failover_over_election", median / double(election_ms));
-  }
+  sec.cols({"trials", "failover p50 ms", "failover min ms", "failover max ms"});
+  const stats::Summary ms =
+      api::repeat(trials, [&] { return failover_ms(election_ms); });
+  sec.row(trials, api::cell(ms.p50, 1), api::cell(ms.min, 1),
+          api::cell(ms.max, 1));
+  sec.metric("failover_ms_median", ms);
+  sec.metric("failover_over_election", ms.p50 / double(election_ms));
   sec.note("  gate: failover_ms_median < 10x election timeout (" +
            std::to_string(10 * election_ms) +
            " ms) — election (1-2 timeouts");
@@ -237,28 +234,22 @@ api::Report run_failover(const api::RunOptions& opts) {
 api::Report run_election_sweep(const api::RunOptions& opts) {
   api::Report r = api::make_report("raft_election_sweep");
   const int trials = static_cast<int>(
-      std::max<int64_t>(2, std::min<int64_t>(opts.ops_or(3), 10)));
+      std::max<int64_t>(3, std::min<int64_t>(opts.ops_or(3), 10)));
   const std::vector<uint64_t> timeouts = {60, 150, 400};
   r.preamble = {
-      "E15c: failover time vs election timeout, 3-replica groups, " +
-      std::to_string(trials) + " trials per point"};
+      "E15c: failover time vs election timeout, 3-replica groups, median "
+      "of " +
+      std::to_string(trials) + " trials per point (--ops)"};
 
   auto& sec = r.section("E15c");
   sec.cols({"election ms", "failover p50 ms", "failover max ms",
             "failover/election"});
   for (uint64_t t : timeouts) {
-    std::vector<double> samples;
-    for (int i = 0; i < trials; ++i) {
-      double ms = one_failover_ms(t);
-      if (ms >= 0) samples.push_back(ms);
-    }
-    double p50 = samples.empty() ? -1 : stats::percentile(samples, 50);
-    double mx = samples.empty()
-                    ? -1
-                    : *std::max_element(samples.begin(), samples.end());
-    sec.row(t, api::cell(p50, 1), api::cell(mx, 1),
-            p50 >= 0 ? api::cell(p50 / double(t), 2) : api::cell("-"));
-    sec.metric("failover_p50_ms_t" + std::to_string(t), p50);
+    const stats::Summary ms =
+        api::repeat(trials, [&] { return failover_ms(t); });
+    sec.row(t, api::cell(ms.p50, 1), api::cell(ms.max, 1),
+            api::cell(ms.p50 / double(t), 2));
+    sec.metric("failover_p50_ms_t" + std::to_string(t), ms);
   }
   sec.note("  expectation (no gate): failover scales roughly linearly with");
   sec.note("  the election timeout — the randomized timeout draw dominates,");

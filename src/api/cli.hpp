@@ -41,9 +41,6 @@ inline void print_usage(std::ostream& os) {
         "  --queues <csv>          override the object set, by registry name\n"
         "                          (bounded takes a parameter: bounded:g=<G>;\n"
         "                          E11 reads vector keys from this flag)\n"
-        "  --gc <G>                bounded-queue GC period for experiments\n"
-        "                          that take one (E6, E7; E8 sweeps its own\n"
-        "                          grid): 0 = paper default, -1 = disabled\n"
         "  --format <fmt>          table (default) | json\n"
         "  --out <file>            write output to <file> instead of stdout\n"
         "  --help, -h              this text\n"
@@ -96,9 +93,6 @@ inline int run_main(int argc, char** argv) {
           opts.procs.push_back(parse_num<int>(p, a, 1, 4096));
       } else if (a == "--ops") {
         opts.ops = parse_num<int64_t>(need_value(i, a), a, 1);
-      } else if (a == "--gc") {
-        // 0 = paper default G = p^2 ceil(log2 p), -1 = disable collection.
-        opts.gc = parse_num<int64_t>(need_value(i, a), a, -1);
       } else if (a == "--adversary") {
         opts.adversary = need_value(i, a);
       } else if (a == "--seed") {

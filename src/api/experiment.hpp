@@ -12,6 +12,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -32,10 +33,6 @@ enum class Format { table, json };
 /// Empty/zero fields mean "use the experiment's default" — the *_or helpers
 /// encode that, so each experiment states its historical constants inline.
 struct RunOptions {
-  /// Sentinel for "--gc not given": distinct from 0 (paper-default G) and
-  /// -1 (GC disabled), both of which are meaningful values.
-  static constexpr int64_t kGcUnset = INT64_MIN;
-
   std::vector<int> procs;           // --procs 2,4,8
   int64_t ops = 0;                  // --ops N (per process)
   std::string adversary;            // --adversary round-robin|random:<s>|
@@ -43,8 +40,6 @@ struct RunOptions {
   uint64_t seed = 1;                // --seed; the CLI folds it into
                                     // "--adversary random" => "random:<seed>"
   std::vector<std::string> queues;  // --queues ubq,msq
-  int64_t gc = kGcUnset;            // --gc G (bounded queue: 0 = paper
-                                    // default, -1 = disabled)
   Format format = Format::table;    // --format table|json
 
   std::vector<int> procs_or(std::vector<int> def) const {
@@ -57,7 +52,6 @@ struct RunOptions {
   // --queues carries keys of either object kind; experiments filter it with
   // api::queue_keys_or / api::vector_keys_or (queue_registry.hpp) instead of
   // a kind-oblivious accessor, so mixed keys never abort a sweep mid-run.
-  int64_t gc_or(int64_t def) const { return gc == kGcUnset ? def : gc; }
 };
 
 /// One table cell: rendered text plus, when numeric, the raw value so the
@@ -136,11 +130,46 @@ struct Section {
     metrics.push_back({std::move(name), value});
     return *this;
   }
+  /// A repeated measurement (see repeat): its median under `name`, with
+  /// `<name>_min` and `<name>_max` beside it.
+  Section& metric(const std::string& name, const stats::Summary& s) {
+    return metric(name, s.p50)
+        .metric(name + "_min", s.min)
+        .metric(name + "_max", s.max);
+  }
   Section& note(std::string line) {
     notes.push_back(std::move(line));
     return *this;
   }
 };
+
+/// The one repetition rule for wall-clock numbers: every timed number in
+/// bench/experiments/ is the nearest-rank median of kReps runs, with the
+/// min and max beside it, and every gate reads the median. A best-of-N
+/// would keep the one outlier run a median drops. kReps is odd, so the
+/// median is a run that happened.
+inline constexpr int kReps = 3;
+
+/// Runs f n times and returns stats::summarize of what it returned (the
+/// median is .p50). When f returns std::array<double, K>, several numbers
+/// one run measured, each field is summarized across the same runs.
+template <typename F>
+auto repeat(int n, F&& f) {
+  using R = std::invoke_result_t<F&>;
+  if constexpr (std::is_arithmetic_v<R>) {
+    return repeat(n, [&] { return std::array{static_cast<double>(f())}; })[0];
+  } else {
+    std::array<std::vector<double>, std::tuple_size_v<R>> fields;
+    for (int i = 0; i < n; ++i) {
+      const R r = f();
+      for (size_t j = 0; j < r.size(); ++j) fields[j].push_back(r[j]);
+    }
+    std::array<stats::Summary, std::tuple_size_v<R>> out;
+    for (size_t j = 0; j < out.size(); ++j)
+      out[j] = stats::summarize(fields[j]);
+    return out;
+  }
+}
 
 /// A full experiment result; what the emitters consume. Sections live in a
 /// deque so the reference section() returns stays valid while later

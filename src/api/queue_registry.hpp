@@ -43,10 +43,6 @@ enum class Backend { real, sim };
 struct QueueConfig {
   int procs = 1;
   Backend backend = Backend::real;
-  /// Bounded queue only: GC period G; 0 selects the paper default
-  /// p^2 ceil(log2 p), negative (-1) disables GC (matches BoundedQueue's
-  /// ctor). A "bounded:g=<G>" registry key overrides this field.
-  int64_t gc_period = 0;
   /// Fixed-segment queues (faaq) only: cell-array capacity.
   size_t capacity = size_t{1} << 18;
 };
@@ -84,8 +80,8 @@ inline QueueConfig sized_config(int procs, Backend backend,
 namespace detail {
 
 /// One registered object. `make` receives the full key (the handle echoes
-/// it as name()) and the GC period the key resolved to: its ":g=<G>", or
-/// cfg.gc_period when it carries none.
+/// it as name()) and the GC period the key names: its ":g=<G>", or 0 (the
+/// paper default) when it carries none.
 template <typename Handle>
 struct Row {
   QueueInfo info;
@@ -184,7 +180,7 @@ const std::vector<detail::Row<AnyQueue<T>>>& queue_table() {
 }
 
 /// The vector table, in canonical registry order. Vectors reuse
-/// QueueConfig (procs/backend/capacity apply; gc_period is queue-only) and
+/// QueueConfig (procs/backend/capacity) and
 /// QueueInfo's metadata shape. The flat baseline takes its fixed capacity
 /// from cfg.capacity (sized_config applies to it exactly as to faaq).
 template <typename T>
@@ -350,14 +346,14 @@ inline std::vector<std::string> vector_keys_or(
 /// unknown or malformed keys.
 template <typename T>
 AnyQueue<T> make_queue(const std::string& key, const QueueConfig& cfg) {
-  int64_t g = cfg.gc_period;
+  int64_t g = 0;
   return detail::get_row(queue_table<T>(), key, "queue", g).make(key, cfg, g);
 }
 
 /// Builds a fresh vector by registry key; throws like make_queue.
 template <typename T>
 AnyVector<T> make_vector(const std::string& key, const QueueConfig& cfg) {
-  int64_t g = cfg.gc_period;
+  int64_t g = 0;
   return detail::get_row(vector_table<T>(), key, "vector", g)
       .make(key, cfg, g);
 }

@@ -69,7 +69,7 @@ inline std::optional<ServiceKey> parse_service_key(const std::string& name) {
 
 /// Builds a fresh service facade by key; throws std::invalid_argument on
 /// unknown or malformed keys. cfg applies to every backing queue (procs,
-/// backend, capacity, gc_period all pass through make_queue unchanged).
+/// backend and capacity pass through make_queue unchanged).
 template <typename T>
 svc::ServiceFacade<T> make_service(const std::string& name,
                                    const QueueConfig& cfg) {

@@ -70,8 +70,7 @@ class KpQueue {
     const int self = me();
     Node* n = alloc_node(std::move(x), self);
     int64_t phase = max_phase() + 1;
-    state_[static_cast<size_t>(self)].desc.store(
-        alloc_desc(phase, true, true, n));
+    announce(self, alloc_desc(phase, true, true, n));
     help(phase);
     help_finish_enq();
   }
@@ -79,8 +78,7 @@ class KpQueue {
   std::optional<T> dequeue() {
     const int self = me();
     int64_t phase = max_phase() + 1;
-    state_[static_cast<size_t>(self)].desc.store(
-        alloc_desc(phase, true, false, nullptr));
+    announce(self, alloc_desc(phase, true, false, nullptr));
     help(phase);
     help_finish_deq();
     OpDesc* d = state_[static_cast<size_t>(self)].desc.load();
@@ -129,6 +127,22 @@ class KpQueue {
       if (d->phase > mp) mp = d->phase;
     }
     return mp;
+  }
+
+  /// Publishes self's new operation descriptor. The paper's announcement
+  /// is a sequentially consistent (Java volatile) write; here it is a
+  /// release store, and help() then reads the other slots with acquire
+  /// loads, which TSO hardware may satisfy before the store drains. A
+  /// helper whose announcement is still buffered can see another process's
+  /// operation pending under its phase; that process can finish it and
+  /// announce its next one at a phase no larger (its max_phase scan missed
+  /// the buffered store), and the helper then helps the new operation as
+  /// the old kind. A dequeue's recorded head appended as an enqueue's node
+  /// closes the list into a cycle, and every thread spins forever. The
+  /// fence restores the order the phase argument needs.
+  void announce(int self, OpDesc* d) {
+    state_[static_cast<size_t>(self)].desc.store(d);
+    std::atomic_thread_fence(std::memory_order_seq_cst);
   }
 
   bool is_still_pending(int tid, int64_t phase) {

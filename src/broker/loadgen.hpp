@@ -59,8 +59,8 @@ struct LoadgenConfig {
   /// connection becomes a ClusterClient: strict one-in-flight, following
   /// ERR_NOT_LEADER hints and riding out failovers by redirect-and-retry.
   /// Closed-loop only (window forced to 1 — a redirected pipeline has no
-  /// well-defined response order). Connect and give-up budgets are
-  /// ClusterClient::Options' defaults.
+  /// well-defined response order). The connect budget is
+  /// ClusterClient::kConnectTimeoutMs, the give-up budget Options' default.
   std::vector<uint16_t> cluster_ports;
   uint64_t read_timeout_ms = 500;  // per response wait
 };
@@ -90,9 +90,11 @@ struct LoadgenResult {
 /// e2e test.
 class ClusterClient {
  public:
+  /// Per-connect budget before a replica counts as down.
+  static constexpr uint64_t kConnectTimeoutMs = 200;
+
   struct Options {
     std::vector<uint16_t> ports;  // replica TCP ports, node-id order
-    uint64_t connect_timeout_ms = 200;
     uint64_t read_timeout_ms = 500;
     uint64_t give_up_ms = 15000;
   };
@@ -151,7 +153,7 @@ class ClusterClient {
  private:
   bool connect_current() {
     fd_ = net::connect_tcp_timeout(
-        opts_.ports[static_cast<size_t>(current_)], opts_.connect_timeout_ms);
+        opts_.ports[static_cast<size_t>(current_)], kConnectTimeoutMs);
     if (!fd_.valid()) return false;
     net::set_recv_timeout(fd_.get(), opts_.read_timeout_ms);
     net::set_send_timeout(fd_.get(), opts_.read_timeout_ms);

@@ -19,6 +19,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <thread>
 #include <vector>
@@ -108,17 +109,34 @@ class ReplicaGroup {
   }
 
   /// SIGTERMs every running replica (and SIGCONTs it, so a stopped one
-  /// gets the SIGTERM too), then reaps them all. Entry i is replica i's
-  /// wait status, -1 for one that was no longer running.
+  /// gets the SIGTERM too), then reaps them all. A replica still running
+  /// kTermGrace after the SIGTERM is named on stderr, SIGKILLed and reaped,
+  /// so its status reads as killed. Entry i is replica i's wait status, -1
+  /// for one that was no longer running.
   std::vector<int> terminate() {
     for (pid_t pid : pids_) {
       if (pid <= 0) continue;
       ::kill(pid, SIGTERM);
       ::kill(pid, SIGCONT);
     }
+    const auto deadline = std::chrono::steady_clock::now() + kTermGrace;
     std::vector<int> statuses(pids_.size(), -1);
-    for (size_t i = 0; i < pids_.size(); ++i)
-      if (pids_[i] > 0) statuses[i] = reap(i);
+    for (size_t i = 0; i < pids_.size(); ++i) {
+      if (pids_[i] <= 0) continue;
+      while (!exited(i, statuses[i])) {
+        if (std::chrono::steady_clock::now() < deadline) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(2));
+          continue;
+        }
+        std::fprintf(stderr,
+                     "replica_group: replica %zu (pid %d) still running "
+                     "%lld s after SIGTERM; sending SIGKILL\n",
+                     i, static_cast<int>(pids_[i]),
+                     static_cast<long long>(kTermGrace.count()));
+        statuses[i] = kill(i, SIGKILL);
+        break;
+      }
+    }
     return statuses;
   }
 
@@ -167,6 +185,17 @@ class ReplicaGroup {
     pids_[i] = -1;
     return status;
   }
+
+  /// Reaps replica i into `status` if it has exited; never blocks.
+  bool exited(size_t i, int& status) {
+    pid_t r = ::waitpid(pids_[i], &status, WNOHANG);
+    if (r == 0 || (r < 0 && errno == EINTR)) return false;
+    pids_[i] = -1;
+    return true;
+  }
+
+  /// How long terminate() waits for a SIGTERMed replica to exit.
+  static constexpr std::chrono::seconds kTermGrace{30};
 
   std::string bin_;
   std::vector<std::vector<std::string>> args_;  // per replica, after bin_

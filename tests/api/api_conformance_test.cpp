@@ -5,13 +5,18 @@
 // simulator-driven linearizability run under each registered adversary
 // family (round-robin, seeded random, the targeted anti-faa schedule, and
 // the stall-refresh schedule that forces second-Refresh paths in the
-// ordering tree). Pass an object name as argv[1] to run one implementation;
-// with no args the whole registry is swept, so registering a new object
+// ordering tree), and every queue through (c) real-thread pairs. Pass an
+// object name as argv[1] to run one implementation; with no args the
+// whole registry is swept, so registering a new object
 // automatically puts it under test. Also covers the registries' error paths
 // and AnyQueue/AnyVector basics.
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
+#include <iostream>
 #include <map>
 #include <optional>
 #include <queue>
@@ -19,6 +24,7 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "api/concurrent_queue.hpp"
@@ -134,6 +140,55 @@ void sim_linearizability(const std::string& name,
     CHECK(dequeued.insert(*r).second);
   }
   CHECK_EQ(dequeued.size(), enqueued.size());
+}
+
+/// (c) Real threads: 2 threads each run kPairs enqueue+dequeue pairs of
+/// tagged values, kReps times on a fresh queue, and every value must come
+/// out exactly once (during the run or in the final drain). The sim's
+/// schedules are sequentially consistent, so a store-load reordering only
+/// shows here: without its announcement fence the Kogan–Petrank baseline
+/// closed its list into a cycle and spun forever in about one run of this
+/// test in three (4 vCPUs). A run that has not finished after 20 s fails
+/// the test instead of hanging it.
+void real_thread_pairs(const std::string& name) {
+  constexpr int kThreads = 2;
+  constexpr int kReps = 10;
+  constexpr uint64_t kPairs = 20'000;
+  for (int rep = 0; rep < kReps; ++rep) {
+    AnyQueue<uint64_t> q = wfq::api::make_queue<uint64_t>(
+        name, wfq::api::sized_config(kThreads, Backend::real, 2 * kPairs));
+    std::vector<std::vector<uint64_t>> got(kThreads);
+    std::atomic<int> done{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t)
+      threads.emplace_back([&, t] {
+        q.bind_thread(t);
+        for (uint64_t i = 0; i < kPairs; ++i) {
+          q.enqueue((static_cast<uint64_t>(t) << 32) | i);
+          if (auto r = q.dequeue()) got[static_cast<size_t>(t)].push_back(*r);
+        }
+        done.fetch_add(1);
+      });
+    auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    while (done.load() < kThreads) {
+      if (std::chrono::steady_clock::now() > deadline) {
+        std::cerr << name << ": real-thread pairs run " << rep
+                  << " still running after 20 s\n";
+        std::_Exit(1);
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    for (std::thread& t : threads) t.join();
+    q.bind_thread(0);
+    std::vector<uint64_t> all;
+    for (const auto& list : got)
+      all.insert(all.end(), list.begin(), list.end());
+    while (auto r = q.dequeue()) all.push_back(*r);
+    std::sort(all.begin(), all.end());
+    CHECK_EQ(all.size(), kThreads * kPairs);
+    CHECK(std::adjacent_find(all.begin(), all.end()) == all.end());
+  }
 }
 
 /// (a') Randomized differential test against std::vector: single-threaded
@@ -434,6 +489,7 @@ int main(int argc, char** argv) {
     } else {
       sequential_differential(name, /*seed=*/0x5eed + name.size());
       for (const char* adv : kAdversaries) sim_linearizability(name, adv);
+      real_thread_pairs(name);
     }
   }
   return wfq::test::exit_code();

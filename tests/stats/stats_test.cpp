@@ -1,9 +1,13 @@
-// Unit tests for the stats helpers the bench tables and shape reports use.
+// Unit tests for the stats helpers the bench tables and shape reports use,
+// and for api::repeat, the experiments' one repetition rule built on them.
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "api/experiment.hpp"
 #include "stats/qos.hpp"
 #include "stats/shape.hpp"
 #include "stats/summary.hpp"
@@ -198,6 +202,47 @@ void test_qos() {
   CHECK(near(percentile(xs, 150), 100.0));  // out-of-range q clamps
 }
 
+// The experiments' one repetition rule: api::repeat calls f exactly n
+// times and summarizes what it returned with stats::summarize; for odd n
+// the median is one of the returned values. The std::array form
+// summarizes each field across the same calls.
+void test_repeat() {
+  using wfq::api::repeat;
+  using wfq::stats::Summary;
+  const std::vector<double> values = {5.0, -1.0, 9.5, 3.0, 7.25};
+  for (int n : {1, 3, 5}) {
+    int calls = 0;
+    std::vector<double> returned;
+    Summary s = repeat(n, [&] {
+      double v = values[static_cast<size_t>(calls++)];
+      returned.push_back(v);
+      return v;
+    });
+    CHECK_EQ(calls, n);
+    Summary want = wfq::stats::summarize(returned);
+    CHECK_EQ(s.n, want.n);
+    CHECK_EQ(s.mean, want.mean);
+    CHECK_EQ(s.min, want.min);
+    CHECK_EQ(s.p50, want.p50);
+    CHECK_EQ(s.p99, want.p99);
+    CHECK_EQ(s.max, want.max);
+    CHECK(std::find(returned.begin(), returned.end(), s.p50) !=
+          returned.end());
+  }
+  CHECK_EQ(wfq::api::kReps % 2, 1);  // odd: the median is a real run
+
+  int calls = 0;
+  auto [a, b] = repeat(3, [&] {
+    ++calls;
+    return std::array{double(calls), 10.0 * calls};
+  });
+  CHECK_EQ(calls, 3);
+  CHECK_EQ(a.p50, 2.0);
+  CHECK_EQ(b.min, 10.0);
+  CHECK_EQ(b.p50, 20.0);
+  CHECK_EQ(b.max, 30.0);
+}
+
 }  // namespace
 
 int main() {
@@ -208,5 +253,6 @@ int main() {
   test_fmt();
   test_table_alignment();
   test_qos();
+  test_repeat();
   return wfq::test::exit_code();
 }
