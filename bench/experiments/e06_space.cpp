@@ -2,14 +2,19 @@
 // O(p*q_max + p^3 log p) words, while the unbounded version's block count
 // grows linearly with the number of operations ever performed.
 //
-// Harness (real platform, 2 threads): run N enqueue+dequeue pairs with the
-// queue size held ~q; sample live block counts as N grows. Expected shape:
+// Harness (real platform, one thread replaying a 2-process producer/consumer
+// run: pid 0 enqueues, pid 1 dequeues): run N enqueue+dequeue pairs with the
+// queue size held at q; sample live block counts as N grows. The replay is
+// deterministic, so every column repeats byte for byte (a raced run ends
+// wherever its gating lands, and its counts moved a few % between runs).
+// Expected shape:
 // unbounded proportional to N; bounded plateaus at a level that scales with
 // q and G, not N. Queues are built through the registry factory, so
 // --queues can swap in any key (e.g. bounded:g=4,bounded:g=-1; the GC
 // period is named only there); --ops N sets the largest pair count of the
 // swept grid {N/16, N/4, N}.
 #include <algorithm>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -21,6 +26,20 @@ namespace {
 
 using namespace wfq;
 
+/// The producer/consumer pairing of api::run_gated_pairs, sequentially: the
+/// producer (pid 0) runs q enqueues ahead, then every enqueue is followed
+/// by the consumer's (pid 1) dequeue.
+void replay_pairs(api::AnyQueue<uint64_t>& q, uint64_t pairs,
+                  uint64_t target_q) {
+  for (uint64_t i = 0; i < pairs + target_q; ++i) {
+    q.bind_thread(0);
+    q.enqueue(i);
+    if (i < target_q) continue;
+    q.bind_thread(1);
+    (void)q.dequeue();
+  }
+}
+
 api::Report run(const api::RunOptions& opts) {
   api::Report r = api::make_report("space");
   const std::string bounded_key = "bounded:g=64";
@@ -29,7 +48,8 @@ api::Report run(const api::RunOptions& opts) {
       api::queue_keys_or(opts.queues, {"ubq", bounded_key});
   r.preamble = {
       "E6: live blocks vs operations performed (Theorem 31)",
-      "    2 threads, queue size held ~q; pair grid {N/16, N/4, N} with",
+      "    2 processes replayed on one thread (deterministic), queue size",
+      "    held at q; pair grid {N/16, N/4, N} with",
       "    N=" + std::to_string(max_pairs) + " (--ops N); bounded queue is",
       "    " + bounded_key + " (--queues; default G=64 — the paper's p^2",
       "    log p scaled down so the plateau is visible in a short run)"};
@@ -47,7 +67,7 @@ api::Report run(const api::RunOptions& opts) {
         api::AnyQueue<uint64_t> q = api::make_queue<uint64_t>(
             qname, api::sized_config(2, api::Backend::real,
                                      static_cast<int64_t>(pairs)));
-        api::run_gated_pairs(q, pairs, q_target);
+        replay_pairs(q, pairs, q_target);
         api::SpaceStats st = q.space_stats();
         sec.row(qname, pairs, q_target,
                 st.known ? api::cell(st.live_blocks) : api::cell("-"),

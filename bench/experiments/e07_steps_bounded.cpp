@@ -16,7 +16,11 @@
 // p^2 ceil(log2 p) outgrows a short run past p=8, which would mix
 // GC-bearing and GC-free regimes into one fit. The "rbt/op" column shows
 // the tree's share of the amortized cost (GC-phase archiving + archive
-// lookups).
+// lookups). A dequeue whose doubling search runs under a node's floor
+// pays one RBT descent for it (first_where over that node's chunks), and
+// its root-to-leaf descent's archive loads hit a per-operation memo after
+// the first lookup of each chunk, so the lookups' share is ~log(p+q) per
+// search rather than per probe.
 #include <cmath>
 
 #include "api/experiment.hpp"

@@ -32,7 +32,14 @@
 //    versions are immutable RBT snapshots swapped atomically; superseded
 //    versions are EBR-retired, which is exactly why the tree must be
 //    persistent — a dequeue may keep reading an old version while a GC
-//    phase installs the next one.
+//    phase installs the next one. The searches that run far under a floor
+//    (a dequeue's doubling search, the collector's retention search) probe
+//    the array as before and finish with ONE descent over the archive
+//    (PersistentRbt::first_where) plus a bisect inside the chunk it finds,
+//    instead of one RBT lookup per probe. The loads that remain (the
+//    root-to-leaf descent reads neighbouring blocks of one chunk per level)
+//    go through a per-thread memo of (archive version, key) -> chunk that
+//    lives for one operation.
 //
 // Liveness reasoning for the archive floor (what makes discarding safe):
 // every operation publishes the root index observed at its start. The
@@ -59,7 +66,9 @@
 // of dead slots plus its live suffix's pages. Every RBT node visited or
 // created and every block archived into a chunk is charged through
 // note_rbt_touch (the paper's model), so E7 measures Theorem 32's
-// amortized O(log p log(p+q)) including GC.
+// amortized O(log p log(p+q)) including GC: a search under a floor costs
+// one O(log(p+q)) descent, as Theorem 32 charges it; a memo hit costs no
+// touch.
 //
 // Deviations from the paper (documented in DESIGN.md): the archive's unit
 // is a chunk of block pointers, not a block, so a path copy copies one
@@ -124,6 +133,10 @@ class BoundedQueue {
     template <typename Node>
     const Block* load_block(const Node* v, int64_t i) const {
       return q->load_block(v, i);
+    }
+    template <typename Node, typename Pred>
+    int64_t search_down(const Node* v, int64_t hi, const Pred& pred) const {
+      return q->search_down(v, hi, pred);
     }
   };
 
@@ -214,6 +227,32 @@ class BoundedQueue {
   /// pid's leaf (test surface: its blocks' addresses).
   const Node* debug_leaf(int pid) const { return tree_.leaf(pid); }
 
+  /// Archived chunks of the current version, in key order: (key, slots
+  /// holding the discarded sentinel) (test surface; read at quiescence).
+  std::vector<std::pair<uint64_t, int>> debug_chunks() const {
+    std::vector<std::pair<uint64_t, int>> out;
+    if (const ArchiveVersion* av = archive_.unsafe_peek()) {
+      Rbt::for_each(av->root, [&out](uint64_t key, const auto& c) {
+        out.emplace_back(key, static_cast<int>(std::count(
+                                  std::begin(c->b), std::end(c->b),
+                                  &discarded_block())));
+      });
+    }
+    return out;
+  }
+
+  /// Block i of v as every historical read sees it, and the monotone search
+  /// find_response runs (test surface: the search is checked against a
+  /// gallop_down over these loads).
+  const Block* debug_load(const Node* v, int64_t i) const {
+    return load_block(v, i);
+  }
+  template <typename Pred>
+  int64_t debug_search_down(const Node* v, int64_t hi,
+                            const Pred& pred) const {
+    return search_down(v, hi, pred);
+  }
+
   /// Per node, in id order: the array floor and the index below which its
   /// slot pages have been handed back (test surface; read at quiescence).
   std::vector<std::pair<int64_t, int64_t>> debug_floors() const {
@@ -246,12 +285,14 @@ class BoundedQueue {
     int pid;
     OpGuard(BoundedQueue* q_in, int pid_in) : q(q_in), pid(pid_in) {
       q->ebr_.pin(pid);
+      memo().open();
       auto& s = q->starts_[static_cast<size_t>(pid)].v;
       s.store(kStartPending);
       s.store(q->tree_.root()->head.load());
     }
     ~OpGuard() {
       q->starts_[static_cast<size_t>(pid)].v.store(kStartNone);
+      memo().is_open = false;
       q->ebr_.unpin(pid);
     }
   };
@@ -264,12 +305,18 @@ class BoundedQueue {
 
   // --- block access with archive fallback ----------------------------------
 
+  /// One immutable archive snapshot (swapped whole, retired through EBR).
+  struct ArchiveVersion {
+    typename Rbt::Ptr root;
+  };
+
+  // A key's low 44 bits hold the chunk index (~1P blocks per node before
+  // overflow); masking keeps an out-of-range index from aliasing another
+  // node's keys.
+  static constexpr uint64_t kIndexBits = 44;
+  static constexpr uint64_t kIndexMask = (uint64_t{1} << kIndexBits) - 1;
+
   static uint64_t key_of(const Node* v, int64_t c) {
-    // Low 44 bits hold the chunk index (~1P blocks per node before
-    // overflow); masking keeps an out-of-range index from aliasing another
-    // node's keys.
-    constexpr uint64_t kIndexBits = 44;
-    constexpr uint64_t kIndexMask = (uint64_t{1} << kIndexBits) - 1;
     assert(c >= 0 && static_cast<uint64_t>(c) <= kIndexMask);
     return (static_cast<uint64_t>(static_cast<uint32_t>(v->id)) << kIndexBits) |
            (static_cast<uint64_t>(c) & kIndexMask);
@@ -287,11 +334,62 @@ class BoundedQueue {
     return d;
   }
 
+  /// The calling thread's archive-lookup memo: (version, key) -> chunk,
+  /// direct-mapped. It is open only between an operation's pin and unpin
+  /// (OpGuard), and an entry counts only in the operation that filled it:
+  /// while pinned, no version the operation loaded can be freed, so no
+  /// address in it can be reused by another version or another queue.
+  /// Outside an operation (the collector runs after unpin) lookups bypass
+  /// it.
+  struct Memo {
+    static constexpr int kWays = 8;
+    struct Entry {
+      uint64_t op;  // the operation that filled it
+      const ArchiveVersion* av;
+      uint64_t key;
+      const Chunk* chunk;  // null: no chunk under key in av
+    };
+    Entry e[kWays];
+    uint64_t op;  // operations opened on this thread
+    bool is_open;
+
+    void open() {
+      ++op;
+      is_open = true;
+    }
+    /// The entry this operation filled for (av, key), or null.
+    const Entry* find(const ArchiveVersion* av, uint64_t key) const {
+      const Entry& x = e[way(key)];
+      return is_open && x.op == op && x.av == av && x.key == key ? &x
+                                                                 : nullptr;
+    }
+    void put(const ArchiveVersion* av, uint64_t key, const Chunk* chunk) {
+      if (is_open) e[way(key)] = {op, av, key, chunk};
+    }
+    static size_t way(uint64_t key) {
+      return (key ^ (key >> kIndexBits)) % kWays;
+    }
+  };
+  static Memo& memo() {
+    thread_local Memo m{};
+    return m;
+  }
+
+  /// The chunk under `key` in version av, or null.
+  const Chunk* chunk_at(const ArchiveVersion* av, uint64_t key) const {
+    Memo& m = memo();
+    if (const auto* hit = m.find(av, key)) return hit->chunk;
+    const auto* c = Rbt::find(av->root, key);
+    const Chunk* chunk = c != nullptr ? c->get() : nullptr;
+    m.put(av, key, chunk);
+    return chunk;
+  }
+
   const Block* archived(const Node* v, int64_t i) const {
     const ArchiveVersion* av = archive_.load();
     if (i >= 0 && av != nullptr) {
-      const auto* c = Rbt::find(av->root, key_of(v, i / kChunk));
-      if (c != nullptr) return (*c)->b[i % kChunk];
+      const Chunk* c = chunk_at(av, key_of(v, i / kChunk));
+      if (c != nullptr) return c->b[i % kChunk];
     }
     return &discarded_block();
   }
@@ -303,6 +401,11 @@ class BoundedQueue {
   const Block* load_block(const Node* v, int64_t i) const {
     if (i == 0) return v->blocks.load(0);  // sentinel is never truncated
     if (i < v->floor.load()) return archived(v, i);
+    return load_present(v, i);
+  }
+
+  /// load_block for an index at or above the floor as last read.
+  const Block* load_present(const Node* v, int64_t i) const {
     const Block* b = v->blocks.load(i);
     if (b == BlockArray::tombstone()) return archived(v, i);
     if (b != nullptr) return b;
@@ -313,11 +416,87 @@ class BoundedQueue {
     return nullptr;
   }
 
-  // --- the GC phase --------------------------------------------------------
+  // --- monotone searches that cross the floor ------------------------------
+  //
+  // `pred` is a monotone block predicate (false up to some index, true from
+  // it on). In the array the searches probe exactly as gallop_down and
+  // bisect do, each probe one floor load plus one slot load, as load_block
+  // charges. The first probe that would land under the floor ends the
+  // probing: one first_where descent over the node's archived chunks,
+  // testing each chunk's last slot (always a real block: a chunk is
+  // inserted only from the chunk of its first live index on), finds the
+  // chunk holding the answer, and a bisect over that chunk's 64 slots
+  // (<= 6 probes, uncounted, like every read inside a chunk) finishes.
+  // Discarded-sentinel slots and erased chunks read false, as they do
+  // through load_block. The floor is read before the archive version, and
+  // a version is published before the floors that rely on it rise, so the
+  // version holds every live chunk under the floor read.
 
-  struct ArchiveVersion {
-    typename Rbt::Ptr root;
-  };
+  /// First true index in (0, hi], given pred of block hi true
+  /// (find_response's doubling search, Lemma 20; the collector's retention
+  /// search).
+  template <typename Pred>
+  int64_t search_down(const Node* v, int64_t hi, const Pred& pred) const {
+    const int64_t top = hi;
+    int64_t step = 1;
+    int64_t lo = top - step;
+    while (lo > 0) {
+      int64_t f = v->floor.load();
+      if (lo < f) return search_archive(v, 0, f, hi, pred);
+      if (!pred(load_present(v, lo))) break;
+      hi = lo;
+      step <<= 1;
+      lo = top - step;
+    }
+    return bisect_down(v, std::max<int64_t>(lo, 0), hi, pred);
+  }
+
+  /// First true index in (lo, hi], given pred false at lo (or lo == 0) and
+  /// true at hi.
+  template <typename Pred>
+  int64_t bisect_down(const Node* v, int64_t lo, int64_t hi,
+                      const Pred& pred) const {
+    while (lo + 1 < hi) {
+      int64_t mid = lo + (hi - lo) / 2;
+      int64_t f = v->floor.load();
+      if (mid < f) return search_archive(v, lo, f, hi, pred);
+      if (pred(load_present(v, mid))) {
+        hi = mid;
+      } else {
+        lo = mid;
+      }
+    }
+    return hi;
+  }
+
+  /// The finish of both searches once a probe fell under the floor `f`:
+  /// first true index in (lo, hi], pred false at lo (or lo == 0), true at
+  /// hi.
+  template <typename Pred>
+  int64_t search_archive(const Node* v, int64_t lo, int64_t f, int64_t hi,
+                         const Pred& pred) const {
+    const int64_t c_hi = std::min(f - 1, hi) / kChunk;
+    const typename Rbt::Node* n = nullptr;
+    const ArchiveVersion* av = archive_.load();
+    if (av != nullptr) {
+      n = Rbt::first_where(
+          av->root, key_of(v, lo / kChunk), key_of(v, c_hi),
+          [&](const std::shared_ptr<const Chunk>& c) {
+            return pred(c->b[kChunk - 1]);
+          });
+    }
+    if (n == nullptr) {  // every archived chunk in range reads false
+      int64_t past = c_hi * kChunk + kChunk - 1;
+      return past >= hi ? hi : bisect_down(v, std::max(lo, past), hi, pred);
+    }
+    const Chunk* c = n->val.get();
+    memo().put(av, n->key, c);
+    const int64_t base = static_cast<int64_t>(n->key & kIndexMask) * kChunk;
+    return bisect(std::max(lo, base - 1), std::min(hi, base + kChunk - 1),
+                  [&](int64_t s) { return pred(c->b[s - base]); });
+  }
+
+  // --- the GC phase --------------------------------------------------------
 
   struct Plan {
     Node* v;
@@ -465,11 +644,11 @@ class BoundedQueue {
   /// Smallest retained root index whose sumenq reaches e (last+1 if none).
   int64_t oldest_root_block_with_sumenq(int64_t e, int64_t last) const {
     const Node* root = tree_.root();
-    auto reaches = [&](int64_t s) { return load_block(root, s)->sumenq >= e; };
+    auto reaches = [e](const Block* b) { return b->sumenq >= e; };
     int64_t lo = root->af;  // collector-only mirror; lowest readable index
-    if (reaches(lo)) return lo;
-    if (!reaches(last)) return last + 1;
-    return bisect(lo, last, reaches);
+    if (reaches(load_block(root, lo))) return lo;
+    if (!reaches(load_block(root, last))) return last + 1;
+    return bisect_down(root, lo, last, reaches);
   }
 
   void plan_node(Node* v, int64_t af_in, int64_t k_in,

@@ -37,11 +37,16 @@
 // historical read inside the tree goes through
 //
 //   storage.load_block(const Node* v, int64_t i) -> const Block*
+//   storage.search_down(const Node* v, int64_t hi, pred) -> int64_t
 //
-// while frontier operations (null-scan at the head, install CAS, head
-// helping) stay direct array accesses — a frontier slot is never truncated,
-// in either client. DirectStorage below is the trivial hook; the bounded
-// queue supplies its floor/tombstone/archive-aware one.
+// the second being the one search that can run far below a floor (the
+// doubling search of find_response): the first index in (0, hi] whose block
+// satisfies the monotone block predicate, given that hi's does. Frontier
+// operations (null-scan at the head, install CAS, head helping) stay direct
+// array accesses — a frontier slot is never truncated, in either client.
+// DirectStorage below is the trivial hook (search_down is gallop_down over
+// load_block); the bounded queue supplies its floor/tombstone/archive-aware
+// one, whose search finishes under the floor with one archive descent.
 //
 // Operation surface the clients compose:
 //   append(pid, elem)          leaf Append + double-Refresh propagation;
@@ -51,7 +56,8 @@
 //                              walk a dequeue uses to index itself);
 //   find_response(b, r)        queue dequeue resolution: null-vs-value from
 //                              the root size prefix + Lemma-20 doubling
-//                              search (gallop_down) + root-to-leaf descent;
+//                              search (storage.search_down) + root-to-leaf
+//                              descent;
 //   find_enqueue(e)            vector get: index-directed binary search
 //                              (bisect) over root blocks + the same descent;
 //   enqueue_rank(b, r)         global rank of a located enqueue (the index a
@@ -59,7 +65,8 @@
 // Every index search behind these (the superblock gallop of index_op, the
 // doubling search, the per-level binary search of the descent) is one of
 // the three monotone-search templates below: bisect, gallop_down and
-// gallop_up.
+// gallop_up (the bounded client's search_down runs the same gallop_down
+// probes while they stay in the array).
 //
 // Hot-path constant factors: each leaf keeps an owner-local cache of its
 // last block's index and cumulative sums (ROADMAP perf item). The leaf is
@@ -645,11 +652,17 @@ struct Space {
 };
 
 /// The trivial Storage hook: every historical read is a direct (counted)
-/// array load. Used by the unbounded queue and the wait-free vector.
+/// array load, and search_down is gallop_down over those loads. Used by the
+/// unbounded queue and the wait-free vector.
 struct DirectStorage {
   template <typename Node>
   auto* load_block(const Node* v, int64_t i) const {
     return v->blocks.load(i);
+  }
+
+  template <typename Node, typename Pred>
+  int64_t search_down(const Node* v, int64_t hi, Pred&& pred) const {
+    return gallop_down(hi, [&](int64_t s) { return pred(load_block(v, s)); });
   }
 };
 
@@ -740,7 +753,8 @@ class OrderingTree {
     int64_t e = prev->sumenq - prev->size + r;
     // Doubling search backward from b (sumenq(b) >= e here); its cost
     // tracks the distance b - b_e, not the total number of root blocks.
-    int64_t be = gallop_down(b, sumenq_reaches(root_, e));
+    int64_t be = storage_->search_down(
+        root_, b, [e](const Block* blk) { return blk->sumenq >= e; });
     int64_t i = e - load(root_, be - 1)->sumenq;
     return get_enqueue(root_, be, i);
   }

@@ -20,6 +20,11 @@
 // level, as in the paper's accounting. Per-operation visited/created splits
 // are exposed through last_op_stats() so tests can assert the tally exactly.
 //
+// Searches: find() looks up one key; first_where() finds the smallest key in
+// a range whose value satisfies a monotone predicate, with the same single
+// descent. The bounded queue's archive searches use the latter, so a search
+// that crosses a node's floor costs one descent, not one find() per probe.
+//
 // Memory: nodes are shared_ptr-linked, so structure sharing across versions
 // is reference counted and a version's unshared nodes are freed when the
 // last root pointing at them is dropped (the bounded queue retires whole
@@ -46,7 +51,7 @@ inline uint64_t tls_rbt_touches() { return tls_rbt_touches_ref(); }
 inline void note_rbt_touch(uint64_t n = 1) { tls_rbt_touches_ref() += n; }
 
 /// visited/created split of the calling thread's most recent RBT operation
-/// (find/insert/erase); their sum is exactly what the operation added to
+/// (find/first_where/insert/erase); their sum is exactly what it added to
 /// tls_rbt_touches, which the RBT unit test asserts.
 struct RbtOpStats {
   uint64_t visited = 0;
@@ -95,6 +100,34 @@ class PersistentRbt {
       }
     }
     return nullptr;
+  }
+
+  /// The node with the smallest key in [lo, hi] whose value satisfies
+  /// `pred`, or nullptr if none does. `pred` must be monotone over that
+  /// range in key order (false up to some key, true from it on), so one
+  /// root-to-leaf descent decides it: a node in range whose value is true
+  /// is a candidate and the search continues left, a false one sends it
+  /// right. Each node visited is one touch, at most the tree's height.
+  template <typename Pred>
+  static const Node* first_where(const Ptr& root, uint64_t lo, uint64_t hi,
+                                 Pred&& pred) {
+    last_op_stats() = {};
+    const Node* best = nullptr;
+    const Node* n = root.get();
+    while (n != nullptr) {
+      visit();
+      if (n->key < lo) {
+        n = n->right.get();
+      } else if (n->key > hi) {
+        n = n->left.get();
+      } else if (pred(n->val)) {
+        best = n;
+        n = n->left.get();
+      } else {
+        n = n->right.get();
+      }
+    }
+    return best;
   }
 
   /// New version with key -> val (insert-or-assign). O(log n) created

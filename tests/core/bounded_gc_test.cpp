@@ -24,7 +24,12 @@
 //  (i) the archive holds blocks by reference: archiving copies no element,
 //      and a queue destroyed with archived chunks still live (some held
 //      only by a retired archive version, so they die in the EBR layer's
-//      teardown) destroys every element exactly once.
+//      teardown) destroys every element exactly once;
+//  (j) the archive search: on quiescent queues with erased chunks and a
+//      straddling chunk whose low slots hold the discarded sentinel, the
+//      floor-crossing search a dequeue runs (one archive descent) returns,
+//      for every target at every node, what a plain gallop_down over
+//      historical block loads returns.
 #include <unistd.h>
 
 #include <algorithm>
@@ -35,6 +40,7 @@
 #include <optional>
 #include <queue>
 #include <random>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -180,6 +186,88 @@ void deep_drain_across_chunks(int64_t gc_period) {
   // Chunks dead after the drain are erased, not leaked.
   CHECK(peak >= kDepth / 2);
   CHECK(q.debug_archived_blocks() * 8 < peak);
+}
+
+/// (j): the search that finishes under a floor with one descent over the
+/// archived chunks must agree with probing every block through load_block.
+/// A quiescent single-thread build: pairs on an empty queue (the archive
+/// floor follows the front, so chunks go in with sentinel low slots and die
+/// again), then a deep fill (the floor stops, and the chunk straddling it
+/// stays).
+void archive_search_matches_probing(int procs, int64_t gc_period) {
+  using Queue = BoundedQueue<uint64_t>;
+  using Node = Queue::Node;
+  Queue q(procs, gc_period);
+  uint64_t next = 1;
+  std::set<uint64_t> seen_keys;
+  auto note_keys = [&] {
+    for (const auto& [key, sentinels] : q.debug_chunks()) seen_keys.insert(key);
+  };
+  for (int k = 0; k < 3000; ++k) {
+    q.bind_thread(k % procs);
+    q.enqueue(next++);
+    q.bind_thread((k + 1) % procs);
+    CHECK(q.dequeue().has_value());
+    if (k % 50 == 0) note_keys();
+  }
+  for (int k = 0; k < 2500; ++k) {
+    q.bind_thread(k % procs);
+    q.enqueue(next++);
+    if (k % 50 == 0) note_keys();
+  }
+
+  // The archive holds what the search must handle: chunks erased since
+  // they were seen, and a chunk past a node's first whose low slots are
+  // the sentinel.
+  std::set<uint64_t> now_keys;
+  bool straddling = false;
+  constexpr uint64_t kIndexMask = (uint64_t{1} << 44) - 1;
+  for (const auto& [key, sentinels] : q.debug_chunks()) {
+    now_keys.insert(key);
+    straddling |= (key & kIndexMask) > 0 && sentinels > 0 &&
+                  sentinels < Queue::kChunk;
+  }
+  bool erased = false;
+  for (uint64_t key : seen_keys) erased |= now_keys.count(key) == 0;
+  CHECK(erased);
+  CHECK(straddling);
+
+  const Node* root = q.debug_leaf(0);
+  while (root->parent != nullptr) root = root->parent;
+  int64_t compared = 0, under_floor = 0;
+  std::vector<const Node*> stack{root};
+  while (!stack.empty()) {
+    const Node* v = stack.back();
+    stack.pop_back();
+    if (!v->is_leaf) {
+      stack.push_back(v->left);
+      stack.push_back(v->right);
+    }
+    int64_t last = v->head.unsafe_peek() - 1;  // quiescent: head is past it
+    if (last < 1) continue;
+    const int64_t floor = v->floor.unsafe_peek();
+    const int64_t total = q.debug_load(v, last)->sumenq;
+    for (int64_t e = 1; e <= total; ++e) {
+      auto reaches = [e](const Queue::Block* b) { return b->sumenq >= e; };
+      // The probing search every dequeue ran before the archive descent.
+      auto probing = [&](int64_t hi) {
+        return wfq::core::gallop_down(
+            hi, [&](int64_t s) { return reaches(q.debug_load(v, s)); });
+      };
+      int64_t want = probing(last);
+      under_floor += want < floor;
+      // From the last block, and from just above the answer, where the
+      // search's first probes already fall under the floor.
+      for (int64_t hi : {last, std::min(last, want + 1),
+                         std::min(last, want + 70)}) {
+        int64_t got = q.debug_search_down(v, hi, reaches);
+        CHECK_EQ(got, probing(hi));
+        ++compared;
+      }
+    }
+  }
+  CHECK(compared > 0);
+  CHECK(under_floor > 0);  // the descent really ran
 }
 
 /// Archived blocks plateau as ops grow: a held queue depth bounds the
@@ -411,5 +499,7 @@ int main() {
   slot_pages_released();
   archived_owning_elements();
   archive_holds_references();
+  archive_search_matches_probing(/*procs=*/2, /*gc_period=*/3);
+  archive_search_matches_probing(/*procs=*/6, /*gc_period=*/5);
   return wfq::test::exit_code();
 }

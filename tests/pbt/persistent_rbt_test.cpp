@@ -7,7 +7,13 @@
 //  (d) step accounting: every operation's tls_rbt_touches delta equals its
 //      visited + created node counts (last_op_stats);
 //  (e) shared_ptr values (the bounded queue's chunks) are released once
-//      every version holding them is dropped.
+//      every version holding them is dropped;
+//  (f) first_where agrees with a linear scan of [lo, hi] for monotone
+//      predicates (none true, all true, a threshold inside, ranges holding
+//      no keys), visiting at most 2 log2(n+1) + 1 nodes, every one of them
+//      charged as a touch.
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -146,6 +152,68 @@ void shared_values_are_released() {
   CHECK(released);
 }
 
+void first_where_against_scan(uint64_t seed, int keys, uint64_t key_range) {
+  std::mt19937_64 rng(seed);
+  Rbt::Ptr root = Rbt::empty();
+  std::map<uint64_t, uint64_t> model;
+  for (int k = 0; k < keys; ++k) {
+    uint64_t key = rng() % key_range;
+    // Values rise with the keys (a monotone field, like a chunk's last
+    // block's sumenq), with gaps, so a threshold may fall between them.
+    root = Rbt::insert(root, key, key * 3 + 1);
+    model[key] = key * 3 + 1;
+  }
+  // Thin it out so some [lo, hi] ranges hold no key at all.
+  for (int k = 0; k < keys / 3; ++k) {
+    uint64_t key = rng() % key_range;
+    root = Rbt::erase(root, key);
+    model.erase(key);
+  }
+  Rbt::validate(root);
+  const uint64_t n = model.size();
+  const uint64_t max_visits =
+      2 * static_cast<uint64_t>(std::bit_width(n + 1) - 1) + 1;
+
+  for (int trial = 0; trial < 3000; ++trial) {
+    uint64_t lo = rng() % (key_range + 2);
+    uint64_t hi = lo + rng() % (key_range / 4 + 2);
+    if (trial % 10 == 0) hi = lo;  // single-key ranges
+    // Thresholds: none true (above every value), all true (0), or one
+    // drawn from the value range.
+    uint64_t t = trial % 7 == 0   ? key_range * 3 + 10
+                 : trial % 7 == 1 ? 0
+                                  : rng() % (key_range * 3 + 2);
+    auto pred = [t](uint64_t v) { return v >= t; };
+
+    const uint64_t* want = nullptr;
+    uint64_t want_key = 0;
+    for (auto it = model.lower_bound(lo); it != model.end() && it->first <= hi;
+         ++it) {
+      if (pred(it->second)) {
+        want = &it->second;
+        want_key = it->first;
+        break;
+      }
+    }
+    const Rbt::Node* got =
+        counted([&] { return Rbt::first_where(root, lo, hi, pred); });
+    CHECK_EQ(wfq::pbt::last_op_stats().created, uint64_t{0});
+    CHECK(wfq::pbt::last_op_stats().visited <= max_visits);
+    CHECK_EQ(got != nullptr, want != nullptr);
+    if (got != nullptr && want != nullptr) {
+      CHECK_EQ(got->key, want_key);
+      CHECK_EQ(got->val, *want);
+    }
+  }
+  // The empty version has nothing to find and costs nothing.
+  const Rbt::Node* none = counted([] {
+    return Rbt::first_where(Rbt::empty(), 0, UINT64_MAX,
+                            [](uint64_t) { return true; });
+  });
+  CHECK(none == nullptr);
+  CHECK_EQ(wfq::pbt::last_op_stats().visited, uint64_t{0});
+}
+
 }  // namespace
 
 int main() {
@@ -156,5 +224,8 @@ int main() {
   erase_absent_is_noop();
   touches_are_logarithmic();
   shared_values_are_released();
+  first_where_against_scan(/*seed=*/0x5eed5, /*keys=*/600, /*key_range=*/2000);
+  first_where_against_scan(/*seed=*/0x5eed6, /*keys=*/40, /*key_range=*/64);
+  first_where_against_scan(/*seed=*/0x5eed7, /*keys=*/1, /*key_range=*/4);
   return wfq::test::exit_code();
 }
