@@ -25,7 +25,8 @@
 // makes archive versions die and their addresses come back between one
 // queue's operation and the next's. A memo entry kept across operations
 // would hand a dequeue another queue's chunk (a value tagged with the wrong
-// queue) or a freed one (use-after-free under ASan).
+// queue; plain builds reuse a freed address at once, ASan's quarantine
+// delays it) or a freed one (use-after-free under ASan).
 #include <atomic>
 #include <cstdint>
 #include <map>
