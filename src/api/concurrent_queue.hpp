@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 
@@ -71,6 +72,14 @@ class AnyQueue {
   void enqueue(T x) { impl_->enqueue(std::move(x)); }
   std::optional<T> dequeue() { return impl_->dequeue(); }
 
+  /// A run: enqueues `enqs` in order (moved from), then one dequeue per
+  /// slot of `deqs`, in order, each slot receiving its result. Queues with
+  /// their own run() (the ordering-tree queues, which propagate the whole
+  /// run in one walk) take it as one call; the rest loop enqueue/dequeue.
+  void run(std::span<T> enqs, std::span<std::optional<T>> deqs) {
+    impl_->run(enqs, deqs);
+  }
+
   /// Block-space snapshot (uncounted); `known == false` when the wrapped
   /// implementation exposes no space introspection. Safe from any thread
   /// at any time, exact at quiescence (core::Space states the contract).
@@ -86,6 +95,7 @@ class AnyQueue {
     virtual void bind_thread(int pid) = 0;
     virtual void enqueue(T x) = 0;
     virtual std::optional<T> dequeue() = 0;
+    virtual void run(std::span<T> enqs, std::span<std::optional<T>> deqs) = 0;
     virtual SpaceStats space_stats() const = 0;
   };
 
@@ -96,6 +106,14 @@ class AnyQueue {
     void bind_thread(int pid) override { q.bind_thread(pid); }
     void enqueue(T x) override { q.enqueue(std::move(x)); }
     std::optional<T> dequeue() override { return q.dequeue(); }
+    void run(std::span<T> enqs, std::span<std::optional<T>> deqs) override {
+      if constexpr (requires { q.run(enqs, deqs); }) {
+        q.run(enqs, deqs);
+      } else {
+        for (T& x : enqs) q.enqueue(std::move(x));
+        for (std::optional<T>& out : deqs) out = q.dequeue();
+      }
+    }
     SpaceStats space_stats() const override {
       if constexpr (requires { q.space(); }) {
         auto s = q.space();

@@ -10,7 +10,9 @@
 // backings are built for procs = N), so the shards are used as the paper's
 // p-process objects. A loop reads a connection's burst of frames, runs each
 // request inline in arrival order, and writes all the responses in one go:
-// a request executes on the thread that read it, with no hand-off. One
+// a request executes on the thread that read it, with no hand-off.
+// Consecutive ENQ/DEQ frames on one shard run together as one ENQ*DEQ* run
+// of the backing (serve_run), still in arrival order. One
 // connection lives on one loop, so its requests execute and answer in
 // request order; ordering across connections is the backing's
 // linearizability (docs/PROTOCOL.md). The loop owns the connection: the
@@ -101,6 +103,7 @@ class Broker {
     uint64_t ping = 0;
     uint64_t stat = 0;
     uint64_t bad = 0;
+    uint64_t runs = 0;  // ENQ*DEQ* runs served (see serve_run)
   };
 
   /// Builds the shard map from the flags in both modes (ShardMap checks
@@ -110,7 +113,8 @@ class Broker {
   explicit Broker(BrokerConfig cfg)
       : cfg_(checked(std::move(cfg))),
         map_(cfg_.shards, cfg_.backing, 0, cfg_.groups),
-        map_ready_(!cfg_.cluster) {
+        map_ready_(!cfg_.cluster),
+        scratch_(static_cast<size_t>(cfg_.groups)) {
     for (int s = 0; s < cfg_.shards; ++s) shard_state_.emplace_back();
   }
 
@@ -223,7 +227,8 @@ class Broker {
             s.deq_empty.load(std::memory_order_relaxed),
             s.ping.load(std::memory_order_relaxed),
             s.stat.load(std::memory_order_relaxed),
-            s.bad.load(std::memory_order_relaxed)};
+            s.bad.load(std::memory_order_relaxed),
+            s.runs.load(std::memory_order_relaxed)};
   }
 
   ShardCounters totals() const {
@@ -236,6 +241,7 @@ class Broker {
       t.ping += c.ping;
       t.stat += c.stat;
       t.bad += c.bad;
+      t.runs += c.runs;
     }
     return t;
   }
@@ -269,7 +275,7 @@ class Broker {
       os << "{\"shard\":" << s << ",\"enq\":" << c.enq
          << ",\"deq_hit\":" << c.deq_hit << ",\"deq_empty\":" << c.deq_empty
          << ",\"ping\":" << c.ping << ",\"stat\":" << c.stat
-         << ",\"bad\":" << c.bad;
+         << ",\"bad\":" << c.bad << ",\"runs\":" << c.runs;
       api::SpaceStats sp = ready ? map_.space_stats(s) : api::SpaceStats{};
       if (sp.known) {
         os << ",\"live_blocks\":" << sp.live_blocks
@@ -336,22 +342,108 @@ class Broker {
   /// concurrently.
   struct alignas(64) ShardState {
     std::atomic<uint64_t> enq{0}, deq_hit{0}, deq_empty{0};
-    std::atomic<uint64_t> ping{0}, stat{0}, bad{0};
+    std::atomic<uint64_t> ping{0}, stat{0}, bad{0}, runs{0};
+  };
+
+  /// A loop's reused run buffers, on a line of their own.
+  struct alignas(64) LoopScratch {
+    ShardMap::Run run;
   };
 
   /// Loop `loop`'s on_batch: raft-band frames go to the raft service, every
   /// other frame runs inline in arrival order and appends its response to
-  /// `out`, which the loop writes in one go when serve returns.
+  /// `out`, which the loop writes in one go when serve returns. ENQ/DEQ
+  /// frames run in maximal runs (serve_run); the rest one by one (handle).
   void serve(int loop, uint64_t conn, std::vector<net::Frame>& batch,
              std::string& out) {
-    for (net::Frame& f : batch) {
+    for (size_t i = 0; i < batch.size();) {
+      net::Frame& f = batch[i];
       if (raft_ && f.op >= net::Opcode::raft_vote_req &&
           f.op <= net::Opcode::raft_append_resp) {
         raft_->deliver_frame(f);
+        ++i;
+        continue;
+      }
+      const size_t end = serve_run(loop, batch, i, out);
+      if (end > i) {
+        i = end;
         continue;
       }
       handle(loop, conn, f, out);
+      ++i;
     }
+  }
+
+  /// Serves the run that starts at batch[i] and returns the index past it,
+  /// or returns i when batch[i] starts none. A run is the longest stretch
+  /// of consecutive frames on one shard shaped ENQ*DEQ* whose ENQs carry
+  /// valid payloads; it ends at a frame on another shard, an ENQ after a
+  /// DEQ, or any other frame. Within a tree block enqueues precede
+  /// dequeues, and the whole run reaches the root before the next request
+  /// starts, so request order holds within the connection and across
+  /// shards (docs/PROTOCOL.md "Ordering and responses").
+  size_t serve_run(int loop, std::vector<net::Frame>& batch, size_t i,
+                   std::string& out) {
+    ShardMap::Run& run = scratch_[static_cast<size_t>(loop)].run;
+    run.clear();
+    const uint32_t key = batch[i].key;
+    const int shard = map_.shard_of(key);
+    size_t end = i;
+    for (; end < batch.size(); ++end) {
+      const net::Frame& f = batch[end];
+      if (f.key != key && map_.shard_of(f.key) != shard) break;
+      if (f.op == net::Opcode::deq) {
+        run.got.emplace_back();
+        continue;
+      }
+      uint64_t v = 0;
+      if (f.op != net::Opcode::enq || !run.got.empty() ||
+          !net::decode_value(f.payload, v))
+        break;
+      run.keys.push_back(f.key);
+      run.vals.push_back(v);
+    }
+    if (end == i) return i;
+    const bool refused = not_leader();
+    ShardState& st = shard_state_[static_cast<size_t>(shard)];
+    if (!refused) {
+      map_.run(shard, run);
+      st.runs.fetch_add(1, std::memory_order_relaxed);
+    }
+    uint64_t hits = 0;
+    for (size_t j = i, d = 0; j < end; ++j) {
+      const net::Frame& req = batch[j];
+      net::Frame resp;
+      resp.key = req.key;
+      resp.flags = req.flags;
+      if (refused) {
+        fill_not_leader(resp);
+      } else if (req.op == net::Opcode::enq) {
+        resp.op = net::Opcode::enq_ok;
+      } else if (const std::optional<uint64_t>& got = run.got[d]; got) {
+        resp.op = net::Opcode::deq_ok;
+        resp.payload = net::encode_value(*got);
+        // dwrr backings report which tenant the scheduler served; the
+        // 16-bit flags field carries it (tenant counts are <= 4096).
+        if (run.tenants[d] >= 0)
+          resp.flags = static_cast<uint16_t>(run.tenants[d]);
+        ++hits;
+        ++d;
+      } else {
+        resp.op = net::Opcode::deq_empty;
+        ++d;
+      }
+      net::encode_frame(resp, out);
+    }
+    if (!refused) {  // skipping zero adds saves a locked RMW each
+      if (!run.vals.empty())
+        st.enq.fetch_add(run.vals.size(), std::memory_order_relaxed);
+      if (hits > 0) st.deq_hit.fetch_add(hits, std::memory_order_relaxed);
+      if (run.got.size() > hits)
+        st.deq_empty.fetch_add(run.got.size() - hits,
+                               std::memory_order_relaxed);
+    }
+    return end;
   }
 
   /// Leader/readiness gate for data-path requests in cluster mode:
@@ -370,7 +462,8 @@ class Broker {
         hint >= 0 ? static_cast<uint32_t>(hint) : 0xffffffffu);
   }
 
-  /// Executes one request on its shard, appends the encoded response.
+  /// Executes one request no run took (PING, STAT, SETW, a malformed ENQ,
+  /// a response-band opcode) on its shard, appends the encoded response.
   void handle(int loop, uint64_t conn, net::Frame& req, std::string& out) {
     const int shard = map_.shard_of(req.key);
     ShardState& st = shard_state_[static_cast<size_t>(shard)];
@@ -378,43 +471,16 @@ class Broker {
     resp.key = req.key;
     resp.flags = req.flags;
     switch (req.op) {
-      case net::Opcode::enq: {
+      case net::Opcode::enq:
+        // serve_run takes every ENQ with a valid payload.
         if (not_leader()) {
           fill_not_leader(resp);
           break;
         }
-        uint64_t v = 0;
-        if (!net::decode_value(req.payload, v)) {
-          st.bad.fetch_add(1, std::memory_order_relaxed);
-          resp.op = net::Opcode::err;
-          resp.payload = "ENQ payload must be exactly 8 bytes";
-          break;
-        }
-        map_.enqueue(shard, req.key, v);
-        st.enq.fetch_add(1, std::memory_order_relaxed);
-        resp.op = net::Opcode::enq_ok;
+        st.bad.fetch_add(1, std::memory_order_relaxed);
+        resp.op = net::Opcode::err;
+        resp.payload = "ENQ payload must be exactly 8 bytes";
         break;
-      }
-      case net::Opcode::deq: {
-        if (not_leader()) {
-          fill_not_leader(resp);
-          break;
-        }
-        int tenant = -1;
-        std::optional<uint64_t> got = map_.dequeue(shard, tenant);
-        if (got) {
-          st.deq_hit.fetch_add(1, std::memory_order_relaxed);
-          resp.op = net::Opcode::deq_ok;
-          resp.payload = net::encode_value(*got);
-          // dwrr backings report which tenant the scheduler served; the
-          // 16-bit flags field carries it (tenant counts are <= 4096).
-          if (tenant >= 0) resp.flags = static_cast<uint16_t>(tenant);
-        } else {
-          st.deq_empty.fetch_add(1, std::memory_order_relaxed);
-          resp.op = net::Opcode::deq_empty;
-        }
-        break;
-      }
       case net::Opcode::stat:
         st.stat.fetch_add(1, std::memory_order_relaxed);
         resp.op = net::Opcode::stat_ok;
@@ -591,6 +657,7 @@ class Broker {
   // cluster mode.
   std::atomic<bool> map_ready_;
   std::deque<ShardState> shard_state_;
+  std::vector<LoopScratch> scratch_;  // loop i's run buffers
   std::vector<std::unique_ptr<net::EventLoop>> loops_;  // loop i = slot i
   std::unique_ptr<net::EventLoop> acceptor_;  // owns the listeners
   std::unique_ptr<raft::RaftService> raft_;  // null outside cluster mode

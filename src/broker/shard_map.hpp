@@ -144,7 +144,8 @@ class ShardMap {
       queues_[static_cast<size_t>(s)].bind_thread(pid);
   }
 
-  /// ENQ on shard `s` for routing key `key` (caller bound a slot on `s`).
+  /// One ENQ on shard `s` for routing key `key` (caller bound a slot on
+  /// `s`); the broker itself serves through run().
   void enqueue(int s, uint32_t key, uint64_t v) {
     if (service_backed())
       services_[static_cast<size_t>(s)].enqueue(
@@ -165,6 +166,44 @@ class ShardMap {
     }
     tenant_out = -1;
     return queues_[static_cast<size_t>(s)].dequeue();
+  }
+
+  /// One run's buffers (see run): the ENQs' routing keys and values in
+  /// request order, then one result slot per DEQ. A caller keeps one and
+  /// reuses it, so a run allocates nothing once the buffers have grown.
+  struct Run {
+    std::vector<uint32_t> keys;
+    std::vector<uint64_t> vals;
+    std::vector<std::optional<uint64_t>> got;
+    std::vector<int> tenants;  // the tenant each DEQ served; -1 on queues
+
+    void clear() {
+      keys.clear();
+      vals.clear();
+      got.clear();
+    }
+  };
+
+  /// The broker's ENQ/DEQ call: runs `r`'s ENQs on shard `s` in order, then
+  /// its got.size() DEQs, filling got and tenants (caller bound a slot on
+  /// `s`). A queue shard takes the run as one AnyQueue::run, which its tree
+  /// propagates in one walk; a dwrr shard loops its facade's per-item
+  /// enqueue and service_next.
+  void run(int s, Run& r) {
+    r.tenants.assign(r.got.size(), -1);
+    if (!service_backed()) {
+      queues_[static_cast<size_t>(s)].run(r.vals, r.got);
+      return;
+    }
+    svc::ServiceFacade<uint64_t>& f = services_[static_cast<size_t>(s)];
+    for (size_t i = 0; i < r.vals.size(); ++i)
+      f.enqueue(static_cast<int>(r.keys[i] % static_cast<uint32_t>(ntenants_)),
+                r.vals[i]);
+    for (size_t i = 0; i < r.got.size(); ++i) {
+      auto got = f.service_next();
+      r.got[i] = got ? std::optional<uint64_t>(got->value) : std::nullopt;
+      if (got) r.tenants[i] = got->tenant;
+    }
   }
 
   /// Space snapshot of shard `s`'s backing (AnyQueue::space_stats

@@ -7,7 +7,8 @@
 //
 //  - Every G completed operations (the `gc_period`; 0 selects the paper
 //    default G = p^2 ceil(log2 p), negative disables collection for the E8
-//    ablation) the operation crossing the boundary runs a GC phase.
+//    ablation) the operation crossing the boundary runs a GC phase (a run
+//    of k operations that crosses m boundaries runs m).
 //  - The GC phase computes, per node, an archive floor `af` (everything
 //    below it is dead: unreachable by the live queue contents and by every
 //    in-flight operation) and an array floor `k` (the suffix that stays in
@@ -86,6 +87,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -177,26 +179,35 @@ class BoundedQueue {
     platform::bind_thread(pid);
   }
 
-  void enqueue(T x) {
-    int pid = platform::current_pid();
-    {
-      OpGuard guard(this, pid);
-      tree_.append(pid, std::move(x));
-    }
-    after_op(pid);
-  }
+  void enqueue(T x) { run(std::span<T>(&x, 1), {}); }
 
   std::optional<T> dequeue() {
-    int pid = platform::current_pid();
     std::optional<T> out;
+    run({}, std::span<std::optional<T>>(&out, 1));
+    return out;
+  }
+
+  /// A run: enqueues `enqs` in order (moved from), then one dequeue per
+  /// slot of `deqs`, in order, each slot receiving its result. One pin and
+  /// one start publication cover the run, its blocks reach the root in one
+  /// propagation walk (OrderingTree::append_run), and it counts as
+  /// enqs.size() + deqs.size() completed operations for the GC period.
+  /// enqueue/dequeue are the one-op runs.
+  void run(std::span<T> enqs, std::span<std::optional<T>> deqs) {
+    const auto k = static_cast<int64_t>(enqs.size() + deqs.size());
+    if (k == 0) return;
+    int pid = platform::current_pid();
     {
       OpGuard guard(this, pid);
-      int64_t b = tree_.append(pid, std::nullopt);
-      auto [rb, r] = tree_.index_op(pid, b, /*is_enq=*/false);
-      out = tree_.find_response(rb, r);
+      int64_t b =
+          tree_.append_run(pid, enqs, static_cast<int64_t>(deqs.size())) +
+          static_cast<int64_t>(enqs.size());
+      for (std::optional<T>& out : deqs) {
+        auto [rb, r] = tree_.index_op(pid, b++, /*is_enq=*/false);
+        out = tree_.find_response(rb, r);
+      }
     }
-    after_op(pid);
-    return out;
+    after_ops(pid, k);
   }
 
   // --- debug/introspection surface (uncounted) -----------------------------
@@ -297,10 +308,16 @@ class BoundedQueue {
     }
   };
 
-  void after_op(int pid) {
+  /// Counts k completed operations and runs one GC phase per multiple of G
+  /// the count crossed, so a run of k ops triggers as many phases as k
+  /// single ops would.
+  void after_ops(int pid, int64_t k) {
     if (g_ < 0) return;
-    int64_t n = opcount_.fetch_add(1) + 1;
-    if (n % g_ == 0) gc_phase(pid);
+    int64_t n = opcount_.fetch_add(k) + k;
+    // Multiples of G in (n - k, n], with one division on the common path.
+    int64_t past = n % g_;
+    for (int64_t m = past < k ? 1 + (k - 1 - past) / g_ : 0; m > 0; --m)
+      gc_phase(pid);
   }
 
   // --- block access with archive fallback ----------------------------------

@@ -49,7 +49,10 @@
 // one, whose search finishes under the floor with one archive descent.
 //
 // Operation surface the clients compose:
-//   append(pid, elem)          leaf Append + double-Refresh propagation;
+//   append_run(pid, enqs, ndeq) a run of leaf Appends (enqueues, then
+//                              dequeues) + one fence and one double-Refresh
+//                              propagation for the whole run (a lone
+//                              operation is the run of one);
 //   index_op(pid, b, is_enq)   locate the leaf block in the root ordering
 //                              (IndexDequeue generalized to either op kind —
 //                              the vector indexes its appends with the same
@@ -92,6 +95,7 @@
 #include <memory>
 #include <new>
 #include <optional>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -628,6 +632,8 @@ struct TreeNode {
   int64_t kfloor = 1;  // mirror of `floor` without counted loads
   // Next free block slot; blocks[0] is the zero sentinel, so head starts at
   // 1 and lags the filled frontier by at most one (helpers CAS it forward).
+  // A leaf's owner publishes its head once per run, so while it appends a
+  // run last_block_index reads a prefix of it.
   alignas(64) typename Platform::template Atomic<int64_t> head{1};
   alignas(64) TreeBlockArray<T, Platform> blocks;
   // Owner-local append cache (leaves only): the index and cumulative sums
@@ -691,22 +697,29 @@ class OrderingTree {
 
   // --- the operation surface ----------------------------------------------
 
-  /// Appends one operation block at pid's (single-writer) leaf, an enqueue
-  /// of *elem or, without one, a dequeue, and runs the double-Refresh
-  /// propagation to the root; returns the leaf block index.
-  int64_t append(int pid, std::optional<T> elem) {
+  /// Appends a run of operations at pid's (single-writer) leaf: one enqueue
+  /// block per element of `enqs` (moved from), in order, then `ndeq`
+  /// dequeue blocks. Then one fence and one double-Refresh propagation to
+  /// the root: a Refresh merges every child block not yet merged, so that
+  /// one walk puts the whole run into the root ordering, where a block's
+  /// enqueues precede its dequeues. Returns the leaf index of the run's
+  /// first block; the others follow it. An empty run appends nothing.
+  int64_t append_run(int pid, std::span<T> enqs, int64_t ndeq) {
     Node* leaf = leaves_[static_cast<size_t>(pid)];
-    int64_t b = append_leaf(leaf, pool(pid), std::move(elem));
-    // The leaf block is published with plain release stores, and the first
-    // refresh below reads the sibling leaf with acquire loads; TSO hardware
-    // may satisfy those loads before the stores drain. Two busy siblings
-    // can then each build parent blocks that miss the other's new leaf
-    // block, both of this op's refreshes fail on blocks that never merged
-    // it, and the double-refresh argument breaks (one item duplicated,
-    // another lost). Higher levels publish by CAS, a full barrier already.
+    const int64_t first = leaf->cache_idx + 1;
+    if (enqs.empty() && ndeq == 0) return first;
+    append_leaf(leaf, pool(pid), enqs, ndeq);
+    // The leaf blocks are published with plain release stores, and the
+    // first refresh below reads the sibling leaf with acquire loads; TSO
+    // hardware may satisfy those loads before the stores drain. Two busy
+    // siblings can then each build parent blocks that miss the other's new
+    // leaf blocks, both of this run's refreshes fail on blocks that never
+    // merged them, and the double-refresh argument breaks (one item
+    // duplicated, another lost). Higher levels publish by CAS, a full
+    // barrier already.
     std::atomic_thread_fence(std::memory_order_seq_cst);
     propagate(leaf->parent, pid);
-    return b;
+    return first;
   }
 
   /// Walks the operation appended as pid's leaf block `b` up to the root,
@@ -883,29 +896,34 @@ class OrderingTree {
 
   // --- append & propagation ------------------------------------------------
 
-  /// Appends one operation block at the (single-writer) leaf; returns its
-  /// block index. The previous block's cumulative fields come from the
-  /// owner-local cache — the leaf is single-writer, so the cache is always
-  /// exact — saving the head load and prev-block load on the hot path.
-  int64_t append_leaf(Node* leaf, Pool& pool, std::optional<T> elem) {
-    const bool is_enq = elem.has_value();
-    int64_t h = leaf->cache_idx + 1;
-    Block* b = pool.get(spill_);
-    if (is_enq) b->set_element(std::move(*elem));
-    b->sumenq = leaf->cache_sumenq + (is_enq ? 1 : 0);
-    b->sumdeq = leaf->cache_sumdeq + (is_enq ? 0 : 1);
-    if (leaf->is_root) {
-      b->size = leaf->cache_size =
-          std::max<int64_t>(0, leaf->cache_size + (is_enq ? 1 : -1));
-    } else {
-      b->super = leaf->parent->head.load();  // hint, read before publishing
+  /// Appends a run's blocks (enqueues, then ndeq dequeues) at the
+  /// (single-writer) leaf and publishes the leaf head once, after the last.
+  /// The previous block's cumulative fields come from the owner-local
+  /// cache — the leaf is single-writer, so the cache is always exact —
+  /// saving the head load and prev-block load on the hot path. One
+  /// superblock hint, read before the first block is published, serves the
+  /// whole run: the parent's head only grows, so it is a lower bound for
+  /// every block of the run.
+  void append_leaf(Node* leaf, Pool& pool, std::span<T> enqs, int64_t ndeq) {
+    const auto nenq = static_cast<int64_t>(enqs.size());
+    const int64_t super = leaf->is_root ? 0 : leaf->parent->head.load();
+    int64_t h = leaf->cache_idx;
+    for (int64_t j = 0; j < nenq + ndeq; ++j) {
+      const bool is_enq = j < nenq;
+      Block* b = pool.get(spill_);
+      if (is_enq) b->set_element(std::move(enqs[static_cast<size_t>(j)]));
+      b->sumenq = leaf->cache_sumenq += is_enq ? 1 : 0;
+      b->sumdeq = leaf->cache_sumdeq += is_enq ? 0 : 1;
+      if (leaf->is_root) {
+        b->size = leaf->cache_size =
+            std::max<int64_t>(0, leaf->cache_size + (is_enq ? 1 : -1));
+      } else {
+        b->super = super;
+      }
+      leaf->blocks.store(++h, b);
     }
-    leaf->blocks.store(h, b);
     leaf->head.store(h + 1);
     leaf->cache_idx = h;
-    leaf->cache_sumenq = b->sumenq;
-    leaf->cache_sumdeq = b->sumdeq;
-    return h;
   }
 
   /// After the leaf append, one Refresh pair per ancestor suffices: if both

@@ -9,7 +9,8 @@
 // enqueue it returns with the Lemma-20 doubling search (cost grows with the
 // distance back to the enqueue's block — i.e. with log of the queue size —
 // not with the total history length; see experiments E10/E12), then descends
-// to the enqueue's leaf to read the element.
+// to the enqueue's leaf to read the element. A run of enqueues then
+// dequeues (run()) appends all its blocks and propagates them once.
 //
 // Storage policy: DirectStorage — every historical block read is a plain
 // (counted) array load; nothing is ever truncated. The bounded-space variant
@@ -20,6 +21,7 @@
 #include <cassert>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <utility>
 
 #include "core/ordering_tree.hpp"
@@ -45,15 +47,27 @@ class UnboundedQueue {
     platform::bind_thread(pid);
   }
 
-  void enqueue(T x) {
-    tree_.append(platform::current_pid(), std::move(x));
-  }
+  void enqueue(T x) { run(std::span<T>(&x, 1), {}); }
 
   std::optional<T> dequeue() {
+    std::optional<T> out;
+    run({}, std::span<std::optional<T>>(&out, 1));
+    return out;
+  }
+
+  /// A run: enqueues `enqs` in order (moved from), then one dequeue per
+  /// slot of `deqs`, in order, each slot receiving its result. The whole run
+  /// is appended at the caller's leaf and propagated with one walk
+  /// (OrderingTree::append_run); each dequeue then indexes and resolves
+  /// itself as a lone one does. enqueue/dequeue are the one-op runs.
+  void run(std::span<T> enqs, std::span<std::optional<T>> deqs) {
     int pid = platform::current_pid();
-    int64_t b = tree_.append(pid, std::nullopt);
-    auto [rb, r] = tree_.index_op(pid, b, /*is_enq=*/false);
-    return tree_.find_response(rb, r);
+    int64_t b = tree_.append_run(pid, enqs, static_cast<int64_t>(deqs.size())) +
+                static_cast<int64_t>(enqs.size());
+    for (std::optional<T>& out : deqs) {
+      auto [rb, r] = tree_.index_op(pid, b++, /*is_enq=*/false);
+      out = tree_.find_response(rb, r);
+    }
   }
 
   // --- debug/introspection surface (uncounted) -----------------------------

@@ -25,6 +25,7 @@
 #include <cassert>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <utility>
 
 #include "core/ordering_tree.hpp"
@@ -53,7 +54,7 @@ class WaitFreeVector {
   /// Appends and returns the (0-based) index the value landed at.
   int64_t append(T x) {
     int pid = platform::current_pid();
-    int64_t b = tree_.append(pid, std::move(x));
+    int64_t b = tree_.append_run(pid, std::span<T>(&x, 1), 0);
     auto [rb, r] = tree_.index_op(pid, b, /*is_enq=*/true);
     return tree_.enqueue_rank(rb, r) - 1;
   }

@@ -16,6 +16,7 @@
 #include <chrono>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -507,6 +508,196 @@ void test_response_order() {
   CHECK_EQ(b.totals().ping, uint64_t{kPings});
 }
 
+/// Encodes one request frame onto `wire`.
+void add_frame(std::string& wire, net::Opcode op, uint32_t key,
+               std::string payload = {}) {
+  net::Frame f;
+  f.op = op;
+  f.key = key;
+  f.payload = std::move(payload);
+  net::encode_frame(f, wire);
+}
+
+/// DEQ on `key` over a blocking client; the value, or nullopt on DEQ_EMPTY.
+std::optional<uint64_t> deq_value(TestClient& cl, uint32_t key) {
+  std::string wire;
+  add_frame(wire, net::Opcode::deq, key);
+  CHECK(net::write_all(cl.fd.get(), wire));
+  net::Frame resp = cl.recv();
+  uint64_t v = 0;
+  if (resp.op == net::Opcode::deq_ok && net::decode_value(resp.payload, v))
+    return v;
+  CHECK(resp.op == net::Opcode::deq_empty);
+  return std::nullopt;
+}
+
+/// Runs keep request order across shards: one write carries ENQ(A, x),
+/// ENQ(B, y) with A and B on different shards, so they form two runs, and
+/// A's reaches the root before B's starts. An observer on the other loop
+/// that DEQs y from B must then find x in A.
+void test_cross_shard_run_order() {
+  const int kRounds = 300;
+  broker::BrokerConfig bcfg;
+  bcfg.shards = 2;
+  bcfg.groups = 2;
+  bcfg.backing = "bounded";
+  bcfg.uds_path = temp_uds_path("xorder");
+  const std::vector<uint32_t> keys = one_key_per_shard(2);
+  const uint32_t ka = keys[0], kb = keys[1];
+  broker::Broker b(bcfg);
+  b.start();
+  TestClient producer(bcfg.uds_path);  // loop 0
+  TestClient observer(bcfg.uds_path);  // loop 1
+  CHECK(producer.ok() && observer.ok());
+  int misses = 0;
+  for (int r = 0; r < kRounds; ++r) {
+    const uint64_t x = 2 * static_cast<uint64_t>(r);
+    const uint64_t y = x + 1;
+    std::thread watch([&] {
+      std::optional<uint64_t> got;
+      while ((got = deq_value(observer, kb)) != y) CHECK(!got.has_value());
+      if (deq_value(observer, ka) != x) ++misses;
+    });
+    std::string wire;
+    add_frame(wire, net::Opcode::enq, ka, net::encode_value(x));
+    add_frame(wire, net::Opcode::enq, kb, net::encode_value(y));
+    CHECK(net::write_all(producer.fd.get(), wire));
+    CHECK(producer.recv().op == net::Opcode::enq_ok);
+    CHECK(producer.recv().op == net::Opcode::enq_ok);
+    watch.join();
+  }
+  CHECK_EQ(misses, 0);
+  b.stop();
+  CHECK_EQ(b.totals().enq, b.totals().deq_hit);
+}
+
+/// A run is ENQ*DEQ*, never DEQ*ENQ*: a tree block orders its enqueues
+/// before its dequeues, so merging DEQ, ENQ(x), DEQ, ENQ(y) into one run
+/// would let the first DEQ take x. Sent in one write on an empty shard,
+/// the replies must be DEQ_EMPTY, ENQ_OK, x, ENQ_OK, and y stays queued.
+void test_deq_then_enq_splits_runs() {
+  for (const std::string backing : {"ubq", "bounded", "dwrr:2:bounded"}) {
+    broker::BrokerConfig bcfg;
+    bcfg.shards = 1;
+    bcfg.backing = backing;
+    bcfg.uds_path = temp_uds_path("split");
+    broker::Broker b(bcfg);
+    b.start();
+    TestClient cl(bcfg.uds_path);
+    CHECK(cl.ok());
+    const uint32_t key = 6;
+    std::string wire;
+    add_frame(wire, net::Opcode::deq, key);
+    add_frame(wire, net::Opcode::enq, key, net::encode_value(41));
+    add_frame(wire, net::Opcode::deq, key);
+    add_frame(wire, net::Opcode::enq, key, net::encode_value(42));
+    CHECK(net::write_all(cl.fd.get(), wire));
+    CHECK(cl.recv().op == net::Opcode::deq_empty);
+    CHECK(cl.recv().op == net::Opcode::enq_ok);
+    net::Frame hit = cl.recv();
+    uint64_t v = 0;
+    CHECK(hit.op == net::Opcode::deq_ok && net::decode_value(hit.payload, v) &&
+          v == 41);
+    CHECK(cl.recv().op == net::Opcode::enq_ok);
+    CHECK(deq_value(cl, key) == std::optional<uint64_t>(42));
+    b.stop();
+    const broker::Broker::ShardCounters t = b.totals();
+    CHECK_EQ(t.runs, uint64_t{4});  // DEQ | ENQ DEQ | ENQ | DEQ
+  }
+}
+
+/// A malformed ENQ (7 bytes) in the middle of a run is answered ERR in
+/// place; it ends the run, and its neighbours are served in request order.
+void test_bad_enq_inside_run() {
+  broker::BrokerConfig bcfg;
+  bcfg.shards = 1;
+  bcfg.backing = "bounded";
+  bcfg.uds_path = temp_uds_path("badrun");
+  broker::Broker b(bcfg);
+  b.start();
+  TestClient cl(bcfg.uds_path);
+  CHECK(cl.ok());
+  const uint32_t key = 3;
+  std::string wire;
+  add_frame(wire, net::Opcode::enq, key, net::encode_value(1));
+  add_frame(wire, net::Opcode::enq, key, std::string(7, 'x'));
+  add_frame(wire, net::Opcode::enq, key, net::encode_value(2));
+  add_frame(wire, net::Opcode::deq, key);
+  add_frame(wire, net::Opcode::deq, key);
+  add_frame(wire, net::Opcode::deq, key);
+  CHECK(net::write_all(cl.fd.get(), wire));
+  CHECK(cl.recv().op == net::Opcode::enq_ok);
+  net::Frame err = cl.recv();
+  CHECK(err.op == net::Opcode::err);
+  CHECK(err.payload.find("8 bytes") != std::string::npos);
+  CHECK(cl.recv().op == net::Opcode::enq_ok);
+  for (uint64_t want : {1, 2}) {
+    net::Frame hit = cl.recv();
+    uint64_t v = 0;
+    CHECK(hit.op == net::Opcode::deq_ok && net::decode_value(hit.payload, v) &&
+          v == want);
+  }
+  CHECK(cl.recv().op == net::Opcode::deq_empty);
+  b.stop();
+  const broker::Broker::ShardCounters t = b.totals();
+  CHECK_EQ(t.bad, uint64_t{1});
+  CHECK_EQ(t.runs, uint64_t{2});  // ENQ | bad ENQ | ENQ DEQ DEQ DEQ
+}
+
+/// STAT's per-shard "runs": never above the shard's ENQ/DEQ count, equal
+/// to it at window 1 (every run is one request), and at most half of it
+/// for a pipelined connection alternating ENQ/DEQ (each pair is one run).
+void test_stat_runs() {
+  broker::BrokerConfig bcfg;
+  bcfg.shards = 1;
+  bcfg.backing = "bounded";
+  bcfg.uds_path = temp_uds_path("runs");
+  broker::Broker b(bcfg);
+  b.start();
+  TestClient cl(bcfg.uds_path);
+  CHECK(cl.ok());
+  struct Ops {
+    int64_t ops, runs;
+  };
+  auto stat = [&] {
+    std::string wire;
+    add_frame(wire, net::Opcode::stat, 0);
+    CHECK(net::write_all(cl.fd.get(), wire));
+    net::Frame resp = cl.recv();
+    CHECK(resp.op == net::Opcode::stat_ok);
+    const std::string& j = resp.payload;
+    Ops o{shard_field(j, 0, "enq") + shard_field(j, 0, "deq_hit") +
+              shard_field(j, 0, "deq_empty"),
+          shard_field(j, 0, "runs")};
+    CHECK(o.runs >= 0 && o.runs <= o.ops);
+    return o;
+  };
+  for (uint64_t i = 0; i < 40; ++i) {  // window 1
+    std::string wire;
+    add_frame(wire, i % 2 == 0 ? net::Opcode::enq : net::Opcode::deq, 9,
+              i % 2 == 0 ? net::encode_value(i) : std::string());
+    CHECK(net::write_all(cl.fd.get(), wire));
+    (void)cl.recv();
+  }
+  const Ops w1 = stat();
+  CHECK_EQ(w1.ops, int64_t{40});
+  CHECK_EQ(w1.runs, w1.ops);
+  for (int round = 0; round < 4; ++round) {  // 64 pipelined pairs per write
+    std::string wire;
+    for (uint64_t i = 0; i < 64; ++i) {
+      add_frame(wire, net::Opcode::enq, 9, net::encode_value(i));
+      add_frame(wire, net::Opcode::deq, 9);
+    }
+    CHECK(net::write_all(cl.fd.get(), wire));
+    for (int i = 0; i < 128; ++i) (void)cl.recv();
+  }
+  const Ops piped = stat();
+  CHECK_EQ(piped.ops - w1.ops, int64_t{4 * 128});
+  CHECK(2 * (piped.runs - w1.runs) <= piped.ops - w1.ops);
+  b.stop();
+  CHECK_EQ(b.totals().deq_empty, uint64_t{0});
+}
+
 /// Two connections, dealt to the two loops, drive ONE shard with pipelined
 /// ENQ/DEQ pairs, so the backing runs as a 2-process object. Values are
 /// conn << 32 | seq. After a final drain every value was dequeued exactly
@@ -676,6 +867,10 @@ int main() {
   test_throughput_and_counters("dwrr:4:ubq");
   test_fifo_per_key();
   test_response_order();
+  test_cross_shard_run_order();
+  test_deq_then_enq_splits_runs();
+  test_bad_enq_inside_run();
+  test_stat_runs();
   test_two_loops_one_shard("bounded");
   test_two_loops_one_shard("dwrr:4:bounded");
   test_backpressure_per_connection();

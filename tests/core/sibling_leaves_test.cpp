@@ -2,7 +2,7 @@
 // tree: 4 threads bound to leaves 0-3 of a 4-process tree, so both leaf
 // parents have two active children. A leaf block is published with
 // release stores and the owner's first parent refresh reads the sibling
-// leaf with acquire loads; without the fence in OrderingTree::append, TSO
+// leaf with acquire loads; without the fence in OrderingTree::append_run, TSO
 // hardware lets those loads pass the buffered stores, an operation goes
 // unmerged, and the queue duplicates one item and loses another.
 //
