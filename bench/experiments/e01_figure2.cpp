@@ -103,8 +103,8 @@ Report run(const RunOptions& opts) {
   // node array starts with, matching the paper's 1-based block indexing.
   auto& sec = r.section("E1").cols({"node", "field", "blocks 0..head-1"});
   add_node(sec, q.debug_root(), "root");
-  add_node(sec, q.debug_root()->left, "internal L");
-  add_node(sec, q.debug_root()->right, "internal R");
+  add_node(sec, q.debug_root()->left(), "internal L");
+  add_node(sec, q.debug_root()->right(), "internal R");
   for (int i = 0; i < 4; ++i)
     add_node(sec, q.debug_leaf(i), "leaf P" + std::to_string(i));
   sec.note("  expected responses (paper): Deq2=a Deq4=e Deq5=b Deq1=d "

@@ -65,12 +65,14 @@
 
 namespace wfq::broker {
 
+/// Most event loops a broker may run (BrokerConfig::groups, --groups).
+inline constexpr int kMaxGroups = 1024;
+
 struct BrokerConfig {
   int shards = 1;
-  /// Event loops, each one process slot on every shard; 0 = one per
-  /// hardware core, capped at max_procs(shards). An explicit count above
-  /// that cap is a configuration error (check_procs). Connections are
-  /// dealt to the loops round-robin.
+  /// Event loops, each one process slot on every shard, in [0, kMaxGroups];
+  /// 0 = one per hardware core. Connections are dealt to the loops
+  /// round-robin.
   int groups = 0;
   /// Backing key per shard: ubq, bounded[:g=<G>] or dwrr:<n>: over one of
   /// them (check_backing; the constructor throws on any other key).
@@ -107,7 +109,7 @@ class Broker {
   };
 
   /// Builds the shard map from the flags in both modes (ShardMap checks
-  /// the shard count, backing and loop count). A single-node broker serves
+  /// the shard count and backing). A single-node broker serves
   /// it from birth; a cluster replica once the replicated config entry
   /// applies and matches (see on_raft_apply).
   explicit Broker(BrokerConfig cfg)
@@ -301,8 +303,8 @@ class Broker {
   }
 
  private:
-  /// `cfg` with its listener and cluster fields checked and `groups`
-  /// resolved (0 = one loop per hardware core, capped at max_procs).
+  /// `cfg` with its listener, loop count and cluster fields checked and
+  /// `groups` resolved (0 = one loop per hardware core).
   static BrokerConfig checked(BrokerConfig cfg) {
     if (cfg.uds_path.empty() && cfg.tcp_port < 0)
       throw std::invalid_argument(
@@ -320,8 +322,11 @@ class Broker {
             "broker::Broker: cluster mode requires tcp_port == "
             "peer_ports[node_id] (peers dial fixed ports)");
     }
-    if (cfg.groups <= 0)
-      cfg.groups = std::min(platform::hardware_cores(), max_procs(cfg.shards));
+    if (cfg.groups < 0 || cfg.groups > kMaxGroups)
+      throw std::invalid_argument("broker::Broker: groups must be in [0, " +
+                                  std::to_string(kMaxGroups) + "]");
+    if (cfg.groups == 0)
+      cfg.groups = std::min(platform::hardware_cores(), kMaxGroups);
     return cfg;
   }
 

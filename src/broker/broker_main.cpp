@@ -46,9 +46,8 @@ void usage(std::ostream& os) {
         "  --shards <n>      number of backing shards (default 1)\n"
         "  --groups <g>      event loops; each serves the connections dealt\n"
         "                    to it and is one process of every shard's\n"
-        "                    backing (default: one per hardware core).\n"
-        "                    At most the largest power of two p with\n"
-        "                    shards * (2p - 1) <= 32768: 4 at 4096 shards\n"
+        "                    backing (default: one per hardware core;\n"
+        "                    at most 1024)\n"
         "  --backing <key>   per-shard backing: ubq, bounded, bounded:g=<G>,\n"
         "                    or dwrr:<n>:<one of those> (default bounded)\n"
         "  --cluster <i>/<n> run as replica i of an n-replica raft group\n"
@@ -149,7 +148,8 @@ int main(int argc, char** argv) {
         cfg.shards = parse_num<int>(need("--shards"), "--shards", 1,
                                     wfq::broker::kMaxShards);
       } else if (a == "--groups") {
-        cfg.groups = parse_num<int>(need("--groups"), "--groups", 0, 4096);
+        cfg.groups = parse_num<int>(need("--groups"), "--groups", 0,
+                                    wfq::broker::kMaxGroups);
       } else if (a == "--backing") {
         cfg.backing = need("--backing");
       } else if (a == "--cluster") {
@@ -185,7 +185,6 @@ int main(int argc, char** argv) {
     }
     if (cfg.uds_path.empty() && cfg.tcp_port < 0)
       throw std::invalid_argument("need --uds and/or --tcp (or --cluster)");
-    if (cfg.groups > 0) wfq::broker::check_procs(cfg.shards, cfg.groups);
     wfq::broker::check_backing(cfg.backing);
   } catch (const std::exception& ex) {
     std::cerr << "broker: " << ex.what() << "\n\n";

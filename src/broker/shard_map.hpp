@@ -18,10 +18,13 @@
 // its service_next serializes on the facade's own lock, so dequeue is one
 // call either way. space_stats() and tenant_rows() read uncounted,
 // race-free surfaces and may be called from any thread at any time.
+//
+// Memory: a backing's tree builds a process's nodes on that process's
+// first operation, so binding every loop to every shard costs only the
+// per-process state; nodes come with traffic.
 #pragma once
 
 #include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <optional>
 #include <stdexcept>
@@ -48,32 +51,6 @@ inline int shard_of(uint32_t key, int nshards) {
 /// Most shards a map may have (ShardMap, the replicated config entry and
 /// the broker's --shards flag all check this one bound).
 inline constexpr int kMaxShards = 4096;
-
-/// Ceiling on the ordering-tree nodes a map builds per tenant queue, summed
-/// over its shards. A backing for p processes is a tree of
-/// 2 * bit_ceil(p) - 1 nodes, each holding about 0.8 KB even when idle (the
-/// node, its first index segment and its share of the tree's pools), so
-/// memory grows with shards x procs; this caps it at about 26 MB per tenant
-/// queue.
-inline constexpr int64_t kMaxTreeNodes = int64_t{1} << 15;
-
-/// The most processes a map of `nshards` shards may be built for: the
-/// largest power of two p with nshards * (2p - 1) <= kMaxTreeNodes.
-inline int max_procs(int nshards) {
-  return static_cast<int>(std::bit_floor(
-      static_cast<uint64_t>((kMaxTreeNodes / std::max(nshards, 1) + 1) / 2)));
-}
-
-/// Throws std::invalid_argument unless procs is in [1, max_procs(nshards)].
-inline void check_procs(int nshards, int procs) {
-  if (procs >= 1 && procs <= max_procs(nshards)) return;
-  throw std::invalid_argument(
-      "broker::ShardMap: " + std::to_string(procs) +
-      " process slots (event loops) over " + std::to_string(nshards) +
-      " shards is out of range; at most " + std::to_string(max_procs(nshards)) +
-      " at this shard count (tree nodes per tenant queue are capped at " +
-      std::to_string(kMaxTreeNodes) + ")");
-}
 
 /// Throws std::invalid_argument unless `key` is a backing a daemon can run
 /// forever on: ubq, bounded[:g=<G>], or dwrr:<n>: over one of them. The
@@ -103,9 +80,10 @@ struct TenantRow {
 class ShardMap {
  public:
   /// Builds `nshards` backings of `backing_key` (check_backing) for `procs`
-  /// processes (check_procs bounds procs by the shard count). The int64_t
-  /// sizes nothing, since no accepted backing has a fixed capacity; it
-  /// stays because the frozen benchmark's shard replay passes an op count.
+  /// processes; any procs is accepted, since tree nodes come with traffic
+  /// (see "Memory" above). The int64_t sizes nothing, since no accepted
+  /// backing has a fixed capacity; it stays because the frozen benchmark's
+  /// shard replay passes an op count.
   ShardMap(int nshards, const std::string& backing_key, int64_t,
            int procs = 1) {
     if (nshards < 1 || nshards > kMaxShards)
@@ -113,7 +91,6 @@ class ShardMap {
           "broker::ShardMap: shard count must be in [1, " +
           std::to_string(kMaxShards) + "] (got " + std::to_string(nshards) +
           ")");
-    check_procs(nshards, procs);
     check_backing(backing_key);
     backing_ = backing_key;
     const api::QueueConfig cfg{.procs = procs};

@@ -235,8 +235,12 @@ class BoundedQueue {
   /// Block-pool totals (test surface; read at quiescence).
   PoolStats debug_pool() const { return tree_.debug_pool(); }
 
-  /// pid's leaf (test surface: its blocks' addresses).
+  /// pid's leaf, or null while pid has not operated (test surface: its
+  /// blocks' addresses; read at quiescence).
   const Node* debug_leaf(int pid) const { return tree_.leaf(pid); }
+
+  /// Tree nodes built so far (test surface; see OrderingTree::debug_nodes).
+  size_t debug_nodes() const { return tree_.debug_nodes(); }
 
   /// Archived chunks of the current version, in key order: (key, slots
   /// holding the discarded sentinel) (test surface; read at quiescence).
@@ -264,11 +268,12 @@ class BoundedQueue {
     return search_down(v, hi, pred);
   }
 
-  /// Per node, in id order: the array floor and the index below which its
-  /// slot pages have been handed back (test surface; read at quiescence).
+  /// Per tree position, in id order: the array floor and the index below
+  /// which its slot pages have been handed back; a node not built yet reads
+  /// (1, 0) (test surface; read at quiescence).
   std::vector<std::pair<int64_t, int64_t>> debug_floors() const {
     std::vector<std::pair<int64_t, int64_t>> out;
-    collect_floors(tree_.root(), out);
+    collect_floors(tree_.root(), tree_.width(), out);
     return out;
   }
 
@@ -581,7 +586,8 @@ class BoundedQueue {
     // and per-child floors derived from retained boundary blocks.
     std::vector<Plan>& plans = plans_;
     plans.clear();
-    plan_node(root, af_root, last - window_ + 1, plans);
+    plan_node(root, tree_.last_block_index(root), af_root, last - window_ + 1,
+              tree_.width(), plans);
 
     // 4. New archive version: move the live part of [kfloor, k_new) in as
     // whole chunks, drop the chunks now entirely below af_new (a chunk
@@ -637,9 +643,13 @@ class BoundedQueue {
     // (DESIGN.md "TreeBlockArray": after the grace period no op holds an
     // index below the floor); then give the epoch a push. What it frees —
     // retired blocks and the blocks of chunks whose last version went —
-    // lands in this process's pool, which spills its excess.
+    // lands in this process's pool, which spills its excess. A node whose
+    // floors did not move has nothing to truncate and is not written at
+    // all: the shared empty node is one, and writing it from every tree's
+    // collector cost a two-loop broker ~6% CPU per message.
     for (const Plan& pl : plans) {
-      pl.v->floor.store(pl.k_new);
+      pl.v->floor.store_if_changed(pl.k_new);
+      if (pl.k_new == pl.v->kfloor && pl.af_new == pl.v->af) continue;
       for (int64_t i = pl.v->kfloor; i < pl.k_new; ++i) {
         Block* b = pl.v->blocks.take(i);
         if (i < pl.af_new) ebr_.retire(b, &recycle_block);
@@ -668,18 +678,27 @@ class BoundedQueue {
     return bisect_down(root, lo, last, reaches);
   }
 
-  void plan_node(Node* v, int64_t af_in, int64_t k_in,
-                 std::vector<Plan>& out) {
-    int64_t lastv = tree_.last_block_index(v);
+  /// Plans node v (last block lastv), which spans w leaf positions, and
+  /// its subtree. The walk visits every position of the complete tree,
+  /// built or not (a position not built yet is the empty node, whose
+  /// children are itself), so a phase's steps do not depend on which paths
+  /// exist.
+  void plan_node(Node* v, int64_t lastv, int64_t af_in, int64_t k_in,
+                 unsigned w, std::vector<Plan>& out) {
+    auto plan_child = [&](int side, int64_t af, int64_t k) {
+      Node* c;
+      int64_t lastc = tree_.last_child_index(v, side, c);
+      plan_node(c, lastc, af, k, w / 2, out);
+    };
     if (lastv < 1) {
       // Sentinel-only node (an idle process's leaf, or a subtree whose
       // appends have not propagated here yet): nothing to archive or
       // truncate, and no boundary block to derive child floors from —
       // keep the children's floors where they are.
       out.push_back({v, v->af, v->kfloor});
-      if (!v->is_leaf) {
-        plan_node(v->left, 1, 1, out);
-        plan_node(v->right, 1, 1, out);
+      if (w > 1) {
+        plan_child(0, 1, 1);
+        plan_child(1, 1, 1);
       }
       return;
     }
@@ -690,7 +709,7 @@ class BoundedQueue {
         std::clamp<int64_t>(std::max(v->kfloor, k_in), af_new, lastv);
     k_new = std::max(v->kfloor, k_new / kChunk * kChunk);
     out.push_back({v, af_new, k_new});
-    if (!v->is_leaf) {
+    if (w > 1) {
       // Readers retained at this node use block PAIRS (j-1, j) for
       // j >= af_new, and the pair (af_new - 1, af_new) spans child blocks
       // starting just past end*(af_new - 1) — so the children's floors must
@@ -702,17 +721,17 @@ class BoundedQueue {
       // that earlier round already seeded them from this pair.
       const Block* baf = load_block(v, af_new - 1);
       const Block* bk = load_block(v, std::max(k_new - 1, af_new));
-      plan_node(v->left, baf->endleft, bk->endleft, out);
-      plan_node(v->right, baf->endright, bk->endright, out);
+      plan_child(0, baf->endleft, bk->endleft);
+      plan_child(1, baf->endright, bk->endright);
     }
   }
 
-  static void collect_floors(const Node* v,
+  static void collect_floors(const Node* v, unsigned w,
                              std::vector<std::pair<int64_t, int64_t>>& out) {
-    if (v == nullptr) return;
     out.emplace_back(v->kfloor, v->blocks.debug_released());
-    collect_floors(v->left, out);
-    collect_floors(v->right, out);
+    if (w == 1) return;
+    collect_floors(v->left(), w / 2, out);
+    collect_floors(v->right(), w / 2, out);
   }
 
   // --- members -------------------------------------------------------------

@@ -5,10 +5,13 @@
 //
 // Structure: a static tournament ("ordering") tree with one leaf per
 // process. Every node holds an append-only array of immutable Blocks plus a
-// head index. An operation appends a block at its own leaf, then propagates
-// to the root with the double-Refresh idiom: each Refresh tries to CAS one
-// new block into the parent that merges every child block not yet merged.
-// Agreement on the root's block sequence induces the linearization: blocks
+// head index. Only the root is built up front: a process's first operation
+// installs its leaf and the missing nodes on its root path, and a child not
+// built yet reads as one shared empty node (an idle leaf), so a tree costs
+// what its operating processes' paths carry. An operation appends a block
+// at its own leaf, then propagates to the root with the double-Refresh
+// idiom: each Refresh tries to CAS one new block into the parent that
+// merges every child block not yet merged. Agreement on the root's block sequence induces the linearization: blocks
 // in index order; within a block, enqueues before dequeues; within each
 // kind, left-subtree operations before right-subtree ones.
 //
@@ -535,7 +538,8 @@ class TreeBlockArray {
     return static_cast<int64_t>(page_bytes() / sizeof(Slot));
   }
 
-  /// Uncounted accessors for construction and debug introspection.
+  /// Uncounted accessors for construction, debug introspection and reads
+  /// whose step is charged elsewhere (OrderingTree::last_child_index).
   Block* unsafe_peek(int64_t i) const { return slot(i).unsafe_peek(); }
   void unsafe_install(int64_t i, Block* b) { slot(i).unsafe_store(b); }
   /// Every page-backed slot below this index has been handed to a
@@ -615,12 +619,27 @@ template <typename T, typename Platform>
 struct TreeNode {
   using Block = TreeBlock<T>;
 
+  TreeNode() : TreeNode(empty()) {}
+
+  /// Stands in for every child not built yet, in every tree of this
+  /// instantiation: head 1 and block 0 the zero sentinel, so it reads as
+  /// an idle leaf. Its children are itself, so a walk that counts levels
+  /// (the bounded collector's) can descend through it. Nothing writes it
+  /// after construction.
+  static TreeNode* empty() {
+    static TreeNode e{EmptyTag{}};
+    return &e;
+  }
+
+  TreeNode* left() const { return kids[0].load(std::memory_order_acquire); }
+  TreeNode* right() const { return kids[1].load(std::memory_order_acquire); }
+
   TreeNode* parent = nullptr;
-  TreeNode* left = nullptr;
-  TreeNode* right = nullptr;
+  /// Set once, by OrderingTree::build_path's CAS; empty() until then.
+  std::atomic<TreeNode*> kids[2];
   bool is_leaf = false;
   bool is_root = false;
-  int id = 0;  // archive key prefix (bounded client)
+  int id = 0;  // preorder position: archive key prefix (bounded client)
   /// Lowest index still present in the array; indices in [1, floor) have
   /// been truncated (archived or discarded). Raised (release) before the
   /// slots are tombstoned, so a stale slot under the floor is unambiguous.
@@ -644,6 +663,13 @@ struct TreeNode {
   int64_t cache_sumenq = 0;
   int64_t cache_sumdeq = 0;
   int64_t cache_size = 0;  // root-leaf (p == 1) only
+
+ private:
+  struct EmptyTag {};
+  explicit TreeNode(EmptyTag) : TreeNode(this) { is_leaf = true; }
+  explicit TreeNode(TreeNode* kid) : kids{kid, kid} {
+    blocks.unsafe_install(0, TreeBlockArray<T, Platform>::zero());
+  }
 };
 
 /// What an ordering-tree object's `space()` reports: reachable blocks and
@@ -682,18 +708,24 @@ class OrderingTree {
 
   /// The tree holds a reference to the client's storage policy; the client
   /// owns it (and any archive state behind it) for the tree's lifetime.
+  /// Builds the root only; build_path adds the rest on first use.
   OrderingTree(int procs, Storage& storage)
       : p_(procs < 1 ? 1 : procs),
+        width_(std::bit_ceil(static_cast<unsigned>(p_))),
         storage_(&storage),
-        pools_(new Pool[static_cast<size_t>(p_)]) {
-    unsigned width = std::bit_ceil(static_cast<unsigned>(p_));
-    nodes_.reset(new Node[2 * width - 1]);
-    root_ = build_tree(nullptr, width);
-    collect_leaves(root_);
+        pools_(new Pool[static_cast<size_t>(p_)]),
+        leaves_(static_cast<size_t>(p_), nullptr),
+        root_(new Node) {
+    root_->is_root = true;
+    root_->is_leaf = width_ == 1;
   }
 
   OrderingTree(const OrderingTree&) = delete;
   OrderingTree& operator=(const OrderingTree&) = delete;
+
+  /// Runs before the pools go: their slabs hold the blocks the nodes'
+  /// arrays point at.
+  ~OrderingTree() { destroy(root_); }
 
   // --- the operation surface ----------------------------------------------
 
@@ -706,6 +738,7 @@ class OrderingTree {
   /// first block; the others follow it. An empty run appends nothing.
   int64_t append_run(int pid, std::span<T> enqs, int64_t ndeq) {
     Node* leaf = leaves_[static_cast<size_t>(pid)];
+    if (leaf == nullptr) [[unlikely]] leaf = build_path(pid);
     const int64_t first = leaf->cache_idx + 1;
     if (enqs.empty() && ndeq == 0) return first;
     append_leaf(leaf, pool(pid), enqs, ndeq);
@@ -735,7 +768,7 @@ class OrderingTree {
     int64_t i = 1;
     while (!v->is_root) {
       Node* par = v->parent;
-      bool from_left = (par->left == v);
+      bool from_left = (par->left() == v);
       int64_t hint = load(v, b)->super;
       int64_t s = find_superblock(par, from_left, b, hint);
       const Block* sb = load(par, s);
@@ -745,8 +778,8 @@ class OrderingTree {
       i += sum(load(v, b - 1)) - sum(load(v, start));
       if (!from_left) {
         // Left-child ops of the superblock precede all right-child ones.
-        i += sum(load(par->left, sb->endleft)) -
-             sum(load(par->left, sp->endleft));
+        i += sum(load(par->left(), sb->endleft)) -
+             sum(load(par->left(), sp->endleft));
       }
       v = par;
       b = s;
@@ -806,13 +839,41 @@ class OrderingTree {
     return h - 1;
   }
 
+  /// last_block_index of v's child on `side` (0 left, 1 right), which it
+  /// stores in `c`. A child not built yet costs the two loads an idle one
+  /// does, taken on the empty node, with a look for the child after each:
+  /// in the sim a step yields before its access, so a child installed
+  /// during that wait is read as the step would have read it, and no
+  /// process's first operation moves another's steps. Those uncounted
+  /// reads may be stale, which is safe: this refresh looked before the
+  /// child had a block, so the double-refresh argument does not need it,
+  /// and what it merges is still at least the parent's last end index, 0.
+  int64_t last_child_index(const Node* v, int side, Node*& c) const {
+    const auto& kid = v->kids[side];
+    c = kid.load(std::memory_order_acquire);
+    if (c != Node::empty()) return last_block_index(c);
+    (void)c->head.load();
+    if ((c = kid.load(std::memory_order_acquire)) != Node::empty()) {
+      int64_t h = c->head.unsafe_peek();
+      return c->blocks.load(h) != nullptr ? h : h - 1;
+    }
+    (void)c->blocks.load(1);
+    if ((c = kid.load(std::memory_order_acquire)) == Node::empty()) return 0;
+    return c->blocks.unsafe_peek(1) != nullptr ? 1 : 0;
+  }
+
   // --- structure access (clients: GC walks, debug surfaces) ---------------
 
   Node* root() { return root_; }
   const Node* root() const { return root_; }
+  /// pid's leaf, or null while pid has not operated yet (read it from
+  /// pid's thread or at quiescence: pid's first operation sets it).
   Node* leaf(int pid) { return leaves_[static_cast<size_t>(pid)]; }
   const Node* leaf(int pid) const { return leaves_[static_cast<size_t>(pid)]; }
   int procs() const { return p_; }
+  /// Leaf positions of the complete tree, bit_ceil(procs): a node at depth
+  /// d spans width() >> d of them.
+  unsigned width() const { return width_; }
 
   /// pid's block pool: pid's thread allocates from it, and the bounded
   /// client's collector recycles truncated blocks into its own.
@@ -837,48 +898,72 @@ class OrderingTree {
   /// dereferenced.
   size_t live_blocks() const {
     size_t total = 0;
-    count_blocks(root_, total);
+    for_each_node(root_, [&total](const Node* n) {
+      // The floor trails the head; read mid-GC, a raised floor may still
+      // meet an older head, and the h > lo guard counts that node as empty.
+      int64_t lo = n->floor.unsafe_peek();
+      int64_t h = n->head.unsafe_peek();
+      if (n->blocks.unsafe_peek(h) != nullptr) ++h;  // head lags the frontier
+      if (h > lo) total += static_cast<size_t>(h - lo);
+    });
     return total;
+  }
+
+  /// Nodes built so far: the union of the root paths of the processes that
+  /// have operated (uncounted, safe from any thread).
+  size_t debug_nodes() const {
+    size_t n = 0;
+    for_each_node(root_, [&n](const Node*) { ++n; });
+    return n;
   }
 
  private:
   // --- tree construction ---------------------------------------------------
 
-  /// Lays the nodes out in preorder; a node's id is its index.
-  Node* build_tree(Node* parent, unsigned width) {
-    Node* n = &nodes_[static_cast<size_t>(next_id_)];
-    n->parent = parent;
-    n->is_root = (parent == nullptr);
-    n->id = next_id_++;
-    n->blocks.unsafe_install(0, BlockArray::zero());
-    if (width == 1) {
-      n->is_leaf = true;
-    } else {
-      n->left = build_tree(n, width / 2);
-      n->right = build_tree(n, width / 2);
+  /// Installs pid's leaf and the nodes missing on its root path, top-down:
+  /// one CAS per missing level, uncounted bookkeeping like the segment
+  /// directory's. A process that loses a CAS deletes its own node and goes
+  /// on from the winner's; an installed node is never removed, so no
+  /// reader needs a grace period. A node's id is its preorder position in
+  /// the complete tree of width() leaves (a left child follows its parent,
+  /// a right child its parent's w - 1 left-subtree nodes), so a client's
+  /// keys do not depend on which paths exist.
+  Node* build_path(int pid) {
+    Node* v = root_;
+    for (unsigned w = width_; w > 1; w /= 2) {
+      const bool right = (static_cast<unsigned>(pid) & (w / 2)) != 0;
+      Node* c = v->kids[right].load(std::memory_order_acquire);
+      if (c == Node::empty()) {
+        auto* fresh = new Node;
+        fresh->parent = v;
+        fresh->is_leaf = w == 2;
+        fresh->id = v->id + (right ? static_cast<int>(w) : 1);
+        if (v->kids[right].compare_exchange_strong(c, fresh)) {
+          c = fresh;
+        } else {
+          delete fresh;
+        }
+      }
+      v = c;
     }
-    return n;
+    leaves_[static_cast<size_t>(pid)] = v;
+    return v;
   }
 
-  void collect_leaves(Node* n) {
-    if (n->is_leaf) {
-      leaves_.push_back(n);
-      return;
-    }
-    collect_leaves(n->left);
-    collect_leaves(n->right);
+  /// Calls f on every built node under (and including) n, parents first.
+  template <typename F>
+  static void for_each_node(const Node* n, F&& f) {
+    if (n == Node::empty()) return;
+    f(n);
+    for_each_node(n->left(), f);  // a leaf's children are the empty node
+    for_each_node(n->right(), f);
   }
 
-  void count_blocks(const Node* n, size_t& total) const {
-    if (!n) return;
-    // The floor trails the head; read mid-GC, a raised floor may still meet
-    // an older head, and the h > lo guard counts that node as empty.
-    int64_t lo = n->floor.unsafe_peek();
-    int64_t h = n->head.unsafe_peek();
-    if (n->blocks.unsafe_peek(h) != nullptr) ++h;  // head lagging the frontier
-    if (h > lo) total += static_cast<size_t>(h - lo);
-    count_blocks(n->left, total);
-    count_blocks(n->right, total);
+  static void destroy(Node* n) {
+    if (n == Node::empty()) return;
+    destroy(n->left());
+    destroy(n->right());
+    delete n;
   }
 
   // --- historical reads go through the client's storage policy -------------
@@ -948,14 +1033,16 @@ class OrderingTree {
       h = v->head.load();
     }
     const Block* prev = load(v, h - 1);
-    int64_t lend = last_block_index(v->left);
-    int64_t rend = last_block_index(v->right);
+    Node* l;
+    Node* r;
+    int64_t lend = last_child_index(v, 0, l);
+    int64_t rend = last_child_index(v, 1, r);
     if (lend == prev->endleft && rend == prev->endright) return true;
     Block* nb = pool(pid).get(spill_);
     nb->endleft = lend;
     nb->endright = rend;
-    nb->sumenq = load(v->left, lend)->sumenq + load(v->right, rend)->sumenq;
-    nb->sumdeq = load(v->left, lend)->sumdeq + load(v->right, rend)->sumdeq;
+    nb->sumenq = load(l, lend)->sumenq + load(r, rend)->sumenq;
+    nb->sumdeq = load(l, lend)->sumdeq + load(r, rend)->sumdeq;
     if (v->is_root) {
       int64_t numenq = nb->sumenq - prev->sumenq;
       int64_t numdeq = nb->sumdeq - prev->sumdeq;
@@ -1000,14 +1087,15 @@ class OrderingTree {
       const Block* prev = load(v, b - 1);
       Node* child;
       int64_t lo, hi;
-      int64_t numleft = load(v->left, cur->endleft)->sumenq -
-                        load(v->left, prev->endleft)->sumenq;
+      Node* l = v->left();
+      int64_t numleft = load(l, cur->endleft)->sumenq -
+                        load(l, prev->endleft)->sumenq;
       if (i <= numleft) {
-        child = v->left;
+        child = l;
         lo = prev->endleft;
         hi = cur->endleft;
       } else {
-        child = v->right;
+        child = v->right();
         lo = prev->endright;
         hi = cur->endright;
         i -= numleft;
@@ -1021,15 +1109,12 @@ class OrderingTree {
   }
 
   int p_;
-  int next_id_ = 0;  // node id source during build
+  unsigned width_;
   Storage* storage_;
   std::unique_ptr<Pool[]> pools_;  // one per process
   typename Pool::Spill spill_{nullptr};
-  // One allocation for the whole tree; destroyed before the pools, whose
-  // slabs hold the blocks the nodes' arrays point at.
-  std::unique_ptr<Node[]> nodes_;
-  Node* root_ = nullptr;
-  std::vector<Node*> leaves_;
+  std::vector<Node*> leaves_;  // entry pid: written by pid's thread only
+  Node* root_;                 // last: nothing after it can throw
 };
 
 }  // namespace wfq::core

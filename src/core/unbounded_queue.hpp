@@ -73,7 +73,10 @@ class UnboundedQueue {
   // --- debug/introspection surface (uncounted) -----------------------------
 
   const Node* debug_root() const { return tree_.root(); }
+  /// pid's leaf, or null while pid has not operated (read at quiescence).
   const Node* debug_leaf(int pid) const { return tree_.leaf(pid); }
+  /// Tree nodes built so far (see OrderingTree::debug_nodes).
+  size_t debug_nodes() const { return tree_.debug_nodes(); }
 
   /// Every block ever appended (nothing is freed); see core::Space.
   Space space() const { return {tree_.live_blocks(), 0}; }

@@ -46,6 +46,16 @@ class AtomicImpl {
     v_.store(x, std::memory_order_release);
   }
 
+  /// store(x) that skips the write when x is already there: the same step,
+  /// but a line that other threads read stays shared. For locations with
+  /// one writer at a time.
+  void store_if_changed(U x) {
+    pre_step<Simulated>(sim::StepKind::store);
+    ++tls_counts().stores;
+    if (v_.load(std::memory_order_relaxed) != x)
+      v_.store(x, std::memory_order_release);
+  }
+
   /// Single CAS attempt; counted even on failure (the paper charges the
   /// attempt, which is how the CAS retry problem becomes visible in E4).
   bool cas(U expected, U desired) {
@@ -64,8 +74,9 @@ class AtomicImpl {
     return v_.fetch_add(d, std::memory_order_acq_rel);
   }
 
-  /// Uncounted relaxed read for debug introspection (bench printers); not a
-  /// step in the model.
+  /// Uncounted relaxed read for debug introspection (bench printers), or
+  /// for a read whose step another access already charged; not a step in
+  /// the model.
   U unsafe_peek() const { return v_.load(std::memory_order_relaxed); }
 
   /// Uncounted initialization store (constructor-time setup only).

@@ -7,14 +7,17 @@
 // without stalling its loop-mates, enq == deq in the drained broker's
 // counters, the SIGTERM drain path (stop()) answers everything already
 // read, the STAT surface (JSON payload + live space + dwrr tenant rows)
-// is coherent, a start() that fails leaves no socket file behind, and a
-// backing that cannot serve forever (faaq, simq, ...) is refused.
+// is coherent, a start() that fails leaves no socket file behind, a
+// backing that cannot serve forever (faaq, simq, ...) is refused, and a
+// 4096-shard broker serves under 16 loops while a loop count outside
+// [0, kMaxGroups] is refused.
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <optional>
 #include <set>
@@ -456,6 +459,68 @@ void test_backing_must_run_forever() {
   }
 }
 
+/// The most shards under many loops: 4096 dwrr:4:bounded shards, 16 loops
+/// (a tree builds a loop's nodes on that loop's first operation, so only
+/// the shards that carry traffic pay for them). Six connections, dealt to
+/// loops 0-5, each ENQ and DEQ on two shards of their own; the STAT report
+/// then counts them. It is read in process: at this shard count a dwrr:4
+/// report is larger than one frame may carry (kMaxPayload).
+void test_many_shards_many_loops() {
+  broker::BrokerConfig bcfg;
+  bcfg.shards = broker::kMaxShards;
+  bcfg.groups = 16;
+  bcfg.backing = "dwrr:4:bounded";
+  bcfg.uds_path = temp_uds_path("many");
+  broker::Broker b(bcfg);
+  b.start();
+  CHECK_EQ(b.groups(), 16);
+  std::vector<uint32_t> keys;  // one per shard, 12 shards
+  std::set<int> used;
+  for (uint32_t k = 0; keys.size() < 12; ++k)
+    if (used.insert(broker::shard_of(k, bcfg.shards)).second) keys.push_back(k);
+  std::deque<TestClient> clients;
+  for (int c = 0; c < 6; ++c) clients.emplace_back(bcfg.uds_path);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    TestClient& cl = clients[i / 2];
+    CHECK(cl.ok());
+    net::Frame f;
+    f.op = net::Opcode::enq;
+    f.key = keys[i];
+    f.payload = net::encode_value(1000 + i);
+    cl.send(f);
+    CHECK(cl.recv().op == net::Opcode::enq_ok);
+    f.op = net::Opcode::deq;
+    f.payload.clear();
+    cl.send(f);
+    net::Frame resp = cl.recv();
+    uint64_t v = 0;
+    CHECK(resp.op == net::Opcode::deq_ok);
+    CHECK(net::decode_value(resp.payload, v));
+    CHECK_EQ(v, 1000 + i);
+  }
+  const std::string j = b.stat_json();
+  CHECK(j.find("\"schema\":\"wfq-broker-stat-v1\"") != std::string::npos);
+  CHECK(shard_field(j, broker::kMaxShards - 1, "enq") >= 0);  // all listed
+  for (uint32_t k : keys) {
+    const int s = broker::shard_of(k, bcfg.shards);
+    CHECK_EQ(shard_field(j, s, "enq"), int64_t{1});
+    CHECK_EQ(shard_field(j, s, "deq_hit"), int64_t{1});
+  }
+  b.stop();
+  CHECK_EQ(b.totals().enq, uint64_t{keys.size()});
+
+  for (int groups : {-1, broker::kMaxGroups + 1}) {
+    bcfg.groups = groups;
+    bool threw = false;
+    try {
+      broker::Broker refused(bcfg);
+    } catch (const std::invalid_argument&) {
+      threw = true;
+    }
+    CHECK(threw);
+  }
+}
+
 /// Keys 0, 1, ... picked so that key i routes to shard i.
 std::vector<uint32_t> one_key_per_shard(int shards) {
   std::vector<uint32_t> keys(static_cast<size_t>(shards));
@@ -881,5 +946,6 @@ int main() {
   test_tcp_transport();
   test_failed_start_leaves_no_socket();
   test_backing_must_run_forever();
+  test_many_shards_many_loops();
   return wfq::test::exit_code();
 }

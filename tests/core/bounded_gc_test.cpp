@@ -18,9 +18,11 @@
 //      strings archives several chunks and drains in FIFO order with exact
 //      values (under ASan a missed destroy of an archived block is an LSan
 //      leak, a doubled one a double free);
-//  (h) an idle tree is small: the resident bytes of idle 4-process bounded
-//      queues stay below what an index whose first segment is 64 slots
-//      costs;
+//  (h) a tree costs what it carries: an idle tree is its root alone (a
+//      process that never operated has no leaf), an 8-process tree where
+//      only pid 5 operated holds the 4 nodes of its root path, and the
+//      resident bytes of idle 4-process bounded queues stay below what
+//      even one more node per tree costs;
 //  (i) the archive holds blocks by reference: archiving copies no element,
 //      and a queue destroyed with archived chunks still live (some held
 //      only by a retired archive version, so they die in the EBR layer's
@@ -240,8 +242,8 @@ void archive_search_matches_probing(int procs, int64_t gc_period) {
     const Node* v = stack.back();
     stack.pop_back();
     if (!v->is_leaf) {
-      stack.push_back(v->left);
-      stack.push_back(v->right);
+      stack.push_back(v->left());
+      stack.push_back(v->right());
     }
     int64_t last = v->head.unsafe_peek() - 1;  // quiescent: head is past it
     if (last < 1) continue;
@@ -472,6 +474,16 @@ void archive_holds_references() {
 }
 
 void idle_trees_are_small() {
+  {
+    BoundedQueue<uint64_t> q(8);
+    CHECK_EQ(q.debug_nodes(), size_t{1});
+    q.bind_thread(5);
+    q.enqueue(5);
+    CHECK(q.dequeue() == std::optional<uint64_t>(5));
+    CHECK_EQ(q.debug_nodes(), size_t{4});
+    for (int pid = 0; pid < 8; ++pid)
+      CHECK((q.debug_leaf(pid) != nullptr) == (pid == 5));
+  }
   if (!kRssMeasurable) return;
   constexpr int kTrees = 2048;
   std::vector<std::unique_ptr<BoundedQueue<uint64_t>>> trees;
@@ -483,9 +495,11 @@ void idle_trees_are_small() {
   int64_t per_tree = (resident_bytes() - before) / kTrees;
   std::cout << "idle 4-process bounded tree: " << per_tree
             << " resident bytes\n";
-  // x86-64 Linux, glibc: ~5.7 KB with 8-slot first segments, ~9.0 KB with
-  // 64-slot ones (seven nodes, 448 B more each).
-  CHECK(per_tree < 7300);
+  // x86-64 Linux, glibc: ~2.2 KB, the root node (~0.6 KB with its first
+  // index segment) and ~0.4 KB per process (pool, start slot, EBR slot).
+  // A tree that built all seven nodes read ~5.7 KB; one more node per tree
+  // would read ~2.8 KB.
+  CHECK(per_tree < 2600);
 }
 
 }  // namespace
