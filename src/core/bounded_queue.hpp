@@ -88,6 +88,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -194,20 +195,7 @@ class BoundedQueue {
   /// enqs.size() + deqs.size() completed operations for the GC period.
   /// enqueue/dequeue are the one-op runs.
   void run(std::span<T> enqs, std::span<std::optional<T>> deqs) {
-    const auto k = static_cast<int64_t>(enqs.size() + deqs.size());
-    if (k == 0) return;
-    int pid = platform::current_pid();
-    {
-      OpGuard guard(this, pid);
-      int64_t b =
-          tree_.append_run(pid, enqs, static_cast<int64_t>(deqs.size())) +
-          static_cast<int64_t>(enqs.size());
-      for (std::optional<T>& out : deqs) {
-        auto [rb, r] = tree_.index_op(pid, b++, /*is_enq=*/false);
-        out = tree_.find_response(rb, r);
-      }
-    }
-    after_ops(pid, k);
+    (void)run_checked<false>(enqs, deqs);
   }
 
   // --- debug/introspection surface (uncounted) -----------------------------
@@ -231,6 +219,13 @@ class BoundedQueue {
   }
 
   const Ebr& debug_ebr() const { return ebr_; }
+
+  /// run(), plus OrderingTree::debug_check_run inside the run's pin, where
+  /// the run's blocks are still retained (test surface): "" or what failed.
+  std::string debug_run_checked(std::span<T> enqs,
+                                std::span<std::optional<T>> deqs) {
+    return run_checked<true>(enqs, deqs);
+  }
 
   /// Block-pool totals (test surface; read at quiescence).
   PoolStats debug_pool() const { return tree_.debug_pool(); }
@@ -312,6 +307,27 @@ class BoundedQueue {
       q->ebr_.unpin(pid);
     }
   };
+
+  template <bool kCheck>
+  std::string run_checked(std::span<T> enqs, std::span<std::optional<T>> deqs) {
+    const auto k = static_cast<int64_t>(enqs.size() + deqs.size());
+    if (k == 0) return {};
+    int pid = platform::current_pid();
+    std::string err;
+    {
+      OpGuard guard(this, pid);
+      int64_t b =
+          tree_.append_run(pid, enqs, static_cast<int64_t>(deqs.size())) +
+          static_cast<int64_t>(enqs.size());
+      for (std::optional<T>& out : deqs) {
+        auto [rb, r] = tree_.index_op(pid, b++, /*is_enq=*/false);
+        out = tree_.find_response(rb, r);
+      }
+      if constexpr (kCheck) err = tree_.debug_check_run(pid);
+    }
+    after_ops(pid, k);
+    return err;
+  }
 
   /// Counts k completed operations and runs one GC phase per multiple of G
   /// the count crossed, so a run of k ops triggers as many phases as k

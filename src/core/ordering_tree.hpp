@@ -82,9 +82,21 @@
 // (The cache holds VALUES, not the block pointer: under the bounded client
 // a truncated block is eventually recycled through EBR, and a pointer
 // cached across operations — outside any epoch pin — could dangle.)
+// Propagation remembers where the run landed: it carries, level by level,
+// a bound on the index of the block holding the run's last leaf block, so
+// a refresh that loses its CAS reads the winner once and skips the second
+// refresh when the winner merged the run (the double refresh still runs
+// when it did not). On the levels where the whole run entered one block,
+// propagate records that block's index and the pointers to it and its
+// predecessor, which the refresh already holds, and index_op reads them
+// instead of searching for the superblock; it also skips the two sum
+// differences its indices already say are zero. Per level an enqueue thus
+// costs at most two refreshes and one winner read.
 // Blocks come from a per-process BlockPool, carved back to back from slabs,
 // so an operation calls no allocator; a refresh that loses its CAS keeps
-// its candidate as the process's spare instead of freeing it.
+// its candidate as the process's spare instead of freeing it. The pool and
+// the landing record form one per-process block, allocated by the
+// process's first operation with its leaf.
 // Every node's block 0 is one shared zero sentinel, and a node's head
 // index, which every refresher CASes, sits on a cache line of its own.
 #pragma once
@@ -683,6 +695,57 @@ struct Space {
   uint64_t ebr_retired = 0;
 };
 
+/// Where a run landed at one ancestor, as propagate saw it: `s` bounds the
+/// index of the ancestor's block that holds the run's last leaf block (at
+/// every level); on the levels the whole run entered one block, s is that
+/// block's index and sb, sp are blocks s and s - 1 (null elsewhere).
+template <typename Block>
+struct Landing {
+  int64_t s;
+  const Block* sb;
+  const Block* sp;
+};
+
+/// Everything only process pid touches, built by its first operation
+/// (OrderingTree::build_path), so an idle process costs the tree a pointer:
+/// its block pool (one line), its leaf, and where its last run [first,
+/// last] of leaf blocks landed. propagate writes the landing record and
+/// index_op reads it; `levels` Landings follow the header, so on a tree
+/// of two leaves the leaf pointer and the whole record share one line
+/// (each further level adds 24 bytes).
+template <typename Block, typename Node>
+struct ProcState {
+  BlockPool<Block> pool;
+  Node* leaf = nullptr;
+  int64_t first = 1;
+  int64_t last = 0;
+  int64_t exact = 0;  // levels [0, exact) hold exact landings
+
+  Landing<Block>* landed() {
+    return reinterpret_cast<Landing<Block>*>(
+        reinterpret_cast<std::byte*>(this) + kLandedAt);
+  }
+
+  static ProcState* make(int levels) {
+    void* m = ::operator new(bytes(levels), std::align_val_t{64});
+    auto* ps = ::new (m) ProcState;
+    std::uninitialized_value_construct_n(ps->landed(), levels);
+    return ps;
+  }
+  static void destroy(ProcState* ps) {
+    std::destroy_at(ps);
+    ::operator delete(static_cast<void*>(ps), std::align_val_t{64});
+  }
+
+ private:
+  // Past the pool's line and the four words above.
+  static constexpr size_t kLandedAt = sizeof(BlockPool<Block>) + 32;
+  static size_t bytes(int levels) {
+    size_t n = kLandedAt + static_cast<size_t>(levels) * sizeof(Landing<Block>);
+    return std::max(sizeof(ProcState), (n + 63) / 64 * 64);
+  }
+};
+
 /// The trivial Storage hook: every historical read is a direct (counted)
 /// array load, and search_down is gallop_down over those loads. Used by the
 /// unbounded queue and the wait-free vector.
@@ -705,6 +768,7 @@ class OrderingTree {
   using Node = TreeNode<T, Platform>;
   using BlockArray = TreeBlockArray<T, Platform>;
   using Pool = BlockPool<Block>;
+  using Proc = ProcState<Block, Node>;
 
   /// The tree holds a reference to the client's storage policy; the client
   /// owns it (and any archive state behind it) for the tree's lifetime.
@@ -712,9 +776,9 @@ class OrderingTree {
   OrderingTree(int procs, Storage& storage)
       : p_(procs < 1 ? 1 : procs),
         width_(std::bit_ceil(static_cast<unsigned>(p_))),
+        levels_(std::countr_zero(width_)),
         storage_(&storage),
-        pools_(new Pool[static_cast<size_t>(p_)]),
-        leaves_(static_cast<size_t>(p_), nullptr),
+        procs_(static_cast<size_t>(p_), nullptr),
         root_(new Node) {
     root_->is_root = true;
     root_->is_leaf = width_ == 1;
@@ -723,9 +787,14 @@ class OrderingTree {
   OrderingTree(const OrderingTree&) = delete;
   OrderingTree& operator=(const OrderingTree&) = delete;
 
-  /// Runs before the pools go: their slabs hold the blocks the nodes'
-  /// arrays point at.
-  ~OrderingTree() { destroy(root_); }
+  /// The nodes go before the pools: the pools' slabs hold the blocks the
+  /// nodes' arrays point at.
+  ~OrderingTree() {
+    destroy(root_);
+    for (Proc* ps : procs_) {
+      if (ps != nullptr) Proc::destroy(ps);
+    }
+  }
 
   // --- the operation surface ----------------------------------------------
 
@@ -737,11 +806,12 @@ class OrderingTree {
   /// enqueues precede its dequeues. Returns the leaf index of the run's
   /// first block; the others follow it. An empty run appends nothing.
   int64_t append_run(int pid, std::span<T> enqs, int64_t ndeq) {
-    Node* leaf = leaves_[static_cast<size_t>(pid)];
-    if (leaf == nullptr) [[unlikely]] leaf = build_path(pid);
+    Proc* ps = procs_[static_cast<size_t>(pid)];
+    if (ps == nullptr) [[unlikely]] ps = build_path(pid);
+    Node* leaf = ps->leaf;
     const int64_t first = leaf->cache_idx + 1;
     if (enqs.empty() && ndeq == 0) return first;
-    append_leaf(leaf, pool(pid), enqs, ndeq);
+    append_leaf(leaf, ps->pool, enqs, ndeq);
     // The leaf blocks are published with plain release stores, and the
     // first refresh below reads the sibling leaf with acquire loads; TSO
     // hardware may satisfy those loads before the stores drain. Two busy
@@ -751,7 +821,7 @@ class OrderingTree {
     // duplicated, another lost). Higher levels publish by CAS, a full
     // barrier already.
     std::atomic_thread_fence(std::memory_order_seq_cst);
-    propagate(leaf->parent, pid);
+    propagate(*ps, pid, first);
     return first;
   }
 
@@ -760,31 +830,13 @@ class OrderingTree {
   /// operations of the same kind). This is the paper's IndexDequeue,
   /// generalized over the op kind: a dequeue locates itself among a root
   /// block's dequeues (`is_enq` false), a vector append among its enqueues.
+  /// For a block of pid's last run, the levels where propagate saw the
+  /// whole run enter one block take that block from the landing record;
+  /// the levels above search for it.
   std::pair<int64_t, int64_t> index_op(int pid, int64_t b, bool is_enq) {
-    Node* v = leaves_[static_cast<size_t>(pid)];
-    auto sum = [is_enq](const Block* blk) {
-      return is_enq ? blk->sumenq : blk->sumdeq;
-    };
-    int64_t i = 1;
-    while (!v->is_root) {
-      Node* par = v->parent;
-      bool from_left = (par->left() == v);
-      int64_t hint = load(v, b)->super;
-      int64_t s = find_superblock(par, from_left, b, hint);
-      const Block* sb = load(par, s);
-      const Block* sp = load(par, s - 1);
-      int64_t start = from_left ? sp->endleft : sp->endright;
-      // Same-kind ops of this child merged earlier in the same superblock.
-      i += sum(load(v, b - 1)) - sum(load(v, start));
-      if (!from_left) {
-        // Left-child ops of the superblock precede all right-child ones.
-        i += sum(load(par->left(), sb->endleft)) -
-             sum(load(par->left(), sp->endleft));
-      }
-      v = par;
-      b = s;
-    }
-    return {b, i};
+    Proc& ps = *procs_[static_cast<size_t>(pid)];
+    const bool in_run = b >= ps.first && b <= ps.last;
+    return index_walk(ps, pid, b, is_enq, in_run ? ps.exact : 0);
   }
 
   /// Resolves the dequeue that is the r-th dequeue of root block `b`: null
@@ -868,27 +920,46 @@ class OrderingTree {
   const Node* root() const { return root_; }
   /// pid's leaf, or null while pid has not operated yet (read it from
   /// pid's thread or at quiescence: pid's first operation sets it).
-  Node* leaf(int pid) { return leaves_[static_cast<size_t>(pid)]; }
-  const Node* leaf(int pid) const { return leaves_[static_cast<size_t>(pid)]; }
+  const Node* leaf(int pid) const {
+    const Proc* ps = procs_[static_cast<size_t>(pid)];
+    return ps != nullptr ? ps->leaf : nullptr;
+  }
   int procs() const { return p_; }
   /// Leaf positions of the complete tree, bit_ceil(procs): a node at depth
   /// d spans width() >> d of them.
   unsigned width() const { return width_; }
 
-  /// pid's block pool: pid's thread allocates from it, and the bounded
-  /// client's collector recycles truncated blocks into its own.
-  Pool& pool(int pid) { return pools_[static_cast<size_t>(pid)]; }
+  /// pid's block pool, once pid has operated: pid's thread allocates from
+  /// it, and the bounded client's collector recycles truncated blocks into
+  /// its own.
+  Pool& pool(int pid) { return procs_[static_cast<size_t>(pid)]->pool; }
 
   /// Moves what pid's pool could not keep onto the tree-wide spill (the
   /// collector, after recycling a phase's blocks).
   void spill_excess(int pid) { pool(pid).spill_excess(spill_); }
 
-  /// Slab, spare and free-list totals over every pool (at quiescence).
+  /// Slab, spare and free-list totals over the pools of the processes
+  /// that have operated (at quiescence).
   PoolStats debug_pool() const {
     PoolStats s;
-    for (int i = 0; i < p_; ++i) pools_[static_cast<size_t>(i)].add_stats(s);
+    for (const Proc* ps : procs_) {
+      if (ps != nullptr) ps->pool.add_stats(s);
+    }
     s.spilled = Pool::length(spill_.load(std::memory_order_acquire));
     return s;
+  }
+
+  /// Checks pid's last nonempty run against the tree, uncounted (see
+  /// platform::Uncounted), from pid's thread while the run's blocks are
+  /// still retained (the bounded client: inside the run's pin). At every
+  /// ancestor the block at the recorded bound must merge the run; on each
+  /// exact level the run must lie in the recorded block alone, and sb, sp
+  /// must be blocks s and s - 1; and every block of the run must index to
+  /// the same (root block, rank) with the record as by index_op's search
+  /// alone. Returns what failed first, or "" when nothing did.
+  std::string debug_check_run(int pid) {
+    platform::Uncounted scope;
+    return check_run(pid);
   }
 
   /// Blocks present in the arrays, sentinels excluded: [floor, frontier)
@@ -928,7 +999,9 @@ class OrderingTree {
   /// the complete tree of width() leaves (a left child follows its parent,
   /// a right child its parent's w - 1 left-subtree nodes), so a client's
   /// keys do not depend on which paths exist.
-  Node* build_path(int pid) {
+  /// pid's per-process state is allocated here too, after the path, so
+  /// that a process which never operates costs its tree one pointer.
+  Proc* build_path(int pid) {
     Node* v = root_;
     for (unsigned w = width_; w > 1; w /= 2) {
       const bool right = (static_cast<unsigned>(pid) & (w / 2)) != 0;
@@ -946,8 +1019,10 @@ class OrderingTree {
       }
       v = c;
     }
-    leaves_[static_cast<size_t>(pid)] = v;
-    return v;
+    Proc* ps = Proc::make(levels_);
+    ps->leaf = v;
+    procs_[static_cast<size_t>(pid)] = ps;
+    return ps;
   }
 
   /// Calls f on every built node under (and including) n, parents first.
@@ -1011,22 +1086,80 @@ class OrderingTree {
     leaf->cache_idx = h;
   }
 
+  /// Side (0 left, 1 right) of pid's level-k ancestor (the leaf is level
+  /// 0) under its parent: build_path places pid's leaf by pid's bits.
+  static int side_of(int pid, int k) { return (pid >> k) & 1; }
+
+  /// The end index on `side` of an internal node's block.
+  static int64_t end_of(const Block* blk, int side) {
+    return side == 0 ? blk->endleft : blk->endright;
+  }
+
   /// After the leaf append, one Refresh pair per ancestor suffices: if both
   /// calls lose their CAS, the two winning blocks were both created after our
   /// child block was published, so the second winner merged it (the f-array
   /// double-refresh argument; each failure below is a genuine CAS loss on a
   /// slot we saw empty, which is what the argument needs).
-  void propagate(Node* v, int pid) {
-    while (v != nullptr) {
-      if (!refresh(v, pid)) refresh(v, pid);
+  ///
+  /// The walk carries x, a bound on the index, at the current node, of the
+  /// block holding the run's last leaf block (at the leaf, the run's last
+  /// block), and moves it up one level per ancestor: to the block the
+  /// refresh installed, to the winner's block, or to h - 1 when the
+  /// ancestor had merged everything already. So the first refresh's loss
+  /// needs no second refresh when the winner, read once, merged child
+  /// block x: the run is in. Only a winner that did not carry the run
+  /// leaves the double-refresh argument to do its work. While the whole
+  /// run [f, x] at the child enters one block s (block s - 1 ends below f,
+  /// and the block merged x), the level's landing is exact: s and the
+  /// pointers to blocks s and s - 1, which the refresh already holds, go
+  /// into pid's record for index_op. The bound advances at every level,
+  /// exact or not.
+  void propagate(Proc& ps, int pid, int64_t first) {
+    Landing<Block>* lv = ps.landed();
+    Node* v = ps.leaf;
+    int64_t f = first;
+    int64_t x = v->cache_idx;
+    ps.first = first;
+    ps.last = x;
+    ps.exact = 0;
+    bool whole = true;
+    for (int k = 0; !v->is_root; ++k) {
       v = v->parent;
+      const int side = side_of(pid, k);
+      Landing<Block>& at = lv[k];
+      refresh(v, ps.pool, side, x, true, at);
+      if (at.sb == nullptr && at.sp != nullptr) {
+        refresh(v, ps.pool, side, x, false, at);
+      }
+      // A landing with both pointers merged child block x (its refresh
+      // read the child's frontier at or past x), so it is exact when the
+      // block before it ends below f.
+      whole = whole && at.sp != nullptr && end_of(at.sp, side) < f;
+      if (whole) {
+        ps.exact = k + 1;
+      } else {
+        at.sb = at.sp = nullptr;
+      }
+      f = x = at.s;
     }
   }
 
   /// Tries to append one block to internal node `v` merging all child blocks
-  /// not yet merged. True if nothing new to merge or our CAS won; a lost
-  /// candidate stays with pid's pool as its spare.
-  bool refresh(Node* v, int pid) {
+  /// not yet merged, on behalf of a run whose block on the child's `side`
+  /// is bounded by x, and writes where the run landed into `at` (see
+  /// Landing): nothing to merge gives {h - 1, null, null}; a won CAS gives
+  /// {h, candidate, block h - 1}. A lost CAS leaves the candidate with the
+  /// pool as its spare and, when `read_winner`, reads the winner once:
+  /// {h, winner, block h - 1} if it merged child block x, else {h, null,
+  /// block h - 1}, which tells propagate to refresh again. The second
+  /// refresh does not read its winner: the double-refresh argument says it
+  /// merged the run, {h, null, null}. (A winner read after a bounded
+  /// client's collector truncated slot h is the tombstone, whose zero ends
+  /// read "did not merge": x >= 1.) `at` is the record's own slot: a
+  /// Landing returned by value and copied there measured ~13 ns more per
+  /// single-thread enqueue on a three-level tree (x86-64, gcc -O2).
+  void refresh(Node* v, Pool& pool, int side, int64_t x, bool read_winner,
+               Landing<Block>& at) {
     int64_t h = v->head.load();
     while (v->blocks.load(h) != nullptr) {  // stale head: help it forward
       v->head.cas(h, h + 1);
@@ -1037,8 +1170,11 @@ class OrderingTree {
     Node* r;
     int64_t lend = last_child_index(v, 0, l);
     int64_t rend = last_child_index(v, 1, r);
-    if (lend == prev->endleft && rend == prev->endright) return true;
-    Block* nb = pool(pid).get(spill_);
+    if (lend == prev->endleft && rend == prev->endright) {
+      at = {h - 1, nullptr, nullptr};
+      return;
+    }
+    Block* nb = pool.get(spill_);
     nb->endleft = lend;
     nb->endright = rend;
     nb->sumenq = load(l, lend)->sumenq + load(r, rend)->sumenq;
@@ -1052,11 +1188,101 @@ class OrderingTree {
     }
     if (v->blocks.cas(h, nb)) {
       v->head.cas(h, h + 1);
-      return true;
+      at = {h, nb, prev};
+      return;
     }
-    pool(pid).keep_spare(nb);
+    pool.keep_spare(nb);
     v->head.cas(h, h + 1);  // a winner exists; help advance past it
-    return false;
+    if (!read_winner) {
+      at = {h, nullptr, nullptr};
+      return;
+    }
+    const Block* won = v->blocks.load(h);
+    at = {h, end_of(won, side) >= x ? won : nullptr, prev};
+  }
+
+  /// index_op's walk: levels [0, exact) take the superblock from pid's
+  /// landing record, the rest search for it from the block's hint. A
+  /// difference of two sums that is zero by its indices is not loaded.
+  std::pair<int64_t, int64_t> index_walk(Proc& ps, int pid, int64_t b,
+                                         bool is_enq, int64_t exact) {
+    auto sum = [is_enq](const Block* blk) {
+      return is_enq ? blk->sumenq : blk->sumdeq;
+    };
+    const Landing<Block>* lv = ps.landed();
+    Node* v = ps.leaf;
+    int64_t i = 1;
+    for (int k = 0; !v->is_root; ++k) {
+      Node* par = v->parent;
+      const int side = side_of(pid, k);
+      Landing<Block> at;
+      if (k < exact) {
+        at = lv[k];
+      } else {
+        at.s = find_superblock(par, side == 0, b, load(v, b)->super);
+        at.sb = load(par, at.s);
+        at.sp = load(par, at.s - 1);
+      }
+      // Same-kind ops of this child merged earlier in the same superblock.
+      const int64_t start = end_of(at.sp, side);
+      if (start != b - 1) i += sum(load(v, b - 1)) - sum(load(v, start));
+      if (side == 1 && at.sb->endleft != at.sp->endleft) {
+        // Left-child ops of the superblock precede all right-child ones.
+        i += sum(load(par->left(), at.sb->endleft)) -
+             sum(load(par->left(), at.sp->endleft));
+      }
+      v = par;
+      b = at.s;
+    }
+    return {b, i};
+  }
+
+  /// debug_check_run's body.
+  std::string check_run(int pid) {
+    Proc* ps = procs_[static_cast<size_t>(pid)];
+    if (ps == nullptr || ps->first > ps->last) return "";
+    const Landing<Block>* lv = ps->landed();
+    Node* v = ps->leaf;
+    int64_t lo = ps->first;  // the run's first and last blocks at v
+    int64_t hi = ps->last;
+    for (int k = 0; !v->is_root; ++k) {
+      Node* par = v->parent;
+      const int side = side_of(pid, k);
+      const std::string at = "level " + std::to_string(k) + ": ";
+      if (end_of(load(par, last_block_index(par)), side) < hi) {
+        return at + "the run has not reached the parent";
+      }
+      const Block* bound = load(par, lv[k].s);
+      if (bound == nullptr || end_of(bound, side) < hi) {
+        return at + "the block at the recorded bound " +
+               std::to_string(lv[k].s) + " does not merge the run";
+      }
+      const int64_t s_lo = find_superblock(par, side == 0, lo, load(v, lo)->super);
+      const int64_t s_hi = find_superblock(par, side == 0, hi, load(v, hi)->super);
+      if (k < ps->exact &&
+          (s_lo != s_hi || s_hi != lv[k].s || lv[k].sb != bound ||
+           lv[k].sp != load(par, s_hi - 1))) {
+        return at + "the run landed in blocks " + std::to_string(s_lo) +
+               ".." + std::to_string(s_hi) + ", recorded exactly as " +
+               std::to_string(lv[k].s);
+      }
+      v = par;
+      lo = s_lo;
+      hi = s_hi;
+    }
+    const Node* leaf = ps->leaf;
+    for (int64_t b = ps->first; b <= ps->last; ++b) {
+      const bool is_enq = load(leaf, b)->sumenq > load(leaf, b - 1)->sumenq;
+      auto rec = index_walk(*ps, pid, b, is_enq, ps->exact);
+      auto alone = index_walk(*ps, pid, b, is_enq, 0);
+      if (rec != alone) {
+        return "leaf block " + std::to_string(b) + ": indexed at (" +
+               std::to_string(rec.first) + ", " + std::to_string(rec.second) +
+               ") with the record, (" + std::to_string(alone.first) + ", " +
+               std::to_string(alone.second) + ") without";
+      }
+    }
+    return "";
   }
 
   // --- search & descent ----------------------------------------------------
@@ -1110,11 +1336,11 @@ class OrderingTree {
 
   int p_;
   unsigned width_;
+  int levels_;  // ancestors of a leaf: log2(width_)
   Storage* storage_;
-  std::unique_ptr<Pool[]> pools_;  // one per process
   typename Pool::Spill spill_{nullptr};
-  std::vector<Node*> leaves_;  // entry pid: written by pid's thread only
-  Node* root_;                 // last: nothing after it can throw
+  std::vector<Proc*> procs_;  // entry pid: written by pid's thread only
+  Node* root_;                // last: nothing after it can throw
 };
 
 }  // namespace wfq::core

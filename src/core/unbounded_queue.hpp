@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <string>
 #include <utility>
 
 #include "core/ordering_tree.hpp"
@@ -77,6 +78,13 @@ class UnboundedQueue {
   const Node* debug_leaf(int pid) const { return tree_.leaf(pid); }
   /// Tree nodes built so far (see OrderingTree::debug_nodes).
   size_t debug_nodes() const { return tree_.debug_nodes(); }
+
+  /// Checks the calling process's last run against the tree
+  /// (OrderingTree::debug_check_run; call it from that process between
+  /// operations): "" or what failed.
+  std::string debug_check_run() {
+    return tree_.debug_check_run(platform::current_pid());
+  }
 
   /// Every block ever appended (nothing is freed); see core::Space.
   Space space() const { return {tree_.live_blocks(), 0}; }

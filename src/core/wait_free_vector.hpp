@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <string>
 #include <utility>
 
 #include "core/ordering_tree.hpp"
@@ -69,6 +70,13 @@ class WaitFreeVector {
   int64_t size() { return tree_.root_sumenq(); }
 
   // --- debug/introspection surface (uncounted) -----------------------------
+
+  /// Checks the calling process's last run against the tree
+  /// (OrderingTree::debug_check_run; call it from that process between
+  /// operations): "" or what failed.
+  std::string debug_check_run() {
+    return tree_.debug_check_run(platform::current_pid());
+  }
 
   /// Every block ever appended (nothing is freed); see core::Space.
   Space space() const { return {tree_.live_blocks(), 0}; }

@@ -88,6 +88,29 @@ class AtomicImpl {
 
 }  // namespace detail
 
+/// A scope whose shared accesses are not steps: on exit the calling
+/// thread's step counts are what they were on entry, and a simulated
+/// process's accesses inside it are no scheduling points, so the scope runs
+/// as one indivisible piece of the schedule and leaves the schedule as it
+/// found it. For debug surfaces that read shared state the way an operation
+/// does.
+class Uncounted {
+ public:
+  Uncounted() : counts_(tls_counts()), sim_(sim::detail::tls_ctx()) {
+    sim::detail::tls_ctx() = {};
+  }
+  ~Uncounted() {
+    tls_counts() = counts_;
+    sim::detail::tls_ctx() = sim_;
+  }
+  Uncounted(const Uncounted&) = delete;
+  Uncounted& operator=(const Uncounted&) = delete;
+
+ private:
+  StepCounts counts_;
+  sim::detail::TlsCtx sim_;
+};
+
 struct RealPlatform {
   static constexpr bool kSimulated = false;
   template <typename U>

@@ -19,10 +19,11 @@
 //      values (under ASan a missed destroy of an archived block is an LSan
 //      leak, a doubled one a double free);
 //  (h) a tree costs what it carries: an idle tree is its root alone (a
-//      process that never operated has no leaf), an 8-process tree where
-//      only pid 5 operated holds the 4 nodes of its root path, and the
-//      resident bytes of idle 4-process bounded queues stay below what
-//      even one more node per tree costs;
+//      process that never operated has no leaf and no per-process block),
+//      an 8-process tree where only pid 5 operated holds the 4 nodes of
+//      its root path and one per-process block (the leaf pointer lives in
+//      it), and the resident bytes of idle 4-process bounded queues stay
+//      below what even one process's block pool per tree costs;
 //  (i) the archive holds blocks by reference: archiving copies no element,
 //      and a queue destroyed with archived chunks still live (some held
 //      only by a retired archive version, so they die in the EBR layer's
@@ -495,11 +496,12 @@ void idle_trees_are_small() {
   int64_t per_tree = (resident_bytes() - before) / kTrees;
   std::cout << "idle 4-process bounded tree: " << per_tree
             << " resident bytes\n";
-  // x86-64 Linux, glibc: ~2.2 KB, the root node (~0.6 KB with its first
-  // index segment) and ~0.4 KB per process (pool, start slot, EBR slot).
-  // A tree that built all seven nodes read ~5.7 KB; one more node per tree
-  // would read ~2.8 KB.
-  CHECK(per_tree < 2600);
+  // x86-64 Linux, glibc: ~1.7 KB, the root node (~0.6 KB with its first
+  // index segment) and ~0.3 KB per process (start slot, EBR slot and a
+  // per-process pointer). With every process's 64-byte block pool built
+  // up front it read ~2.2 KB; a tree that built all seven nodes read
+  // ~5.7 KB.
+  CHECK(per_tree < 1900);
 }
 
 }  // namespace

@@ -13,7 +13,15 @@
 //       exactly what was enqueued;
 //   (c) GC period: after N ops a bounded:g=4 queue has run N / 4 phases,
 //       however the N ops are split into runs (a run of 8 crosses two
-//       multiples of 4 and runs two phases).
+//       multiples of 4 and runs two phases);
+//   (d) landing record: after every run in (b), and after every append of
+//       a `wfvec` run the same way, OrderingTree::debug_check_run holds:
+//       each ancestor's block at the recorded bound merges the run, each
+//       exact level holds the run in its recorded block alone, and every
+//       block of the run indexes to the same (root block, rank) with the
+//       record and without it (sim and real threads; `wfvec` on the sim
+//       only, at p = 2..4 and 8). `wfvec`'s appends also get dense,
+//       distinct indices whose get() returns the appended value.
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -27,6 +35,7 @@
 #include "api/queue_registry.hpp"
 #include "core/bounded_queue.hpp"
 #include "core/unbounded_queue.hpp"
+#include "core/wait_free_vector.hpp"
 #include "platform/platform.hpp"
 #include "sim/adversary.hpp"
 #include "sim/scheduler.hpp"
@@ -43,6 +52,8 @@ template <typename Platform>
 using Ubq = core::UnboundedQueue<uint64_t, Platform>;
 template <typename Platform>
 using Bq = core::BoundedQueue<uint64_t, Platform>;
+template <typename Platform>
+using Vec = core::WaitFreeVector<uint64_t, Platform>;
 
 uint64_t tag(int pid, uint64_t seq) {
   return (static_cast<uint64_t>(pid) << 32) | seq;
@@ -55,6 +66,32 @@ std::vector<std::optional<uint64_t>> run_once(Q& q, std::vector<uint64_t> vals,
   std::vector<std::optional<uint64_t>> got(static_cast<size_t>(b));
   q.run(std::span<uint64_t>(vals), std::span<std::optional<uint64_t>>(got));
   return got;
+}
+
+/// Runs ENQ^a DEQ^b of `vals` like run_once and checks the landing record
+/// (d), keeping the first failure in `err`.
+template <typename Platform>
+std::vector<std::optional<uint64_t>> run_checked(Ubq<Platform>& q,
+                                                 std::vector<uint64_t> vals,
+                                                 int b, std::string& err) {
+  auto got = run_once(q, std::move(vals), b);
+  if (err.empty()) err = q.debug_check_run();
+  return got;
+}
+template <typename Platform>
+std::vector<std::optional<uint64_t>> run_checked(Bq<Platform>& q,
+                                                 std::vector<uint64_t> vals,
+                                                 int b, std::string& err) {
+  std::vector<std::optional<uint64_t>> got(static_cast<size_t>(b));
+  std::string e = q.debug_run_checked(std::span<uint64_t>(vals),
+                                      std::span<std::optional<uint64_t>>(got));
+  if (err.empty()) err = e;
+  return got;
+}
+
+void report(const std::string& err, const std::string& what) {
+  if (!err.empty()) std::cerr << what << ": landing record: " << err << "\n";
+  CHECK(err.empty());
 }
 
 /// (a) on one queue, reused across all shapes from rotating pids: each run
@@ -93,7 +130,7 @@ void idle_runs(Q& q, int p, const std::string& what) {
 /// offset, values tagged (pid, seq); records what its dequeues returned.
 template <typename Q>
 void cycle_shapes(Q& q, int pid, std::vector<uint64_t>& got,
-                  uint64_t& produced) {
+                  uint64_t& produced, std::string& err) {
   q.bind_thread(pid);
   constexpr int kShapes = (kMaxRun + 1) * (kMaxRun + 1);
   for (int s = 0; s < kShapes; ++s) {
@@ -101,7 +138,7 @@ void cycle_shapes(Q& q, int pid, std::vector<uint64_t>& got,
     const int a = shape / (kMaxRun + 1), b = shape % (kMaxRun + 1);
     std::vector<uint64_t> vals;
     for (int i = 0; i < a; ++i) vals.push_back(tag(pid, produced++));
-    for (const auto& r : run_once(q, vals, b))
+    for (const auto& r : run_checked(q, vals, b, err))
       if (r) got.push_back(*r);
   }
 }
@@ -142,14 +179,17 @@ template <typename Q>
 void concurrent_real(int p, const std::string& what, Q& q) {
   std::vector<std::vector<uint64_t>> got(static_cast<size_t>(p));
   std::vector<uint64_t> produced(static_cast<size_t>(p), 0);
+  std::vector<std::string> errs(static_cast<size_t>(p));
   std::vector<std::thread> ts;
   for (int pid = 0; pid < p; ++pid)
     ts.emplace_back([&, pid] {
-      cycle_shapes(q, pid, got[static_cast<size_t>(pid)],
-                   produced[static_cast<size_t>(pid)]);
+      const auto i = static_cast<size_t>(pid);
+      cycle_shapes(q, pid, got[i], produced[i], errs[i]);
     });
   for (auto& t : ts) t.join();
-  check_history(q, got, produced, what + " real p=" + std::to_string(p));
+  const std::string where = what + " real p=" + std::to_string(p);
+  for (const std::string& err : errs) report(err, where);
+  check_history(q, got, produced, where);
 }
 
 template <typename Q>
@@ -157,16 +197,52 @@ void concurrent_sim(int p, const std::string& adversary,
                     const std::string& what, Q& q) {
   std::vector<std::vector<uint64_t>> got(static_cast<size_t>(p));
   std::vector<uint64_t> produced(static_cast<size_t>(p), 0);
+  std::vector<std::string> errs(static_cast<size_t>(p));
   sim::Scheduler sched(sim::make_policy(adversary));
   std::vector<std::function<void()>> bodies;
   for (int pid = 0; pid < p; ++pid)
     bodies.emplace_back([&, pid] {
-      cycle_shapes(q, pid, got[static_cast<size_t>(pid)],
-                   produced[static_cast<size_t>(pid)]);
+      const auto i = static_cast<size_t>(pid);
+      cycle_shapes(q, pid, got[i], produced[i], errs[i]);
     });
   sched.run(std::move(bodies));
-  check_history(q, got, produced,
-                what + " sim " + adversary + " p=" + std::to_string(p));
+  const std::string where =
+      what + " sim " + adversary + " p=" + std::to_string(p);
+  for (const std::string& err : errs) report(err, where);
+  check_history(q, got, produced, where);
+}
+
+/// (d) for `wfvec` on the sim: each process appends kAppends tagged values
+/// and checks the landing record after each; then the indices must be
+/// 0..n-1, each once, and get(i) must read the value appended at i.
+void vector_sim(int p, const std::string& adversary) {
+  constexpr int kAppends = 40;
+  Vec<platform::SimPlatform> v(p);
+  std::vector<std::map<int64_t, uint64_t>> at(static_cast<size_t>(p));
+  std::vector<std::string> errs(static_cast<size_t>(p));
+  sim::Scheduler sched(sim::make_policy(adversary));
+  std::vector<std::function<void()>> bodies;
+  for (int pid = 0; pid < p; ++pid)
+    bodies.emplace_back([&, pid] {
+      const auto i = static_cast<size_t>(pid);
+      v.bind_thread(pid);
+      for (uint64_t seq = 0; seq < kAppends; ++seq) {
+        at[i][v.append(tag(pid, seq))] = tag(pid, seq);
+        if (errs[i].empty()) errs[i] = v.debug_check_run();
+      }
+    });
+  sched.run(std::move(bodies));
+  const std::string where = "wfvec sim " + adversary + " p=" + std::to_string(p);
+  for (const std::string& err : errs) report(err, where);
+  std::map<int64_t, uint64_t> all;
+  for (const auto& m : at) all.insert(m.begin(), m.end());
+  bool ok = static_cast<int>(all.size()) == p * kAppends &&
+            all.begin()->first == 0 &&
+            all.rbegin()->first == p * kAppends - 1;
+  v.bind_thread(0);
+  for (const auto& [idx, val] : all) ok = ok && v.get(idx) == val;
+  if (!ok) std::cerr << where << ": indices or values wrong\n";
+  CHECK(ok);
 }
 
 /// (c): runs of the given lengths (each split ENQ^ceil(k/2) DEQ^floor(k/2))
@@ -225,8 +301,13 @@ int main() {
         Bq<SimPlatform> q(p, kGc);
         concurrent_sim(p, adv, "bounded:g=4", q);
       }
+      vector_sim(p, adv);
     }
   }
+
+  // Three levels: a bound that stops advancing once a level is inexact
+  // uses a leaf index two levels up, which p <= 4 rarely exposes.
+  for (const std::string& adv : roster) vector_sim(8, adv);
 
   // The seam: every registered queue takes runs through AnyQueue::run.
   for (const std::string& name : api::queue_names()) {
