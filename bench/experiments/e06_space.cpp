@@ -51,8 +51,9 @@ api::Report run(const api::RunOptions& opts) {
       "    2 processes replayed on one thread (deterministic), queue size",
       "    held at q; pair grid {N/16, N/4, N} with",
       "    N=" + std::to_string(max_pairs) + " (--ops N); bounded queue is",
-      "    " + bounded_key + " (--queues; default G=64 — the paper's p^2",
-      "    log p scaled down so the plateau is visible in a short run)"};
+      "    " + bounded_key + " (--queues; plain \"bounded\" takes",
+      "    max(kChunk, p^2 ceil(log2 p)), the paper's G floored at one",
+      "    archive chunk)"};
   auto& sec = r.section("E6");
   sec.cols({"queue", "ops (pairs)", "q", "live blocks", "EBR backlog",
             "blocks/pair"});

@@ -11,16 +11,15 @@
 // which the ~64x fewer tree operations would otherwise hide.
 //
 // Sweeps amortized steps/op vs p (fixed small q) and vs q (fixed p), with
-// the GC period scaled down to G=32 so collections
-// actually occur within the run at every p — the paper default
-// p^2 ceil(log2 p) outgrows a short run past p=8, which would mix
-// GC-bearing and GC-free regimes into one fit. The "rbt/op" column shows
-// the tree's share of the amortized cost (GC-phase archiving + archive
-// lookups). A dequeue whose doubling search runs under a node's floor
-// pays one RBT descent for it (first_where over that node's chunks), and
-// its root-to-leaf descent's archive loads hit a per-operation memo after
-// the first lookup of each chunk, so the lookups' share is ~log(p+q) per
-// search rather than per probe.
+// an explicit GC period G=32 so collections actually occur within the run
+// at every p — the default max(kChunk, p^2 ceil(log2 p)) outgrows a short
+// run past p=8, which would mix GC-bearing and GC-free regimes into one
+// fit. The "rbt/op" column shows the tree's share of the amortized cost
+// (GC-phase archiving + archive lookups). A dequeue whose doubling search
+// runs under a node's floor pays one RBT descent for it (first_where over
+// that node's chunks), and its root-to-leaf descent's archive loads hit a
+// per-operation memo after the first lookup of each chunk, so the lookups'
+// share is ~log(p+q) per search rather than per probe.
 #include <cmath>
 
 #include "api/experiment.hpp"
@@ -78,7 +77,7 @@ api::Report run(const api::RunOptions& opts) {
   r.preamble = {"E7: bounded queue amortized RBT-steps/op  (Theorem 32:",
                 "    O(log p log(p+q)) amortized, GC included)",
                 "    " + adversary + " adversary; G=" + std::to_string(kGc) +
-                    " (paper default p^2 log p outgrows short runs)"};
+                    " (the default G outgrows short runs)"};
   {
     auto& sec = r.section("E7a");
     sec.pre("E7a: vs p (prefill 8/process, " + std::to_string(mixed_ops) +

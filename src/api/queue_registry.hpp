@@ -80,8 +80,9 @@ inline QueueConfig sized_config(int procs, Backend backend,
 namespace detail {
 
 /// One registered object. `make` receives the full key (the handle echoes
-/// it as name()) and the GC period the key names: its ":g=<G>", or 0 (the
-/// paper default) when it carries none.
+/// it as name()) and the GC period the key names: its ":g=<G>", used as
+/// given, or 0 when it carries none (the object's default; for bounded,
+/// max(kChunk, p^2 ceil(log2 p))).
 template <typename Handle>
 struct Row {
   QueueInfo info;
@@ -239,7 +240,7 @@ const Row<Handle>* find_row(const std::vector<Row<Handle>>& rows,
     if (gc_period == 0)
       throw std::invalid_argument(
           "api: GC period 0 in \"" + key + "\" is out of range; " + want +
-          " (the paper default is spelled \"" + name + "\", not g=0)");
+          " (the default period is spelled \"" + name + "\", not g=0)");
     return &r;
   }
   return nullptr;

@@ -5,10 +5,13 @@
 // three cooperating layers that keep every node down to a *live suffix* of
 // its block array:
 //
-//  - Every G completed operations (the `gc_period`; 0 selects the paper
-//    default G = p^2 ceil(log2 p), negative disables collection for the E8
-//    ablation) the operation crossing the boundary runs a GC phase (a run
-//    of k operations that crosses m boundaries runs m).
+//  - Every G completed operations (the `gc_period`; 0 selects the default
+//    G = max(kChunk, p^2 ceil(log2 p)), negative disables collection for
+//    the E8 ablation) the operation crossing the boundary runs a GC phase
+//    (a run of k operations that crosses m boundaries runs m). The default
+//    is the paper's G from p = 5 on and one archive chunk below that: an
+//    array floor moves only in whole chunks, so at the paper's G = 4 for
+//    p = 2 at most one phase in sixteen could truncate anything.
 //  - The GC phase computes, per node, an archive floor `af` (everything
 //    below it is dead: unreachable by the live queue contents and by every
 //    in-flight operation) and an array floor `k` (the suffix that stays in
@@ -61,19 +64,22 @@
 // Reachable space: in-array suffixes are O(G) per node (+ < kChunk), the
 // archive holds O(q_max + p) live blocks (+ < kChunk per node: the chunk
 // straddling af), and the EBR backlog is transient (bounded by ~3 GC
-// phases) — Theorem 31's O(p q_max + p^3 log p) with G = p^2 log p. The
-// slot index follows the blocks: whole slot pages below a node's floor go
-// back to the kernel through the same EBR, so each node keeps < one page
-// of dead slots plus its live suffix's pages. Every RBT node visited or
-// created and every block archived into a chunk is charged through
-// note_rbt_touch (the paper's model), so E7 measures Theorem 32's
-// amortized O(log p log(p+q)) including GC: a search under a floor costs
-// one O(log(p+q)) descent, as Theorem 32 charges it; a memo hit costs no
-// touch.
+// phases, and empty after a phase no pinned reader held back: the phase's
+// epoch push advances up to three times) — Theorem 31's
+// O(p q_max + p^3 log p) with G = p^2 log p. The default G's floor of
+// kChunk adds O(p kChunk) = O(p) in-array blocks (kChunk is a constant),
+// so the order is the paper's. The slot index follows the blocks: whole
+// slot pages below a node's floor go back to the kernel through the same
+// EBR, so each node keeps < one page of dead slots plus its live suffix's
+// pages. Every RBT node visited or created and every block archived into
+// a chunk is charged through note_rbt_touch (the paper's model), so E7
+// measures Theorem 32's amortized O(log p log(p+q)) including GC: a search
+// under a floor costs one O(log(p+q)) descent, as Theorem 32 charges it; a
+// memo hit costs no touch.
 //
 // Deviations from the paper (documented in DESIGN.md): the archive's unit
 // is a chunk of block pointers, not a block, so a path copy copies one
-// pointer per 64 blocks.
+// pointer per 64 blocks. The default G is floored at one chunk (above).
 // GC phases are serialized by a try-lock and run by the boundary-crossing
 // process alone (no helping), so the collector's worst-case — not
 // amortized — bound is weaker than Theorem 32 under a targeted adversary.
@@ -148,9 +154,11 @@ class BoundedQueue {
   using BlockArray = typename Tree::BlockArray;
   using Pool = typename Tree::Pool;
 
-  /// gc_period == 0 selects the paper default G = p^2 ceil(log2 p);
-  /// gc_period < 0 (canonically -1) disables collection entirely (the E8
-  /// ablation baseline: behaves like the unbounded queue).
+  /// gc_period == 0 selects the default G = max(kChunk, p^2 ceil(log2 p)),
+  /// the paper's period floored at the unit an array floor moves by;
+  /// gc_period > 0 is used as given; gc_period < 0 (canonically -1)
+  /// disables collection entirely (the E8 ablation baseline: behaves like
+  /// the unbounded queue).
   explicit BoundedQueue(int procs, int64_t gc_period = 0)
       : p_(procs < 1 ? 1 : procs),
         storage_{this},
@@ -161,7 +169,7 @@ class BoundedQueue {
     } else if (gc_period == 0) {
       auto lg = static_cast<int64_t>(std::bit_width(
           static_cast<unsigned>(p_ > 1 ? p_ - 1 : 1)));  // ceil(log2 p)
-      g_ = std::max<int64_t>(4, static_cast<int64_t>(p_) * p_ * lg);
+      g_ = std::max<int64_t>(kChunk, static_cast<int64_t>(p_) * p_ * lg);
     } else {
       g_ = gc_period;
     }
@@ -657,12 +665,14 @@ class BoundedQueue {
     // and retire the detached blocks below af_new (the rest now belong to
     // their chunks), then the whole slot pages now below the floor
     // (DESIGN.md "TreeBlockArray": after the grace period no op holds an
-    // index below the floor); then give the epoch a push. What it frees —
-    // retired blocks and the blocks of chunks whose last version went —
-    // lands in this process's pool, which spills its excess. A node whose
-    // floors did not move has nothing to truncate and is not written at
-    // all: the shared empty node is one, and writing it from every tree's
-    // collector cost a two-loop broker ~6% CPU per message.
+    // index below the floor); then give the epoch a push, which frees this
+    // phase's own garbage too when no pinned reader lags (Ebr::advance).
+    // What it frees — retired blocks and the blocks of chunks whose last
+    // version went — lands in this process's pool, which spills its
+    // excess. A node whose floors did not move has nothing to truncate and
+    // is not written at all: the shared empty node is one, and writing it
+    // from every tree's collector cost a two-loop broker ~6% CPU per
+    // message.
     for (const Plan& pl : plans) {
       pl.v->floor.store_if_changed(pl.k_new);
       if (pl.k_new == pl.v->kfloor && pl.af_new == pl.v->af) continue;
@@ -679,7 +689,7 @@ class BoundedQueue {
       pl.v->af = pl.af_new;
     }
     chunk_pool_ = &tree_.pool(pid);
-    ebr_.try_advance(chunk_pool_);
+    ebr_.advance(chunk_pool_);
     chunk_pool_ = nullptr;
     tree_.spill_excess(pid);
   }

@@ -9,14 +9,18 @@
 // Division of labor with the queue:
 //  - pin/unpin are called by every operation (O(1) shared steps each, so
 //    they disappear into the amortized bound);
-//  - retire/try_advance/collect are called only from inside a GC phase,
-//    which the queue serializes with its gc lock, so the retire buckets
-//    need no internal synchronization;
+//  - retire/advance are called only from inside a GC phase, which the
+//    queue serializes with its gc lock, so the retire buckets need no
+//    internal synchronization;
+//  - each GC phase ends with one advance, which moves the epoch up to
+//    three times while no pinned reader lags: a phase with no reader
+//    behind frees its own garbage before it returns, so a phase that runs
+//    rarely does not hold three phases' worth;
 //  - retired_count() is the E6/E8 introspection surface: the backlog of
 //    retired-but-not-yet-freed objects, which stays bounded because every
-//    GC phase attempts an epoch advance.
+//    GC phase attempts an advance.
 //  - "Freed" means the object's deleter ran. A deleter gets the context
-//    the freeing try_advance was given (the bounded queue passes the
+//    the freeing advance was given (the bounded queue passes the
 //    collector's block pool, so truncated blocks are recycled, not
 //    deleted); the destructor's late deleters get nullptr.
 //
@@ -47,7 +51,7 @@ class Ebr {
   Ebr(const Ebr&) = delete;
   Ebr& operator=(const Ebr&) = delete;
 
-  /// Ends a retired object's life: del(p, ctx), ctx from try_advance.
+  /// Ends a retired object's life: del(p, ctx), ctx from advance.
   using Deleter = void (*)(void* p, void* ctx);
 
   ~Ebr() {
@@ -67,8 +71,8 @@ class Ebr {
     slots_[static_cast<size_t>(pid)].epoch.store(kIdle);
   }
 
-  /// Hands `p` to the collector; freed via `del` two epoch advances later.
-  /// GC-phase only (serialized by the queue's gc lock).
+  /// Hands `p` to the collector; freed via `del` by the third epoch advance
+  /// after this call. GC-phase only (serialized by the queue's gc lock).
   void retire(void* p, Deleter del) {
     buckets_[epoch_.unsafe_peek() % 3].push_back({p, del});
     // Single writer (the gc lock): a plain increment, no locked RMW.
@@ -76,25 +80,33 @@ class Ebr {
                    std::memory_order_relaxed);
   }
 
-  /// Advances the global epoch if every pinned process has caught up with
-  /// it, then frees the bucket that just became unreachable (retired two
-  /// epochs ago), passing `ctx` to its deleters. GC-phase only. Returns
-  /// true if the epoch moved.
-  bool try_advance(void* ctx) {
+  /// Advances the global epoch while every pinned process has caught up
+  /// with it, at most three times, freeing at each advance the bucket that
+  /// just became unreachable (filled three epochs before the new one) and
+  /// passing `ctx` to its deleters. Each advance re-checks every slot, so
+  /// this is the three-bucket scheme run up to three times in a row: with
+  /// no reader behind, the third advance frees what the caller just
+  /// retired; a reader pinned at epoch e stops the advance past e + 1.
+  /// GC-phase only. Returns true if the epoch moved at all.
+  bool advance(void* ctx) {
     std::atomic_thread_fence(std::memory_order_seq_cst);
-    uint64_t g = epoch_.load();
-    for (int i = 0; i < procs_; ++i) {
-      uint64_t e = slots_[static_cast<size_t>(i)].epoch.load();
-      if (e != kIdle && e != g) return false;  // a reader is still behind
+    int moved = 0;
+    for (; moved < 3; ++moved) {
+      uint64_t g = epoch_.load();
+      for (int i = 0; i < procs_; ++i) {
+        uint64_t e = slots_[static_cast<size_t>(i)].epoch.load();
+        if (e != kIdle && e != g) return moved > 0;  // a reader is behind
+      }
+      if (!epoch_.cas(g, g + 1)) break;
+      free_bucket(buckets_[(g + 1) % 3], ctx);  // epoch g-2's garbage
     }
-    if (!epoch_.cas(g, g + 1)) return false;
-    free_bucket(buckets_[(g + 1) % 3], ctx);  // epoch g-2's garbage
-    return true;
+    return moved > 0;
   }
 
   /// Backlog of retired-but-not-yet-freed objects (E6's "EBR backlog"
-  /// column). Transient garbage: bounded by ~3 GC phases' worth. Safe from
-  /// any thread: freed_ is read first (acquire, pairing with the release in
+  /// column). Transient garbage: bounded by ~3 GC phases' worth, and 0
+  /// after a phase that no pinned reader held back. Safe from any thread:
+  /// freed_ is read first (acquire, pairing with the release in
   /// free_bucket), so the retires of everything counted freed are visible
   /// and the difference cannot wrap.
   uint64_t retired_count() const {

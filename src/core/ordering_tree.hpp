@@ -1177,8 +1177,10 @@ class OrderingTree {
     Block* nb = pool.get(spill_);
     nb->endleft = lend;
     nb->endright = rend;
-    nb->sumenq = load(l, lend)->sumenq + load(r, rend)->sumenq;
-    nb->sumdeq = load(l, lend)->sumdeq + load(r, rend)->sumdeq;
+    const Block* lb = load(l, lend);
+    const Block* rb = load(r, rend);
+    nb->sumenq = lb->sumenq + rb->sumenq;
+    nb->sumdeq = lb->sumdeq + rb->sumdeq;
     if (v->is_root) {
       int64_t numenq = nb->sumenq - prev->sumenq;
       int64_t numdeq = nb->sumdeq - prev->sumdeq;

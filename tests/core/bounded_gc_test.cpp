@@ -32,7 +32,12 @@
 //      straddling chunk whose low slots hold the discarded sentinel, the
 //      floor-crossing search a dequeue runs (one archive descent) returns,
 //      for every target at every node, what a plain gallop_down over
-//      historical block loads returns.
+//      historical block loads returns;
+//  (k) the GC cadence: the default period is max(kChunk, p^2 ceil(log2 p))
+//      (64 up to p = 4, the paper's value from p = 5 on), a queue built
+//      from an explicit bounded:g=<G> key (even below a chunk, and -1)
+//      behaves like one built with that G, and a default p = 2 queue runs
+//      exactly one phase per 64 single ops.
 #include <unistd.h>
 
 #include <algorithm>
@@ -47,6 +52,7 @@
 #include <string>
 #include <vector>
 
+#include "api/queue_registry.hpp"
 #include "core/bounded_queue.hpp"
 #include "core/unbounded_queue.hpp"
 #include "test_util.hpp"
@@ -504,6 +510,59 @@ void idle_trees_are_small() {
   CHECK(per_tree < 1900);
 }
 
+void gc_cadence() {
+  for (auto [p, g] : {std::pair{1, 64}, {2, 64}, {3, 64}, {4, 64}, {5, 75},
+                      {6, 108}, {8, 192}})
+    CHECK_EQ(BoundedQueue<uint64_t>(p).gc_period(), int64_t{g});
+  // Explicit keys are not floored: a queue built through the registry
+  // behaves, op for op, like one built with the period its key names (4,
+  // -1, or the constructor's default for plain "bounded"). The three periods
+  // give three different space traces, so the comparison tells them apart.
+  auto space_trace = [](auto& q) {
+    q.bind_thread(0);
+    std::vector<std::pair<uint64_t, uint64_t>> trace;
+    for (uint64_t n = 1; n <= 64 * 6; ++n) {
+      if (n % 3 == 0) {
+        (void)q.dequeue();
+      } else {
+        q.enqueue(n);
+      }
+      if constexpr (requires { q.space_stats(); }) {
+        auto s = q.space_stats();
+        trace.emplace_back(s.live_blocks, s.ebr_retired);
+      } else {
+        auto s = q.space();
+        trace.emplace_back(s.live_blocks, s.ebr_retired);
+      }
+    }
+    return trace;
+  };
+  std::vector<std::vector<std::pair<uint64_t, uint64_t>>> traces;
+  for (auto [key, g] : {std::pair{"bounded:g=4", int64_t{4}},
+                        {"bounded:g=-1", int64_t{-1}},
+                        {"bounded", int64_t{0}}}) {
+    auto via_registry = wfq::api::make_queue<uint64_t>(key, {.procs = 2});
+    BoundedQueue<uint64_t> direct(2, g);
+    traces.push_back(space_trace(via_registry));
+    CHECK(traces.back() == space_trace(direct));
+  }
+  CHECK(traces[0] != traces[1] && traces[0] != traces[2] &&
+        traces[1] != traces[2]);
+  BoundedQueue<uint64_t> q(2);
+  q.bind_thread(0);
+  bool ok = true;
+  for (uint64_t n = 1; n <= 64 * 10 + 37; ++n) {
+    if (n % 2 == 1) {
+      q.enqueue(n);
+    } else {
+      ok = ok && q.dequeue() == std::optional<uint64_t>(n - 1);
+    }
+    ok = ok && q.debug_gc_phases() == n / 64;
+  }
+  CHECK(ok);
+  CHECK_EQ(q.debug_gc_phases(), uint64_t{10});
+}
+
 }  // namespace
 
 int main() {
@@ -517,5 +576,6 @@ int main() {
   archive_holds_references();
   archive_search_matches_probing(/*procs=*/2, /*gc_period=*/3);
   archive_search_matches_probing(/*procs=*/6, /*gc_period=*/5);
+  gc_cadence();
   return wfq::test::exit_code();
 }

@@ -3,6 +3,7 @@
 // differential against a reference round-robin model, deterministic service
 // order under the sim scheduler, concurrent servicers, service-key parsing,
 // and the ZipfTraffic generator.
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -164,8 +165,13 @@ void test_differential_vs_rr_model() {
 // --- deterministic service order under the sim scheduler --------------------
 // Concurrent producers + one servicer under a seeded random policy: the
 // exact service sequence is a function of the schedule only, so two runs
-// with the same seed must produce identical sequences.
-std::vector<std::pair<int, uint64_t>> sim_service_sequence(uint64_t seed) {
+// with the same seed must produce identical sequences (and schedules).
+struct SimService {
+  std::vector<std::pair<int, uint64_t>> seq;  // (tenant, value) served
+  std::vector<int> trace;                     // the scheduler's pid trace
+};
+
+SimService sim_service_sequence(uint64_t seed) {
   const int producers = 3;
   const int64_t K = 40;
   api::QueueConfig cfg;
@@ -199,20 +205,30 @@ std::vector<std::pair<int, uint64_t>> sim_service_sequence(uint64_t seed) {
     }
   });
   sched.run(std::move(bodies));
-  return seq;
+  return {std::move(seq), sched.trace()};
 }
 
 void test_sim_deterministic_order() {
   auto a = sim_service_sequence(5);
   auto b = sim_service_sequence(5);
-  CHECK_EQ(a.size(), size_t{120});
-  CHECK(a == b);
-  // Per-tenant FIFO held under the concurrent schedule too.
-  uint64_t next_per_tenant[3] = {0, 0, 0};
-  for (auto& [t, v] : a) CHECK_EQ(v, next_per_tenant[t]++);
+  CHECK_EQ(a.seq.size(), size_t{120});
+  CHECK(a.seq == b.seq);
+  CHECK(a.trace == b.trace);
   // A different seed produces a different interleaving (overwhelmingly).
   auto c = sim_service_sequence(6);
-  CHECK(a != c);
+  CHECK(a.trace != c.trace);
+  // The service order has few outcomes (DWRR settles into a fixed tenant
+  // rotation), so two given seeds can serve alike; seeds 5..9 give 4
+  // distinct orders. Per-tenant FIFO holds under every one of them.
+  std::vector<std::vector<std::pair<int, uint64_t>>> orders;
+  for (uint64_t seed = 5; seed <= 9; ++seed) {
+    auto run = seed == 5 ? a : seed == 6 ? c : sim_service_sequence(seed);
+    uint64_t next_per_tenant[3] = {0, 0, 0};
+    for (auto& [t, v] : run.seq) CHECK_EQ(v, next_per_tenant[t]++);
+    if (std::find(orders.begin(), orders.end(), run.seq) == orders.end())
+      orders.push_back(run.seq);
+  }
+  CHECK(orders.size() >= 4);
 }
 
 // --- concurrent activation/deactivation stress (real threads) ---------------
